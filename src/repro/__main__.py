@@ -55,6 +55,7 @@ from .config import SimulationSpec
 from .engine import EngineProfiler
 from .errors import ReproError
 from .experiments import registry
+from .experiments.options import RunOptions
 from .faults import load_fault_plan
 from .telemetry import (
     MetricsRegistry,
@@ -202,24 +203,16 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         return 2
     print(f"running {spec.exp_id} ({spec.paper_ref}): {spec.title} ...")
     kwargs = {} if args.seed is None else {"seed": args.seed}
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = load_fault_plan(args.fault_plan)
-    result = spec.run(
-        jobs=args.jobs,
-        run_dir=args.run_dir,
-        resume=args.resume,
-        audit=args.audit,
-        trace_dir=args.trace_dir,
-        trace_sample=args.trace_sample,
+    # The option flags share their RunOptions field names.
+    options = RunOptions.pick(dict(
+        vars(args),
         slo=args.slo or None,
-        scrape_interval=args.scrape_interval,
-        fault_plan=fault_plan,
-        shards=args.shards,
-        shard_timeout=args.shard_timeout,
-        shard_restarts=args.shard_restarts,
-        **kwargs,
-    )
+        fault_plan=(
+            None if args.fault_plan is None
+            else load_fault_plan(args.fault_plan)
+        ),
+    ))
+    result = spec.run(options, **kwargs)
     print(repr(result))
     if args.run_dir is not None:
         manifest_path = Path(args.run_dir) / "manifest.json"

@@ -10,6 +10,7 @@ counterpart instead (see DESIGN.md SS1).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from ..distributions import Exponential
@@ -524,36 +525,23 @@ def default_value_sizes() -> Exponential:
 # Sharded runners ------------------------------------------------------
 #
 # Opt-in hooks read by :func:`repro.experiments.loadsweep.measure_at_load`
-# when called with ``shards > 1``. Both route through the generic world
-# adapter (:func:`repro.shard.adapter.sharded_load_point`), which
-# replicates the full world per shard and runs the real dispatcher
-# behind ShardHost mailboxes — no hand re-expression of dispatch logic
-# per topology. ``supported_telemetry`` declares which sweep knobs the
-# runner can honour (the adapter ships per-shard telemetry home at
-# finalize and merges it); loadsweep's blocked-knob check reads it.
+# when called with ``shards > 1``: each returns the builder's sharded
+# runner, whose signature is its capability set. Both route through
+# the generic world adapter (:func:`repro.shard.adapter.sharded_load_point`),
+# which replicates the full world per shard and runs the real
+# dispatcher behind ShardHost mailboxes — no hand re-expression of
+# dispatch logic per topology.
 
 
-def _two_tier_sharded_runner(*args, **kwargs):
-    """Late import so ``repro.shard`` stays an optional layer of the
-    import graph."""
+def _adapter_runner(build_world):
+    """The generic shard adapter bound to *build_world*, imported late
+    so ``repro.shard`` stays an optional layer of the import graph."""
     from ..shard.adapter import sharded_load_point
 
-    return sharded_load_point(two_tier, *args, **kwargs)
+    return functools.partial(sharded_load_point, build_world)
 
 
-def _social_network_sharded_runner(*args, **kwargs):
-    """Late import so ``repro.shard`` stays an optional layer of the
-    import graph."""
-    from ..shard.adapter import sharded_load_point
-
-    return sharded_load_point(social_network, *args, **kwargs)
-
-
-_two_tier_sharded_runner.supported_telemetry = (
-    "mix", "trace", "trace_dir", "slo", "scrape",
+two_tier.sharded_runner = functools.partial(_adapter_runner, two_tier)
+social_network.sharded_runner = functools.partial(
+    _adapter_runner, social_network
 )
-_social_network_sharded_runner.supported_telemetry = (
-    "mix", "trace", "trace_dir", "slo", "scrape",
-)
-two_tier.sharded_runner = _two_tier_sharded_runner
-social_network.sharded_runner = _social_network_sharded_runner

@@ -166,13 +166,11 @@ class Simulator:
         events = self.events
         pop = events.pop
         try:
-            if guarded:
+            if guarded or self.profiler is not None:
                 return self._run_guarded(
-                    until, max_events, wall_clock_budget, max_live_events,
-                    watchdog, watchdog_interval,
+                    until, max_events, guarded, wall_clock_budget,
+                    max_live_events, watchdog, watchdog_interval,
                 )
-            if self.profiler is not None:
-                return self._run_profiled(until, max_events)
             if until is None and max_events is None:
                 # Drain fast path: no horizon to compare against, so pop
                 # directly instead of peeking first (halves the number
@@ -223,55 +221,22 @@ class Simulator:
             self.now = max(self.now, until)
         return self.now
 
-    def _run_profiled(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> float:
-        """The generic loop with every handler routed through the
-        attached profiler. Kept separate so profiler-off runs keep the
-        branch-free hot loops above."""
-        events = self.events
-        pop = events.pop
-        peek_time = events.peek_time
-        dispatch = self.profiler.dispatch
-        processed_this_run = 0
-        while not self._stop_requested:
-            if max_events is not None and processed_this_run >= max_events:
-                break
-            next_time = peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self.now = max(self.now, until)
-                break
-            event = pop()
-            assert event is not None
-            if next_time < self.now:
-                raise SimulationError(
-                    f"event queue yielded a past event: {event!r} "
-                    f"at t={self.now}"
-                )
-            self.now = next_time
-            dispatch(event.fn, event.args)
-            if event.transient:
-                release_event(event)
-            self.events_processed += 1
-            processed_this_run += 1
-        if until is not None and not events:
-            self.now = max(self.now, until)
-        return self.now
-
     def _run_guarded(
         self,
         until: Optional[float],
         max_events: Optional[int],
+        guarded: bool,
         wall_clock_budget: Optional[float],
         max_live_events: Optional[int],
         watchdog: Optional[Callable[[RunProgress], None]],
         watchdog_interval: float,
     ) -> float:
-        """The generic loop with guardrail checks every
-        ``GUARD_CHECK_EVERY`` events (plus once up front, so a tiny
-        budget still trips on a pathological first event batch)."""
+        """The instrumented loop: every handler routed through the
+        attached profiler (if any), plus — when *guarded* — guardrail
+        checks every ``GUARD_CHECK_EVERY`` events (and once up front, so
+        a tiny budget still trips on a pathological first event batch).
+        Kept apart from the drain and horizon loops so uninstrumented
+        runs stay branch-free."""
         events = self.events
         pop = events.pop
         peek_time = events.peek_time
@@ -282,7 +247,7 @@ class Simulator:
         countdown = 1  # check once up front, then every GUARD_CHECK_EVERY
         while not self._stop_requested:
             countdown -= 1
-            if countdown <= 0:
+            if guarded and countdown <= 0:
                 countdown = GUARD_CHECK_EVERY
                 wall = time.monotonic() - started
                 if (wall_clock_budget is not None

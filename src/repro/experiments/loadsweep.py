@@ -19,37 +19,19 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from ..apps.base import World
 from ..errors import ReproError
 from ..faults import FaultInjector, FaultPlan
-from ..runner import (
-    RunStore,
-    derive_seed,
-    durable_map,
-    parallel_map,
-    point_key,
-    register_result_type,
-)
+from ..runner import derive_seed, point_key, register_result_type
 from ..telemetry.export import write_otlp, write_perfetto
-from ..telemetry.slo import SLO, SLOMonitor, parse_slo
-from ..telemetry.tracing import TraceConfig
+from ..telemetry.slo import SLOMonitor
+from ..telemetry.tracing import TraceConfig, trace_requested
 from ..workload import OpenLoopClient, RequestMix
 from .audit import audit_client
-
-#: How a sweep accepts SLOs: one spec string / SLO, or a sequence.
-SLOSpec = Union[str, SLO, Sequence[Union[str, SLO]]]
-
-
-def resolve_slos(
-    slo: Optional[SLOSpec], window: float
-) -> List[SLO]:
-    """Normalise an ``--slo`` style argument into :class:`SLO` objects
-    (spec strings parse with the given evaluation *window*)."""
-    if slo is None:
-        return []
-    if isinstance(slo, (str, SLO)):
-        slo = [slo]
-    return [
-        parse_slo(entry, window=window) if isinstance(entry, str) else entry
-        for entry in slo
-    ]
+from .options import (
+    RunOptions,
+    SLOSpec,
+    implied_trace,
+    resolve_slos,
+    runner_kwargs,
+)
 
 
 def slo_manifest_summary(results: Sequence[Any]) -> Dict[str, Any]:
@@ -146,10 +128,20 @@ def shard_sync_manifest_summary(results: Sequence[Any]) -> Dict[str, Any]:
     return {"shard_sync": block}
 
 
-def _combined_manifest_extra(
-    *summaries: Callable[[Sequence[Any]], Dict[str, Any]],
-) -> Callable[[Sequence[Any]], Dict[str, Any]]:
-    """Merge several manifest-summary callables into one."""
+def sweep_manifest_extra(
+    options: RunOptions,
+) -> Optional[Callable[[Sequence[Any]], Dict[str, Any]]]:
+    """The manifest blocks a sweep run under *options* records: shard
+    recovery and coordinator counters when sharded, SLO verdicts when
+    objectives were attached; ``None`` when there is nothing to add."""
+    summaries = (
+        [shard_recovery_manifest_summary, shard_sync_manifest_summary]
+        if options.shards > 1 else []
+    )
+    if options.slo:
+        summaries.append(slo_manifest_summary)
+    if not summaries:
+        return None
 
     def extra(results: Sequence[Any]) -> Dict[str, Any]:
         merged: Dict[str, Any] = {}
@@ -209,24 +201,6 @@ class SweepPoint:
             self.mean * 1e3,
             self.p99 * 1e3,
         ]
-
-
-def _trace_requested(
-    trace: Union[bool, TraceConfig],
-    trace_dir: Optional[Union[str, Path]],
-) -> bool:
-    """Would this trace/trace_dir pair actually sample anything?
-
-    ``trace_dir`` alone implies default tracing; a
-    :class:`~repro.telemetry.tracing.TraceConfig` with
-    ``sample_rate=0`` is a configured no-op and must not trip the
-    sharded blocked-knob check (or pay telemetry shipping).
-    """
-    if trace_dir is not None:
-        return True
-    if isinstance(trace, TraceConfig):
-        return trace.sample_rate > 0
-    return bool(trace)
 
 
 def shard_journal_name(derived_seed: int) -> str:
@@ -310,90 +284,47 @@ def measure_at_load(
     JSON named after the offered load (setting *trace_dir* alone
     implies ``trace=True``). Tracing draws from its own named RNG
     stream, so the measured numbers are identical with or without it.
+
+    ``shards > 1`` measures the point on the builder's sharded runner,
+    which must accept every other option that is set (see
+    :func:`~repro.experiments.options.runner_kwargs`).
     """
     if warmup >= duration:
         raise ReproError(
             f"warmup ({warmup}) must be shorter than duration ({duration})"
         )
-    if shards > 1:
-        # The sharded core replaces the whole build-world/client/run
-        # pipeline, so it is an opt-in capability of the *builder*:
-        # models advertise it by attaching a ``sharded_runner``
-        # callable (see repro.experiments.tail_at_scale). Anything
-        # else fails loudly rather than silently measuring unsharded.
-        runner = getattr(build_world, "sharded_runner", None)
-        if runner is None:
-            raise ReproError(
-                f"builder {getattr(build_world, '__name__', build_world)!r} "
-                f"has no sharded runner; only topologies ported to "
-                f"repro.shard support shards > 1 (run with shards=1)"
-            )
-        # Telemetry knobs are forwarded only when the runner declares
-        # them (adapter-based runners carry ``supported_telemetry``;
-        # the hand-written fan-out runner carries none). A knob is
-        # "requested" only when it would actually do something — a
-        # TraceConfig with sampling disabled is a no-op, not a block.
-        supported = frozenset(getattr(runner, "supported_telemetry", ()))
-        requested = {
-            "mix": mix is not None,
-            "trace": _trace_requested(trace, trace_dir),
-            "trace_dir": trace_dir is not None,
-            "slo": slo is not None,
-            "scrape": scrape_interval is not None,
-        }
-        blocked = [
-            name for name, active in requested.items()
-            if active and name not in supported
-        ]
-        if blocked:
-            raise ReproError(
-                f"this sharded runner does not support "
-                f"{', '.join(blocked)}; run those with shards=1"
-            )
-        derived = derive_seed(seed, float(qps))
-        journal_path = None
-        if shard_journal_dir is not None:
-            journal_path = Path(shard_journal_dir) / shard_journal_name(derived)
-        telemetry = {
-            name: value
-            for name, value in (
-                ("mix", mix), ("trace", trace),
-                ("trace_dir", trace_dir), ("slo", slo),
-            )
-            if name in supported
-        }
-        if "scrape" in supported:
-            # The knob is named "scrape" (capability-wise) but the
-            # runner kwarg carries the interval itself.
-            telemetry["scrape_interval"] = scrape_interval
-        return runner(
-            qps=qps,
-            duration=duration,
-            warmup=warmup,
-            seed=derived,
-            shards=shards,
-            audit=audit,
-            fault_plan=fault_plan,
-            shard_timeout=shard_timeout,
-            shard_restarts=shard_restarts,
-            journal_path=journal_path,
-            **telemetry,
-            **world_kwargs,
+    options = RunOptions.pick(locals())
+    derived = derive_seed(seed, float(qps))
+    if shards == 1:
+        return measure_vanilla_point(
+            build_world, qps, duration, warmup, derived, mix=mix,
+            trace=trace, **options.point_options(), **world_kwargs,
         )
-    if fault_plan is not None and fault_plan.shard_faults():
+    # The sharded core replaces the whole build-world/client/run
+    # pipeline, so it is an opt-in capability of the *builder*: models
+    # advertise it with a ``sharded_runner`` hook returning the runner
+    # (see repro.apps.builders). Anything else fails loudly rather than
+    # silently measuring unsharded.
+    name = getattr(build_world, "__name__", repr(build_world))
+    load_runner = getattr(build_world, "sharded_runner", None)
+    if load_runner is None:
         raise ReproError(
-            "fault plan carries shard_kill/shard_hang faults, which "
-            "target the sharded execution layer; run with --shards N"
+            f"builder {name!r} has no sharded runner; only topologies "
+            f"ported to repro.shard support shards > 1 (run with shards=1)"
         )
-    if shard_timeout is not None or shard_restarts is not None:
-        raise ReproError(
-            "shard_timeout/shard_restarts tune the shard supervisor; "
-            "they need shards > 1"
-        )
-    return measure_vanilla_point(
-        build_world, qps, duration, warmup, derive_seed(seed, float(qps)),
-        mix=mix, fault_plan=fault_plan, audit=audit, trace=trace,
-        trace_dir=trace_dir, slo=slo, scrape_interval=scrape_interval,
+    runner = load_runner()
+    requested = options.point_options()
+    if mix is not None:
+        requested["mix"] = mix
+    if trace and trace_requested(trace, trace_dir):
+        requested["trace"] = trace
+    journal_path = None
+    if shard_journal_dir is not None:
+        journal_path = Path(shard_journal_dir) / shard_journal_name(derived)
+    return runner(
+        qps=qps, duration=duration, warmup=warmup, seed=derived,
+        journal_path=journal_path,
+        **runner_kwargs(runner, requested, f"{name!r} with shards={shards}"),
         **world_kwargs,
     )
 
@@ -423,8 +354,7 @@ def measure_vanilla_point(
     bit-identical to vanilla. Callers are expected to have done the
     shard/tuning guard checks; *derived_seed* is used as-is.
     """
-    if trace_dir is not None and not trace:
-        trace = True
+    trace = implied_trace(trace, trace_dir)
     world = build_world(seed=derived_seed, **world_kwargs)
     if trace:
         world.dispatcher.trace = trace
@@ -597,28 +527,14 @@ def load_latency_sweep(
     the output directory never invalidates a journal.
     """
     loads = sorted(loads)
-    if trace_dir is not None and not trace:
-        trace = True
-    # Sharded points mirror their replay journals into the run
-    # directory so a post-mortem can verify recovery digests.
-    shard_journal_dir = (
-        Path(run_dir) / "shard_journals"
-        if run_dir is not None and shards > 1
-        else None
-    )
+    options = RunOptions.pick(locals())
+    trace = implied_trace(trace, trace_dir)
     point = functools.partial(
         measure_at_load, build_world, duration=duration, warmup=warmup,
-        mix=mix, seed=seed, fault_plan=fault_plan, audit=audit,
-        trace=trace, trace_dir=trace_dir, slo=slo,
-        scrape_interval=scrape_interval, shards=shards,
-        shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-        shard_journal_dir=shard_journal_dir,
-        **world_kwargs,
+        mix=mix, seed=seed, trace=trace,
+        shard_journal_dir=options.shard_journal_dir,
+        **options.point_options(), **world_kwargs,
     )
-    if run_dir is None:
-        return parallel_map(
-            point, loads, jobs=jobs, retries=retries, timeout=timeout
-        )
     config = sweep_config(
         builder=getattr(build_world, "__name__", repr(build_world)),
         duration=duration,
@@ -626,38 +542,17 @@ def load_latency_sweep(
         mix=mix,
         fault_plan=fault_plan,
         audit=audit,
-        **({"trace": trace} if trace else {}),
-        **({"slo": [s.name for s in resolve_slos(slo, window=1.0)]}
-           if slo else {}),
-        # Like trace: scraping joins the config only when on, so the
-        # journal keys of existing scrape-off sweeps never change (and
-        # a scraped rerun doesn't silently reuse timeline-less points).
-        **({"scrape": scrape_interval} if scrape_interval is not None
-           else {}),
-        # shards joins the config only when sharded — the journal keys
-        # of existing shards=1 sweeps must not change, and sharded
-        # points are a different (tolerance-bearing) measurement.
-        **({"shards": shards} if shards != 1 else {}),
+        **options.journal_config(trace),
         **world_kwargs,
     )
     seeds = [derive_seed(seed, float(qps)) for qps in loads]
-    keys = [
-        point_key(experiment, {"qps": float(qps)}, derived, config)
-        for qps, derived in zip(loads, seeds)
-    ]
-    store = RunStore(run_dir, experiment, config=config)
-    summaries = (
-        [shard_recovery_manifest_summary, shard_sync_manifest_summary]
-        if shards > 1 else []
-    )
-    if slo:
-        summaries.append(slo_manifest_summary)
-    return durable_map(
-        point, loads, store=store, keys=keys, seeds=seeds,
-        resume=resume, jobs=jobs, retries=retries, timeout=timeout,
-        manifest_extra=(
-            _combined_manifest_extra(*summaries) if summaries else None
-        ),
+    return options.map(
+        point, loads, experiment=experiment, config=config, seeds=seeds,
+        keys=[
+            point_key(experiment, {"qps": float(qps)}, derived, config)
+            for qps, derived in zip(loads, seeds)
+        ],
+        manifest_extra=sweep_manifest_extra(options),
     )
 
 

@@ -41,14 +41,7 @@ from ..errors import ConfigError
 from ..faults import FaultInjector, FaultPlan
 from ..hardware import Machine
 from ..resilience import ResiliencePolicy, RetryPolicy
-from ..runner import (
-    RunStore,
-    derive_seed,
-    durable_map,
-    parallel_map,
-    point_key,
-    register_result_type,
-)
+from ..runner import derive_seed, point_key, register_result_type
 from ..service import (
     ExecutionPath,
     Microservice,
@@ -63,6 +56,7 @@ from ..topology import PathNode, PathTree
 from ..workload import OpenLoopClient
 from .audit import audit_client
 from .loadsweep import sweep_config
+from .options import RunOptions
 
 #: The tier every orchestrated world serves.
 SERVICE = "web"
@@ -292,25 +286,21 @@ def node_failure_experiment(
     single point stays reproducible in isolation. Results journal into
     *run_dir* under content keys, exactly like the load sweeps.
     """
+    options = RunOptions.pick(locals())
     point = functools.partial(
         measure_node_failure, qps=qps, duration=duration, fail_at=fail_at,
         machine=machine, fault_plan=fault_plan, audit=audit, **world_kwargs,
     )
     items = [derive_seed(seed, int(s)) for s in seeds]
-    if run_dir is None:
-        return parallel_map(point, items, jobs=jobs)
     config = sweep_config(
         experiment="node_failure", qps=qps, duration=duration,
         fail_at=fail_at, machine=machine, fault_plan=fault_plan,
         audit=audit, **world_kwargs,
     )
-    keys = [
-        point_key("node_failure", {"seed": s}, s, config) for s in items
-    ]
-    store = RunStore(run_dir, "node_failure", config=config)
-    return durable_map(
-        point, items, store=store, keys=keys, seeds=items,
-        resume=resume, jobs=jobs,
+    return options.map(
+        point, items, experiment="node_failure", config=config, seeds=items,
+        keys=[point_key("node_failure", {"seed": s}, s, config)
+              for s in items],
     )
 
 
@@ -423,20 +413,17 @@ def rollout_experiment(
     regressed and every seed should end ``rolled_back`` with the stable
     version still serving; ``regression=1.0`` is the control — a clean
     candidate that promotes."""
+    options = RunOptions.pick(locals())
     point = functools.partial(
         measure_rollout, regression=regression, strategy=strategy,
         audit=audit, **kwargs,
     )
     items = [derive_seed(seed, int(s)) for s in seeds]
-    if run_dir is None:
-        return parallel_map(point, items, jobs=jobs)
     config = sweep_config(
         experiment="rollout", regression=regression, strategy=strategy,
         audit=audit, **kwargs,
     )
-    keys = [point_key("rollout", {"seed": s}, s, config) for s in items]
-    store = RunStore(run_dir, "rollout", config=config)
-    return durable_map(
-        point, items, store=store, keys=keys, seeds=items,
-        resume=resume, jobs=jobs,
+    return options.map(
+        point, items, experiment="rollout", config=config, seeds=items,
+        keys=[point_key("rollout", {"seed": s}, s, config) for s in items],
     )

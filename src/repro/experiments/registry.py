@@ -10,11 +10,9 @@ it. ``benchmarks/`` drives these; users can too::
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import ReproError
 from . import (
     comparison,
     orchestration,
@@ -23,6 +21,7 @@ from . import (
     tail_at_scale,
     validation,
 )
+from .options import RunOptions, accepts, runner_kwargs
 
 
 @dataclass(frozen=True)
@@ -34,155 +33,28 @@ class ExperimentSpec:
     title: str
     runner: Callable[..., Any]
 
-    def _accepts(self, name: str) -> bool:
-        return name in inspect.signature(self.runner).parameters
+    def supports(self, name: str) -> bool:
+        """Whether the runner honours the :class:`RunOptions` field
+        *name* — i.e. takes a keyword argument of that name."""
+        return accepts(self.runner, name)
 
-    @property
-    def supports_jobs(self) -> bool:
-        """Whether the runner can fan work out across processes."""
-        return self._accepts("jobs")
+    def run(self, options: Optional[RunOptions] = None, **kwargs: Any) -> Any:
+        """Run the experiment under *options*.
 
-    @property
-    def supports_run_dir(self) -> bool:
-        """Whether the runner checkpoints to a journaled run directory."""
-        return self._accepts("run_dir")
-
-    @property
-    def supports_audit(self) -> bool:
-        """Whether the runner can run the conservation audit."""
-        return self._accepts("audit")
-
-    @property
-    def supports_trace_dir(self) -> bool:
-        """Whether the runner can export request traces."""
-        return self._accepts("trace_dir")
-
-    @property
-    def supports_slo(self) -> bool:
-        """Whether the runner can evaluate declarative SLOs live."""
-        return self._accepts("slo")
-
-    @property
-    def supports_scrape(self) -> bool:
-        """Whether the runner can sample sim-time timelines
-        (``--scrape-interval``)."""
-        return self._accepts("scrape_interval")
-
-    @property
-    def supports_fault_plan(self) -> bool:
-        """Whether the runner can arm an injected fault plan."""
-        return self._accepts("fault_plan")
-
-    @property
-    def supports_shards(self) -> bool:
-        """Whether the runner can use the sharded parallel core."""
-        return self._accepts("shards")
-
-    @property
-    def supports_shard_tuning(self) -> bool:
-        """Whether the runner exposes the shard-supervisor knobs
-        (window timeout, restart budget)."""
-        return self._accepts("shard_timeout")
-
-    def run(
-        self,
-        jobs: int = 1,
-        run_dir: Any = None,
-        resume: bool = True,
-        audit: bool = False,
-        trace_dir: Any = None,
-        trace_sample: float = 1.0,
-        slo: Any = None,
-        scrape_interval: Any = None,
-        fault_plan: Any = None,
-        shards: int = 1,
-        shard_timeout: Any = None,
-        shard_restarts: Any = None,
-        **kwargs: Any,
-    ) -> Any:
-        """Run the experiment.
-
-        ``jobs`` fans sweeps out over processes, ``run_dir``/``resume``
-        journal completed points for durable restarts, and ``audit``
-        turns on the request-conservation check, and ``trace_dir``
-        exports sampled request traces (at ``trace_sample``) — each
-        forwarded only where the runner supports it (inherently serial
-        experiments — timelines, single simulations — silently ignore
-        ``jobs``; asking an unsupported runner to checkpoint, audit or
-        trace is an error, not a silent no-op)."""
-        if self.supports_jobs:
-            kwargs.setdefault("jobs", jobs)
-        if run_dir is not None:
-            if not self.supports_run_dir:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support run_dir"
-                )
-            kwargs.setdefault("run_dir", run_dir)
-            kwargs.setdefault("resume", resume)
-        if audit:
-            if not self.supports_audit:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support audit"
-                )
-            kwargs.setdefault("audit", True)
-        if trace_dir is not None:
-            if not self.supports_trace_dir:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support trace_dir"
-                )
-            kwargs.setdefault("trace_dir", trace_dir)
-            if self._accepts("trace_sample"):
-                kwargs.setdefault("trace_sample", trace_sample)
-        if slo is not None:
-            if not self.supports_slo:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support slo"
-                )
-            kwargs.setdefault("slo", slo)
-        if scrape_interval is not None:
-            if not self.supports_scrape:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support "
-                    f"scrape_interval"
-                )
-            kwargs.setdefault("scrape_interval", scrape_interval)
-        if fault_plan is not None:
-            if not self.supports_fault_plan:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support fault_plan"
-                )
-            kwargs.setdefault("fault_plan", fault_plan)
-        # Shard gating, untangled: ``shards=1`` is the default single-core
-        # path and is ALWAYS accepted, capable runner or not — only a
-        # request for actual parallelism (shards >= 2) requires runner
-        # support. The supervisor knobs ride on top of parallelism, so
-        # they are checked against the *requested* shard count, never
-        # against runner capability first.
-        if shards < 1:
-            raise ReproError(f"--shards must be >= 1, got {shards}")
-        if shards > 1:
-            if not self.supports_shards:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support the "
-                    f"sharded parallel core (--shards)"
-                )
-            kwargs.setdefault("shards", shards)
-        if shard_timeout is not None or shard_restarts is not None:
-            if shards == 1:
-                raise ReproError(
-                    "--shard-timeout/--shard-restarts tune the shard "
-                    "supervisor; they need --shards N"
-                )
-            if not self.supports_shard_tuning:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not expose the "
-                    f"shard supervisor knobs"
-                )
-            if shard_timeout is not None:
-                kwargs.setdefault("shard_timeout", shard_timeout)
-            if shard_restarts is not None:
-                kwargs.setdefault("shard_restarts", shard_restarts)
-        return self.runner(**kwargs)
+        Keyword arguments named like :class:`RunOptions` fields override
+        *options*; every other one goes to the runner as-is. Each option
+        set away from its default reaches the runner only if the runner
+        supports it — asking an experiment to checkpoint, fan out,
+        trace or shard when it cannot is an error, not a silent no-op.
+        """
+        overrides = {
+            f.name: kwargs.pop(f.name)
+            for f in fields(RunOptions) if f.name in kwargs
+        }
+        options = replace(options or RunOptions(), **overrides)
+        return self.runner(**kwargs, **runner_kwargs(
+            self.runner, options.requested(), f"experiment {self.exp_id!r}"
+        ))
 
 
 _SPECS: List[ExperimentSpec] = [

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from ..apps.base import World, add_client_machine, new_world
 from ..distributions import Deterministic, Exponential
-from ..errors import ConfigError, ReproError
+from ..errors import ConfigError
 from ..hardware import Machine, NetworkFabric
 from ..service import (
     ExecutionPath,
@@ -28,20 +28,21 @@ from ..service import (
     SingleQueue,
     Stage,
 )
-from ..runner import (
-    RunStore,
-    durable_map,
-    parallel_map,
-    point_key,
-    register_result_type,
-)
+from ..runner import point_key, register_result_type
 from ..telemetry.export import write_otlp, write_perfetto
 from ..telemetry.slo import SLOMonitor
-from ..telemetry.tracing import TraceConfig
+from ..telemetry.tracing import TraceConfig, trace_requested
 from ..topology import PathNode, PathTree
 from ..workload import OpenLoopClient
 from .audit import audit_client
-from .loadsweep import SLOSpec, resolve_slos, slo_manifest_summary
+from .loadsweep import sweep_manifest_extra
+from .options import (
+    RunOptions,
+    SLOSpec,
+    implied_trace,
+    resolve_slos,
+    runner_kwargs,
+)
 
 
 def build_fanout_cluster(
@@ -96,21 +97,20 @@ def build_fanout_cluster(
     return world
 
 
-def _fanout_sharded_runner(*args, **kwargs):
-    """Late import so ``repro.shard`` stays an optional layer of the
-    import graph (it imports back into this module)."""
+def _fanout_sharded_runner():
+    """The hand-written fan-out runner, imported late so
+    ``repro.shard`` stays an optional layer of the import graph (it
+    imports back into this module)."""
     from ..shard import fanout_sharded_load_point
 
-    return fanout_sharded_load_point(*args, **kwargs)
+    return fanout_sharded_load_point
 
 
 #: Opt-in hook read by :func:`repro.experiments.loadsweep.measure_at_load`
 #: when called with ``shards > 1`` — builders without the attribute get
-#: a loud error instead of a silently-unsharded run. The hand-written
-#: fan-out runner predates the generic world adapter and supports no
-#: telemetry knobs under shards (adapter-based runners declare theirs
-#: via ``supported_telemetry``; see repro.apps.builders).
-_fanout_sharded_runner.supported_telemetry = ()
+#: a loud error instead of a silently-unsharded run. The runner's
+#: signature is its capability set: the fan-out port predates the
+#: generic world adapter and takes no telemetry options.
 build_fanout_cluster.sharded_runner = _fanout_sharded_runner
 
 
@@ -185,19 +185,21 @@ def measure_tail_at_scale(
     planner falls back to one shard with a ``RuntimeWarning``).
     *audit* works under shards too — it runs the merged cross-shard
     conservation audit on the per-shard finalize counters; *trace* and
-    *slo* remain single-simulator-only. *fault_plan* under shards may
-    carry ``shard_kill``/``shard_hang`` chaos (the supervisor recovers
-    and results must not change); under ``shards=1`` it arms the
-    ordinary in-simulation :class:`~repro.faults.FaultInjector`.
+    *slo* remain single-simulator-only and are refused. *fault_plan*
+    under shards may carry ``shard_kill``/``shard_hang`` chaos (the
+    supervisor recovers and results must not change); under
+    ``shards=1`` it arms the ordinary in-simulation
+    :class:`~repro.faults.FaultInjector`. A sharded point carries the
+    coordinator counters as a ``shard_sync`` attribute, which the run
+    manifest summarises.
     """
+    options = RunOptions.pick(locals())
     if shards > 1:
-        if trace or trace_dir is not None or slo is not None:
-            raise ReproError(
-                "shards > 1 does not support trace/slo "
-                "instrumentation yet; run those with shards=1"
-            )
-        from ..shard import measure_fanout_sharded
+        from ..shard.fanout import measure_fanout_sharded, shard_sync_counters
 
+        requested = options.point_options()
+        if trace and trace_requested(trace, trace_dir):
+            requested["trace"] = trace
         journal_path = None
         if shard_journal_dir is not None:
             journal_path = (
@@ -207,12 +209,13 @@ def measure_tail_at_scale(
         result = measure_fanout_sharded(
             cluster_size, slow_fraction, qps=qps,
             num_requests=num_requests, slow_factor=slow_factor,
-            seed=seed, shards=shards, network=network,
-            audit=audit, fault_plan=fault_plan,
-            shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-            journal_path=journal_path,
+            seed=seed, network=network, journal_path=journal_path,
+            **runner_kwargs(
+                measure_fanout_sharded, requested,
+                f"the fan-out cluster with shards={shards}",
+            ),
         )
-        return TailAtScalePoint(
+        point = TailAtScalePoint(
             cluster_size=cluster_size,
             slow_fraction=slow_fraction,
             p50=result["p50"],
@@ -222,18 +225,11 @@ def measure_tail_at_scale(
                 result["recovery"] if result["restarts"] else None
             ),
         )
-    if fault_plan is not None and fault_plan.shard_faults():
-        raise ReproError(
-            "fault plan carries shard_kill/shard_hang faults, which "
-            "target the sharded execution layer; run with --shards N"
-        )
-    if shard_timeout is not None or shard_restarts is not None:
-        raise ReproError(
-            "shard_timeout/shard_restarts tune the shard supervisor; "
-            "they need shards > 1"
-        )
-    if trace_dir is not None and not trace:
-        trace = True
+        # Non-declared attribute, as on sharded SweepPoints: equality
+        # and journal round-trips ignore it.
+        point.shard_sync = shard_sync_counters(result)
+        return point
+    trace = implied_trace(trace, trace_dir)
     world = build_fanout_cluster(
         cluster_size, slow_fraction, slow_factor, seed=seed,
         network=network,
@@ -288,30 +284,15 @@ def measure_tail_at_scale(
     )
 
 
-def _measure_grid_point(
-    size_and_fraction: Tuple[int, float],
-    qps: float,
-    num_requests: int,
-    seed: int,
-    audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
-    trace_dir: Optional[Union[str, Path]] = None,
-    slo: Optional[SLOSpec] = None,
-    shards: int = 1,
-    network: Optional[NetworkFabric] = None,
-    fault_plan=None,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
-    shard_journal_dir: Optional[Union[str, Path]] = None,
+def _measure_cell(
+    size_and_fraction: Tuple[int, float], options: RunOptions, **kwargs
 ) -> TailAtScalePoint:
-    """Picklable per-cell worker for the parallel grid sweep."""
-    size, frac = size_and_fraction
+    """Picklable per-cell worker for the grid sweep: one
+    :func:`measure_tail_at_scale` run under the sweep's *options*."""
     return measure_tail_at_scale(
-        size, frac, qps=qps, num_requests=num_requests, seed=seed,
-        audit=audit, trace=trace, trace_dir=trace_dir, slo=slo,
-        shards=shards, network=network, fault_plan=fault_plan,
-        shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-        shard_journal_dir=shard_journal_dir,
+        *size_and_fraction, trace=options.trace,
+        shard_journal_dir=options.shard_journal_dir,
+        **options.point_options(), **kwargs,
     )
 
 
@@ -350,69 +331,30 @@ def tail_at_scale_sweep(
     ``jobs=1``, since each cell then owns one worker process per
     shard.
     """
+    options = RunOptions.pick(locals())
     grid = [
         (size, frac) for frac in slow_fractions for size in cluster_sizes
     ]
-    trace = (
-        TraceConfig(sample_rate=trace_sample) if trace_dir is not None
-        else False
-    )
-    shard_journal_dir = (
-        Path(run_dir) / "shard_journals"
-        if run_dir is not None and shards > 1
-        else None
-    )
     cell = functools.partial(
-        _measure_grid_point, qps=qps, num_requests=num_requests, seed=seed,
-        audit=audit, trace=trace, trace_dir=trace_dir, slo=slo,
-        shards=shards, network=network, fault_plan=fault_plan,
-        shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-        shard_journal_dir=shard_journal_dir,
+        _measure_cell, options=options, qps=qps,
+        num_requests=num_requests, seed=seed, network=network,
     )
-    if run_dir is None:
-        return parallel_map(
-            cell, grid, jobs=jobs, retries=retries, timeout=timeout
-        )
+    # Journal-key stability: older journals hashed a config without
+    # the later knobs, so only non-default values contribute.
     config = {
         "qps": qps, "num_requests": num_requests, "audit": audit,
+        **options.journal_config(options.trace),
     }
-    # Journal-key stability: older journals hashed a config without
-    # these knobs, so only non-default values contribute. Supervision
-    # tuning (shard_timeout/shard_restarts) and journal mirroring are
-    # operational knobs that cannot change results, so they never join.
-    if shards != 1:
-        config["shards"] = shards
     if network is not None:
         config["network"] = repr(network)
-    if trace:
-        config["trace"] = repr(trace)
-    if slo:
-        config["slo"] = [s.name for s in resolve_slos(slo, window=1.0)]
     if fault_plan is not None and len(fault_plan):
         config["fault_plan"] = repr(fault_plan.sorted())
-    keys = [
-        point_key(
-            experiment, {"size": size, "frac": frac}, seed, config
-        )
-        for size, frac in grid
-    ]
-    store = RunStore(run_dir, experiment, config=config)
-    summaries = []
-    if shards > 1:
-        from .loadsweep import shard_recovery_manifest_summary
-
-        summaries.append(shard_recovery_manifest_summary)
-    if slo:
-        summaries.append(slo_manifest_summary)
-    if summaries:
-        from .loadsweep import _combined_manifest_extra
-
-        manifest_extra = _combined_manifest_extra(*summaries)
-    else:
-        manifest_extra = None
-    return durable_map(
-        cell, grid, store=store, keys=keys,
-        seeds=[seed] * len(grid), resume=resume, jobs=jobs,
-        retries=retries, timeout=timeout,
-        manifest_extra=manifest_extra,
+    return options.map(
+        cell, grid, experiment=experiment, config=config,
+        seeds=[seed] * len(grid),
+        keys=[
+            point_key(experiment, {"size": size, "frac": frac}, seed, config)
+            for size, frac in grid
+        ],
+        manifest_extra=sweep_manifest_extra(options),
     )

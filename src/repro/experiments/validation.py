@@ -10,7 +10,7 @@ windows for higher-fidelity runs.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..apps import (
     fanout,
@@ -20,9 +20,9 @@ from ..apps import (
     thrift_echo,
     two_tier,
 )
-from ..telemetry.tracing import TraceConfig
 from ..testbed import RealismConfig
 from .loadsweep import SweepPoint, load_latency_sweep
+from .options import RunOptions
 
 SweepPair = Dict[str, List[SweepPoint]]
 
@@ -35,59 +35,41 @@ def _real_and_sim(
     duration: float,
     warmup: float,
     seed: int,
-    jobs: int = 1,
-    run_dir: RunDir = None,
-    resume: bool = True,
-    experiment: str = "pair",
-    audit: bool = False,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    trace_dir: RunDir = None,
-    trace_sample: float = 1.0,
-    slo: Optional[str] = None,
-    scrape_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
+    options: RunOptions,
+    experiment: str,
     **world_kwargs,
 ) -> SweepPair:
     """Run the same sweep with and without the realism layer.
 
-    Both sides share *run_dir* when given: the journal is append-only
-    and keys embed ``{experiment}/sim`` vs ``{experiment}/real``, so a
-    whole multi-sweep figure checkpoints into one directory. With
-    *trace_dir* set, both sides export per-load Perfetto/OTLP traces
-    under ``{trace_dir}/{experiment}/{side}``, sampled at
-    *trace_sample*. With ``shards > 1`` both sides run on the sharded
-    parallel core through the builder's adapter runner
-    (:mod:`repro.shard.adapter`); telemetry still merges at the root.
+    Both sides share the run directory when *options* has one: the
+    journal is append-only and keys embed ``{experiment}/sim`` vs
+    ``{experiment}/real``, so a whole multi-sweep figure checkpoints
+    into one directory. With a trace directory set, both sides export
+    per-load Perfetto/OTLP traces under
+    ``{trace_dir}/{experiment}/{side}``. With ``shards > 1`` both sides
+    run on the sharded parallel core through the builder's adapter
+    runner (:mod:`repro.shard.adapter`); telemetry still merges at the
+    root.
     """
-    durable = dict(
-        run_dir=run_dir, resume=resume, audit=audit, retries=retries,
-        timeout=timeout, slo=slo, scrape_interval=scrape_interval,
-        shards=shards, shard_timeout=shard_timeout,
-        shard_restarts=shard_restarts,
-    )
 
-    def tracing(side: str) -> dict:
-        if trace_dir is None:
-            return {}
-        return {
-            "trace": TraceConfig(sample_rate=trace_sample),
-            "trace_dir": Path(trace_dir) / experiment / side,
-        }
+    def side(name: str, side_seed: int, **realism: Any) -> List[SweepPoint]:
+        knobs = options.requested()
+        knobs.pop("trace_sample", None)
+        if options.trace_dir is not None:
+            knobs.update(
+                trace=options.trace,
+                trace_dir=Path(options.trace_dir) / experiment / name,
+            )
+        return load_latency_sweep(
+            build_world, loads, duration, warmup, seed=side_seed,
+            experiment=f"{experiment}/{name}", **knobs, **realism,
+            **world_kwargs,
+        )
 
-    sim_points = load_latency_sweep(
-        build_world, loads, duration, warmup, seed=seed, jobs=jobs,
-        experiment=f"{experiment}/sim", **durable, **tracing("sim"),
-        **world_kwargs
-    )
-    real_points = load_latency_sweep(
-        build_world, loads, duration, warmup, seed=seed + 7919,
-        jobs=jobs, experiment=f"{experiment}/real", **durable,
-        **tracing("real"), realism=RealismConfig(), **world_kwargs,
-    )
-    return {"sim": sim_points, "real": real_points}
+    return {
+        "sim": side("sim", seed),
+        "real": side("real", seed + 7919, realism=RealismConfig()),
+    }
 
 
 #: Fig 5's four concurrency configurations: (nginx processes,
@@ -114,6 +96,7 @@ def fig5_two_tier(
     shard_restarts: Optional[int] = None,
 ) -> Dict[str, SweepPair]:
     """Fig 5: 2-tier load-latency across thread/process configs."""
+    options = RunOptions.pick(locals())
     loads_by_processes = loads_by_processes or {
         8: (10_000, 25_000, 40_000, 52_000, 60_000, 66_000),
         4: (5_000, 12_000, 20_000, 26_000, 30_000, 33_000),
@@ -122,24 +105,8 @@ def fig5_two_tier(
     for nginx_procs, mc_threads in configs:
         key = f"nginx={nginx_procs}p,memcached={mc_threads}t"
         results[key] = _real_and_sim(
-            two_tier,
-            loads_by_processes[nginx_procs],
-            duration,
-            warmup,
-            seed,
-            jobs=jobs,
-            run_dir=run_dir,
-            resume=resume,
-            audit=audit,
-            trace_dir=trace_dir,
-            trace_sample=trace_sample,
-            slo=slo,
-            scrape_interval=scrape_interval,
-            shards=shards,
-            shard_timeout=shard_timeout,
-            shard_restarts=shard_restarts,
-            experiment=f"fig5/{key}",
-            nginx_processes=nginx_procs,
+            two_tier, loads_by_processes[nginx_procs], duration, warmup,
+            seed, options, f"fig5/{key}", nginx_processes=nginx_procs,
             memcached_threads=mc_threads,
         )
     return results
@@ -159,9 +126,7 @@ def fig6_three_tier(
 ) -> SweepPair:
     """Fig 6: 3-tier (NGINX-memcached-MongoDB) validation."""
     return _real_and_sim(three_tier, loads, duration, warmup, seed,
-                         jobs=jobs, run_dir=run_dir, resume=resume,
-                         audit=audit, trace_dir=trace_dir,
-                         trace_sample=trace_sample, experiment="fig6")
+                         RunOptions.pick(locals()), "fig6")
 
 
 def fig8_load_balancing(
@@ -178,6 +143,7 @@ def fig8_load_balancing(
     trace_sample: float = 1.0,
 ) -> Dict[int, SweepPair]:
     """Fig 8: p99 vs load for each scale-out factor."""
+    options = RunOptions.pick(locals())
     loads_by_scale = loads_by_scale or {
         4: (10_000, 20_000, 30_000, 35_000, 38_000),
         8: (20_000, 40_000, 60_000, 70_000, 76_000),
@@ -186,9 +152,7 @@ def fig8_load_balancing(
     return {
         so: _real_and_sim(
             load_balanced, loads_by_scale[so], duration, warmup, seed,
-            jobs=jobs, run_dir=run_dir, resume=resume, audit=audit,
-            trace_dir=trace_dir, trace_sample=trace_sample,
-            experiment=f"fig8/scale{so}", scale_out=so,
+            options, f"fig8/scale{so}", scale_out=so,
         )
         for so in scale_outs
     }
@@ -208,12 +172,11 @@ def fig10_fanout(
     trace_sample: float = 1.0,
 ) -> Dict[int, SweepPair]:
     """Fig 10: p99 vs load for each fanout factor."""
+    options = RunOptions.pick(locals())
     return {
         fo: _real_and_sim(
-            fanout, loads, duration, warmup, seed, jobs=jobs,
-            run_dir=run_dir, resume=resume, audit=audit,
-            trace_dir=trace_dir, trace_sample=trace_sample,
-            experiment=f"fig10/fanout{fo}", fanout_factor=fo
+            fanout, loads, duration, warmup, seed, options,
+            f"fig10/fanout{fo}", fanout_factor=fo,
         )
         for fo in fanouts
     }
@@ -233,9 +196,7 @@ def fig12a_thrift(
 ) -> SweepPair:
     """Fig 12(a): Thrift echo RPC validation."""
     return _real_and_sim(thrift_echo, loads, duration, warmup, seed,
-                         jobs=jobs, run_dir=run_dir, resume=resume,
-                         audit=audit, trace_dir=trace_dir,
-                         trace_sample=trace_sample, experiment="fig12a")
+                         RunOptions.pick(locals()), "fig12a")
 
 
 def fig12b_social_network(
@@ -257,10 +218,4 @@ def fig12b_social_network(
 ) -> SweepPair:
     """Fig 12(b): Social Network end-to-end validation."""
     return _real_and_sim(social_network, loads, duration, warmup, seed,
-                         jobs=jobs, run_dir=run_dir, resume=resume,
-                         audit=audit, trace_dir=trace_dir,
-                         trace_sample=trace_sample, slo=slo,
-                         scrape_interval=scrape_interval,
-                         shards=shards, shard_timeout=shard_timeout,
-                         shard_restarts=shard_restarts,
-                         experiment="fig12b")
+                         RunOptions.pick(locals()), "fig12b")

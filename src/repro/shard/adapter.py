@@ -83,7 +83,7 @@ from ..engine import PRIORITY_ARRIVAL
 from ..errors import ShardingError
 from ..service import Job, Request
 from ..service.job import OUTCOME_OK
-from ..telemetry.tracing import Span, SpanEvent, TraceConfig
+from ..telemetry.tracing import Span, SpanEvent, TraceConfig, trace_requested
 from ..topology.dispatcher import Dispatcher, _RequestGroup
 from ..topology.path_tree import PathNode, PathTree
 from ..workload import OpenLoopClient
@@ -99,12 +99,6 @@ __all__ = [
     "sharded_load_point",
     "validate_world_shardable",
 ]
-
-#: Telemetry knobs every adapter-based runner supports; loadsweep's
-#: blocked-knob check reads this attribute off the runner instead of
-#: guessing from ``**kwargs`` signatures.
-ADAPTER_KNOBS = ("mix", "trace", "trace_dir", "slo", "scrape")
-
 
 def _owned_tiers(deployment, assignments: Dict[str, int],
                  shard_id: int) -> Dict[str, list]:
@@ -652,7 +646,7 @@ class WorldShardHost(ShardHost):
         self.client_machine = client_machine
         self.is_root = assignments[client_machine] == shard_id
         self._warmup = warmup
-        self.trace_active = _trace_active(trace, None)
+        self.trace_active = trace_requested(trace)
         breakdown = (trace.breakdown
                      if isinstance(trace, TraceConfig) else True)
         self.dispatcher = ShardedDispatcher(
@@ -670,7 +664,7 @@ class WorldShardHost(ShardHost):
             )
             if slo:
                 from ..telemetry.slo import SLOMonitor
-                from ..experiments.loadsweep import resolve_slos
+                from ..experiments.options import resolve_slos
 
                 window = max(0.05, min(1.0, duration - (warmup or 0.0)))
                 slos = resolve_slos(slo, window)
@@ -771,20 +765,6 @@ def _span_from_tuple(fields: tuple) -> Span:
     return span
 
 
-def _trace_active(trace, trace_dir) -> bool:
-    """Does this trace/trace_dir pair actually sample anything?
-
-    A ``TraceConfig`` with sampling disabled is a no-op, not a reason
-    to block (or ship telemetry); ``trace_dir`` alone implies default
-    tracing, matching the vanilla sweep path.
-    """
-    if trace_dir is not None:
-        return True
-    if isinstance(trace, TraceConfig):
-        return trace.sample_rate > 0
-    return bool(trace)
-
-
 def build_world_shard_host(**kwargs) -> WorldShardHost:
     """Construct one adapter shard inside a worker process.
 
@@ -852,6 +832,7 @@ def sharded_load_point(
     than shards.
     """
     from ..experiments.loadsweep import SweepPoint, measure_vanilla_point
+    from ..experiments.options import implied_trace
 
     probe = build_world(seed=seed, **world_kwargs)
     validate_world_shardable(probe)
@@ -870,9 +851,7 @@ def sharded_load_point(
             slo=slo, scrape_interval=scrape_interval, **world_kwargs,
         )
     chaos = _shard_chaos(fault_plan, plan)
-    tracing = _trace_active(trace, trace_dir)
-    if tracing and not trace:
-        trace = True  # trace_dir alone implies default tracing
+    trace = implied_trace(trace, trace_dir)
     common = dict(
         builder=build_world, world_kwargs=dict(world_kwargs), seed=seed,
         assignments=dict(plan.assignments), lookahead=plan.lookahead,
@@ -944,7 +923,7 @@ def sharded_load_point(
             from ..telemetry.scrape import write_timeline
 
             write_timeline(base / f"{stem}.timeseries.json", timeline)
-    elif tracing:
+    elif trace_requested(trace):
         _merge_traces(results, root)
     slo_summary = root.get("slo")
     window = root.get("window") or {}

@@ -935,7 +935,16 @@ def fanout_sharded_load_point(
     # Non-declared attribute: dataclass equality ignores it, so the
     # sharded-vs-vanilla identity contracts are untouched (and journal
     # round-trips simply drop it).
-    point.shard_sync = {
+    point.shard_sync = shard_sync_counters(result)
+    return point
+
+
+def shard_sync_counters(result: dict) -> dict:
+    """The coordinator counters of a :func:`measure_fanout_sharded`
+    result, in the ``shard_sync`` shape that
+    :func:`repro.experiments.loadsweep.shard_sync_manifest_summary`
+    aggregates into run manifests."""
+    return {
         "shards": result["shards"],
         "mode": result["mode"],
         "rounds": result["rounds"],
@@ -950,7 +959,6 @@ def fanout_sharded_load_point(
         },
         "straggler_rounds": dict(result.get("straggler_rounds", {})),
     }
-    return point
 
 
 __all__ = [
@@ -965,4 +973,5 @@ __all__ = [
     "measure_fanout_sharded",
     "measure_fanout_vanilla",
     "plan_fanout_shards",
+    "shard_sync_counters",
 ]

@@ -25,7 +25,7 @@ spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -233,6 +233,22 @@ class TraceConfig:
             raise ReproError(
                 f"max_traces must be >= 1, got {self.max_traces!r}"
             )
+
+
+def trace_requested(
+    trace: Union[bool, "TraceConfig"], trace_dir: Any = None
+) -> bool:
+    """Would this trace/trace_dir pair actually sample anything?
+
+    ``trace_dir`` alone implies default tracing; a :class:`TraceConfig`
+    with ``sample_rate=0`` is a configured no-op, so it asks nothing of
+    a runner (and costs no telemetry shipping).
+    """
+    if trace_dir is not None:
+        return True
+    if isinstance(trace, TraceConfig):
+        return trace.sample_rate > 0
+    return bool(trace)
 
 
 class Tracer:

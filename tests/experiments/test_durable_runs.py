@@ -220,10 +220,10 @@ class TestConservationAudit:
 class TestRegistryForwarding:
     def test_supports_flags(self):
         fig6 = registry.get("fig6")
-        assert fig6.supports_run_dir and fig6.supports_audit
+        assert fig6.supports("run_dir") and fig6.supports("audit")
         table3 = registry.get("table3")
-        assert not table3.supports_run_dir
-        assert not table3.supports_audit
+        assert not table3.supports("run_dir")
+        assert not table3.supports("audit")
 
     def test_run_dir_forwarded_and_journaled(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -107,8 +107,8 @@ class TestRegistry:
     def test_experiments_registered(self):
         node = registry.get("node_failure")
         roll = registry.get("rollout")
-        assert node.supports_fault_plan
-        assert not roll.supports_fault_plan
+        assert node.supports("fault_plan")
+        assert not roll.supports("fault_plan")
 
     def test_fault_plan_rejected_where_unsupported(self):
         spec = registry.get("rollout")

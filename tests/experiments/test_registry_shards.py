@@ -85,12 +85,12 @@ SCRAPABLE = ExperimentSpec("scrapable", "-", "scrape support",
 
 class TestScrapeGating:
     def test_scrape_rejected_without_support(self):
-        assert not PLAIN.supports_scrape
+        assert not PLAIN.supports("scrape_interval")
         with pytest.raises(ReproError, match="scrape_interval"):
             PLAIN.run(scrape_interval=0.01)
 
     def test_scrape_forwarded_when_supported(self):
-        assert SCRAPABLE.supports_scrape
+        assert SCRAPABLE.supports("scrape_interval")
         assert SCRAPABLE.run(scrape_interval=0.01) == {
             "scrape_interval": 0.01
         }
@@ -104,27 +104,27 @@ class TestScrapeGating:
 class TestRegisteredCapabilities:
     @pytest.mark.parametrize("exp_id", ["fig5", "fig12b", "fig14"])
     def test_ported_topologies_support_shards(self, exp_id):
-        assert registry.get(exp_id).supports_shards
+        assert registry.get(exp_id).supports("shards")
 
     @pytest.mark.parametrize("exp_id", ["fig5", "fig12b"])
     def test_adapter_experiments_support_lifted_knobs(self, exp_id):
         spec = registry.get(exp_id)
-        assert spec.supports_shard_tuning
-        assert spec.supports_slo
-        assert spec.supports_trace_dir
+        assert spec.supports("shard_timeout")
+        assert spec.supports("slo")
+        assert spec.supports("trace_dir")
 
     def test_serial_experiments_do_not(self):
-        assert not registry.get("fig16").supports_shards
+        assert not registry.get("fig16").supports("shards")
 
     @pytest.mark.parametrize("exp_id", ["fig5", "fig12b"])
     def test_adapter_experiments_support_scrape(self, exp_id):
-        assert registry.get(exp_id).supports_scrape
+        assert registry.get(exp_id).supports("scrape_interval")
 
     def test_fanout_port_refuses_scrape(self):
         # The hand-written fan-out runner declares no scrape support:
         # asking fig14 for a timeline is a loud error, never a
         # silently-unscraped run.
         spec = registry.get("fig14")
-        assert not spec.supports_scrape
+        assert not spec.supports("scrape_interval")
         with pytest.raises(ReproError, match="scrape_interval"):
             spec.run(scrape_interval=0.01)

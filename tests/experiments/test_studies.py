@@ -88,13 +88,13 @@ class TestRegistry:
     def test_sweep_experiments_support_jobs(self):
         for exp_id in ("fig5", "fig6", "fig8", "fig10", "fig12a",
                        "fig12b", "fig14"):
-            assert registry.get(exp_id).supports_jobs, exp_id
+            assert registry.get(exp_id).supports("jobs"), exp_id
 
     def test_jobs_ignored_by_serial_runners(self):
         # Inherently serial experiments (timelines) must not receive a
         # jobs kwarg they would choke on.
         spec = registry.get("fig16")
-        assert not spec.supports_jobs
+        assert not spec.supports("jobs")
         import inspect
         # run(jobs=4) on such a spec only forwards declared kwargs.
         sig = inspect.signature(spec.runner)

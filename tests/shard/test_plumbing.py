@@ -22,16 +22,16 @@ def det_fabric():
 
 class TestRegistry:
     def test_fig14_supports_shards(self):
-        assert registry.get("fig14").supports_shards
+        assert registry.get("fig14").supports("shards")
 
     def test_adapter_ported_figures_support_shards(self):
         # fig5/fig12b run through the generic world adapter since the
         # sharded_runner hooks landed on their builders.
-        assert registry.get("fig5").supports_shards
-        assert registry.get("fig12b").supports_shards
+        assert registry.get("fig5").supports("shards")
+        assert registry.get("fig12b").supports("shards")
 
     def test_unported_figures_do_not(self):
-        assert not registry.get("fig8").supports_shards
+        assert not registry.get("fig8").supports("shards")
 
     def test_unsupported_experiment_rejects_shards(self):
         with pytest.raises(ReproError, match="--shards"):
@@ -42,7 +42,7 @@ class TestRegistry:
         spec = registry.ExperimentSpec(
             "toy", "none", "no shards kwarg", lambda: "ran"
         )
-        assert not spec.supports_shards
+        assert not spec.supports("shards")
         assert spec.run(shards=1) == "ran"
         with pytest.raises(ReproError, match="--shards"):
             spec.run(shards=2)
@@ -80,6 +80,29 @@ class TestTailAtScaleRouting:
             shards=2, network=det_fabric(), audit=True,
         )
         assert point.requests == 10
+
+
+class TestTailAtScaleManifest:
+    def test_sharded_sweep_manifest_names_critical_shard(self, tmp_path):
+        # fig14 records the coordinator counters like the adapter
+        # figures do, so the manifest summary names the critical shard.
+        import json
+
+        from repro.experiments.tail_at_scale import tail_at_scale_sweep
+        from repro.telemetry import format_run_manifest
+
+        run_dir = tmp_path / "run"
+        points = tail_at_scale_sweep(
+            cluster_sizes=(4,), slow_fractions=(0.0,), qps=60.0,
+            num_requests=10, seed=5, shards=2, network=det_fabric(),
+            run_dir=run_dir,
+        )
+        assert points[0].shard_sync["shards"] == 2
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        sync = manifest["shard_sync"]
+        assert sync["shards"] == 2 and sync["points"] == 1
+        assert sum(sync["straggler_rounds"].values()) == sync["rounds"]
+        assert "critical shard" in format_run_manifest(manifest)
 
 
 class TestMeasureAtLoad:
@@ -134,7 +157,7 @@ class TestCLI:
             "toy", "none", "shards but no tuning",
             lambda shards=1: "ran",
         )
-        assert spec.supports_shards
-        assert not spec.supports_shard_tuning
+        assert spec.supports("shards")
+        assert not spec.supports("shard_timeout")
         with pytest.raises(ReproError, match="supervisor knobs"):
             spec.run(shards=2, shard_timeout=1.0)

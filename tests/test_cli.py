@@ -105,9 +105,21 @@ class TestExperimentsCommand:
 
         cheap = ExperimentSpec("figW", "Figure W", "stub", lambda: "ran")
         monkeypatch.setitem(registry._BY_ID, "figW", cheap)
-        # A runner with no jobs parameter must still run under --jobs.
-        assert main(["experiments", "run", "figW", "--jobs", "4"]) == 0
+        # A runner with no jobs parameter still runs under the default
+        # --jobs 1: only a request for fan-out needs support.
+        assert main(["experiments", "run", "figW", "--jobs", "1"]) == 0
         capsys.readouterr()
+
+    def test_jobs_refused_by_serial_runner(self, capsys, monkeypatch):
+        from repro.experiments import registry
+        from repro.experiments.registry import ExperimentSpec
+
+        cheap = ExperimentSpec("figW", "Figure W", "stub", lambda: "ran")
+        monkeypatch.setitem(registry._BY_ID, "figW", cheap)
+        # Fan-out the runner cannot honour fails loudly instead of
+        # silently running serially.
+        assert main(["experiments", "run", "figW", "--jobs", "4"]) == 2
+        assert "does not support jobs" in capsys.readouterr().err
 
     def test_unknown_experiment_id(self, capsys):
         code = main(["experiments", "run", "fig99"])

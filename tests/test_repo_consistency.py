@@ -100,3 +100,60 @@ class TestPublicClassesDocumented:
                     if not ast.get_docstring(node):
                         missing.append(f"{path.name}:{node.name}")
         assert not missing, f"undocumented public items: {missing}"
+
+
+def _markdown_table(text, first_header):
+    """The rows (lists of stripped cells) of the markdown table whose
+    header row starts with the cell *first_header*; row 0 is the
+    header."""
+    rows = []
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not rows:
+            if line.startswith("|") and cells[0] == first_header:
+                rows.append(cells)
+        elif line.startswith("|"):
+            if not set(line) <= set("|-: "):
+                rows.append(cells)
+        else:
+            break
+    return rows
+
+
+class TestExecutionOptionsTable:
+    """docs/operations.md § Execution options documents every RunOptions
+    field and, per registered experiment, exactly the options its
+    runner supports."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        return (REPO / "docs" / "operations.md").read_text()
+
+    def test_every_field_documented(self, doc):
+        from dataclasses import fields
+
+        from repro.experiments.options import RunOptions
+
+        rows = _markdown_table(doc, "field")
+        assert [r[0].strip("`") for r in rows[1:]] == [
+            f.name for f in fields(RunOptions)
+        ]
+
+    def test_capability_table_matches_registry(self, doc):
+        from dataclasses import fields
+
+        from repro.experiments import registry
+        from repro.experiments.options import RunOptions
+
+        header, *rows = _markdown_table(doc, "experiment")
+        names = [cell.strip("`") for cell in header[1:]]
+        assert names == [f.name for f in fields(RunOptions)]
+        documented = {
+            row[0].strip("`"): {n for n, c in zip(names, row[1:]) if c}
+            for row in rows
+        }
+        actual = {
+            spec.exp_id: {n for n in names if spec.supports(n)}
+            for spec in registry.all_experiments()
+        }
+        assert documented == actual
