@@ -1,5 +1,5 @@
 """Sharded-core scalability: the 500-leaf fan-out world across shard
-counts.
+counts, run through the generic shard adapter.
 
 Four guarantees of :mod:`repro.shard`, checked on every push:
 
@@ -7,9 +7,7 @@ Four guarantees of :mod:`repro.shard`, checked on every push:
   is bit-identical to the vanilla single-simulator engine — same
   outcome counts, same latency samples — at every shard count.
 * **Scalability.** On machines with enough cores, shards=4 processes
-  events at >= 2x the single-shard rate on the 500-leaf world (the
-  root shard batches its fan-in notifications per request, so no shard
-  carries more than ~a quarter of the events).
+  events at >= 2x the single-shard rate on the 500-leaf world.
 * **No single-shard regression.** The slab-allocated event fast path
   keeps the vanilla engine's throughput within noise of the session
   baseline recorded by ``bench_scalability.py``.
@@ -30,9 +28,11 @@ import time
 import pytest
 
 from repro.distributions import Deterministic
+from repro.experiments.tail_at_scale import build_fanout_cluster
 from repro.hardware import NetworkFabric
-from repro.shard import measure_fanout_sharded, measure_fanout_vanilla
+from repro.shard import run_world_sharded
 from repro.telemetry import format_table
+from repro.workload import OpenLoopClient
 
 from . import conftest as bench
 from .bench_scalability import raw_engine_throughput
@@ -53,18 +53,43 @@ def det_fabric():
     return NetworkFabric(propagation=Deterministic(PROPAGATION))
 
 
+WORLD = dict(cluster_size=CLUSTER_SIZE, slow_fraction=0.0)
+
+
 def measure(shards, requests, mode="auto"):
     start = time.perf_counter()
     if shards == 1:
-        result = measure_fanout_vanilla(
-            CLUSTER_SIZE, 0.0, qps=QPS, num_requests=requests,
-            seed=SEED, network=det_fabric(),
+        world = build_fanout_cluster(
+            **WORLD, seed=SEED, network=det_fabric()
         )
+        client = OpenLoopClient(
+            world.sim, world.dispatcher, arrivals=QPS, max_requests=requests
+        )
+        client.start()
+        world.sim.run()
+        _times, values = client.latencies.samples()
+        result = {
+            "mode": "single", "events_total": world.sim.events_processed,
+            "rounds": 0, "messages": 0,
+            "latencies": [float(v) for v in values],
+            "outcomes": dict(client.outcomes),
+            "requests_sent": client.requests_sent,
+        }
     else:
-        result = measure_fanout_sharded(
-            CLUSTER_SIZE, 0.0, qps=QPS, num_requests=requests,
-            seed=SEED, shards=shards, network=det_fabric(), mode=mode,
+        run = run_world_sharded(
+            build_fanout_cluster, QPS, SEED, shards, max_requests=requests,
+            mode=mode, network=det_fabric(), **WORLD,
         )
+        result = {
+            "mode": run.shard_sync["mode"],
+            "events_total": sum(r["events"] for r in run.results),
+            "rounds": run.shard_sync["rounds"],
+            "messages": run.shard_sync["messages_exchanged"],
+            "latencies": run.latencies,
+            "outcomes": run.outcomes,
+            "requests_sent": run.root["requests_sent"],
+        }
+    result["requests"] = len(result["latencies"])
     result["wall_s"] = time.perf_counter() - start
     return result
 
@@ -186,18 +211,21 @@ def test_supervisor_fault_free_overhead(benchmark, emit):
     run stays within noise of the bare-proxy run, and its results are
     bit-identical. Guards the journal's per-round recording cost."""
     from repro.errors import ShardingError
-    from repro.shard.fanout import _fanout_specs, plan_fanout_shards
+    from repro.shard.adapter import world_shard_specs
+    from repro.shard.partition import plan_shards
     from repro.shard.worker import run_sharded
 
     requests = scaled_n(40)
     fabric = det_fabric()
-    plan = plan_fanout_shards(CLUSTER_SIZE, 4, fabric)
+    world_kwargs = dict(WORLD, network=fabric)
+    probe = build_fanout_cluster(seed=SEED, **world_kwargs)
+    plan = plan_shards(probe.cluster.machine_names, 4, fabric)
     if not plan.sharded:  # pragma: no cover - deterministic fabric
         pytest.skip(f"cannot shard: {plan.fallback_reason}")
-    specs, edges = _fanout_specs(
-        plan, cluster_size=CLUSTER_SIZE, slow_fraction=0.0,
-        slow_factor=10.0, mean_service=1e-3, seed=SEED, qps=QPS,
-        fabric=fabric, num_requests=requests,
+    specs, edges = world_shard_specs(
+        plan, builder=build_fanout_cluster, world_kwargs=world_kwargs,
+        seed=SEED, qps=QPS, duration=None, warmup=None,
+        max_requests=requests,
     )
 
     def timed(supervise):
@@ -227,9 +255,10 @@ def test_supervisor_fault_free_overhead(benchmark, emit):
     assert sup_coord.recovery == {
         "restarts": 0, "replayed_rounds": 0, "per_shard": {},
     }
-    assert sup_results[0]["latencies"] == bare_results[0]["latencies"], \
+    root = plan.assignments["client"]
+    assert sup_results[root]["latencies"] == bare_results[root]["latencies"], \
         "supervision changed the results of a fault-free run"
-    assert sup_results[0]["outcomes"] == bare_results[0]["outcomes"]
+    assert sup_results[root]["outcomes"] == bare_results[root]["outcomes"]
 
     bare_wall = min(wall for _, _, wall in runs["never"])
     sup_wall = min(wall for _, _, wall in runs["auto"])
@@ -273,10 +302,7 @@ def test_adapter_social_network(benchmark, emit):
     from repro.apps import social_network
     from repro.experiments.loadsweep import measure_vanilla_point
     from repro.runner import derive_seed
-    from repro.shard.adapter import (
-        build_world_shard_host,
-        sharded_load_point,
-    )
+    from repro.shard.adapter import sharded_load_point, world_shard_specs
     from repro.shard.partition import plan_shards
     from repro.shard.worker import run_sharded
 
@@ -339,23 +365,11 @@ def test_adapter_social_network(benchmark, emit):
     probe = social_network(seed=seed, **fabric_kwargs)
     plan = plan_shards(probe.cluster.machine_names, 4, probe.cluster.network)
     assert plan.sharded
-    common = dict(
-        builder=social_network, world_kwargs=dict(fabric_kwargs),
-        seed=seed, assignments=dict(plan.assignments),
-        lookahead=plan.lookahead, qps=qps, duration=duration,
-        warmup=warmup, client_machine="client", mix=None, trace=False,
-        slo=None,
+    specs, edges = world_shard_specs(
+        plan, builder=social_network, world_kwargs=dict(fabric_kwargs),
+        seed=seed, qps=qps, duration=duration, warmup=warmup,
+        client_machine="client", mix=None, trace=False, slo=None,
     )
-    specs = [
-        (build_world_shard_host, dict(common, shard_id=i))
-        for i in range(plan.num_shards)
-    ]
-    edges = {
-        (i, j): plan.lookahead
-        for i in range(plan.num_shards)
-        for j in range(plan.num_shards)
-        if i != j
-    }
     raw_results, _ = run_sharded(specs, edges, mode="inline")
     for raw in raw_results:
         assert "trace_spans" not in raw and "traces" not in raw, (

@@ -367,9 +367,8 @@ def main(argv=None) -> int:
         "--shards", type=int, default=1, metavar="N",
         help="run each measurement on the sharded parallel simulation "
              "core with N shards (conservative time-window sync; "
-             "fig5/fig12b run through the generic shard adapter, fig14 "
-             "through the hand-written fan-out port; --shards 1 is "
-             "always the single-simulator engine)",
+             "fig5/fig12b/fig14 run through the generic shard adapter; "
+             "--shards 1 is always the single-simulator engine)",
     )
     exp_run.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 from ..apps.base import World, add_client_machine, new_world
+from ..apps.builders import _adapter_runner
 from ..distributions import Deterministic, Exponential
 from ..errors import ConfigError
 from ..hardware import Machine, NetworkFabric
@@ -97,21 +98,12 @@ def build_fanout_cluster(
     return world
 
 
-def _fanout_sharded_runner():
-    """The hand-written fan-out runner, imported late so
-    ``repro.shard`` stays an optional layer of the import graph (it
-    imports back into this module)."""
-    from ..shard import fanout_sharded_load_point
-
-    return fanout_sharded_load_point
-
-
 #: Opt-in hook read by :func:`repro.experiments.loadsweep.measure_at_load`
-#: when called with ``shards > 1`` — builders without the attribute get
-#: a loud error instead of a silently-unsharded run. The runner's
-#: signature is its capability set: the fan-out port predates the
-#: generic world adapter and takes no telemetry options.
-build_fanout_cluster.sharded_runner = _fanout_sharded_runner
+#: when called with ``shards > 1``: the generic world adapter, as for
+#: the ``repro.apps`` builders.
+build_fanout_cluster.sharded_runner = functools.partial(
+    _adapter_runner, build_fanout_cluster
+)
 
 
 def _one_stage_service(world, machine_name, tier, dist, cores):
@@ -178,8 +170,8 @@ def measure_tail_at_scale(
     attaches live objectives (spec strings or :class:`SLO` objects)
     whose verdicts ride the returned point.
 
-    ``shards > 1`` runs the cell on the sharded parallel core
-    (:func:`repro.shard.measure_fanout_sharded`): one worker process
+    ``shards > 1`` runs the cell through the generic shard adapter
+    (:func:`repro.shard.adapter.run_world_sharded`): one worker process
     per shard, synchronised by conservative time windows. Requires a
     *network* whose propagation has a positive minimum (otherwise the
     planner falls back to one shard with a ``RuntimeWarning``).
@@ -195,8 +187,6 @@ def measure_tail_at_scale(
     """
     options = RunOptions.pick(locals())
     if shards > 1:
-        from ..shard.fanout import measure_fanout_sharded, shard_sync_counters
-
         requested = options.point_options()
         if trace and trace_requested(trace, trace_dir):
             requested["trace"] = trace
@@ -206,29 +196,17 @@ def measure_tail_at_scale(
                 Path(shard_journal_dir)
                 / f"shard_journal_size{cluster_size}_slow{slow_fraction:g}.jsonl"
             )
-        result = measure_fanout_sharded(
+        point = _sharded_tail_point(
             cluster_size, slow_fraction, qps=qps,
             num_requests=num_requests, slow_factor=slow_factor,
             seed=seed, network=network, journal_path=journal_path,
             **runner_kwargs(
-                measure_fanout_sharded, requested,
+                _sharded_tail_point, requested,
                 f"the fan-out cluster with shards={shards}",
             ),
         )
-        point = TailAtScalePoint(
-            cluster_size=cluster_size,
-            slow_fraction=slow_fraction,
-            p50=result["p50"],
-            p99=result["p99"],
-            requests=result["requests"],
-            shard_recovery=(
-                result["recovery"] if result["restarts"] else None
-            ),
-        )
-        # Non-declared attribute, as on sharded SweepPoints: equality
-        # and journal round-trips ignore it.
-        point.shard_sync = shard_sync_counters(result)
-        return point
+        if point is not None:
+            return point
     trace = implied_trace(trace, trace_dir)
     world = build_fanout_cluster(
         cluster_size, slow_fraction, slow_factor, seed=seed,
@@ -282,6 +260,53 @@ def measure_tail_at_scale(
         requests=len(recorder),
         slo=slo_monitor.summary() if slo_monitor is not None else None,
     )
+
+
+def _sharded_tail_point(
+    cluster_size: int,
+    slow_fraction: float,
+    *,
+    qps: float,
+    num_requests: int,
+    slow_factor: float,
+    seed: int,
+    shards: int,
+    network: Optional[NetworkFabric] = None,
+    audit: bool = False,
+    fault_plan=None,
+    shard_timeout: Optional[float] = None,
+    shard_restarts: Optional[int] = None,
+    journal_path: Optional[Path] = None,
+) -> Optional[TailAtScalePoint]:
+    """One Fig 14 cell through the generic shard adapter, stopped after
+    *num_requests* arrivals; ``None`` when the planner falls back to
+    one shard. The signature is the capability set of sharded Fig 14:
+    the adapter sizes SLO windows and names trace exports by a
+    horizon, which a count-terminated run lacks, so *trace* and *slo*
+    stay single-simulator-only."""
+    from ..shard.adapter import run_world_sharded
+
+    run = run_world_sharded(
+        build_fanout_cluster, qps, seed, shards, max_requests=num_requests,
+        audit=audit, fault_plan=fault_plan, shard_timeout=shard_timeout,
+        shard_restarts=shard_restarts, journal_path=journal_path,
+        cluster_size=cluster_size, slow_fraction=slow_fraction,
+        slow_factor=slow_factor, network=network,
+    )
+    if run is None:
+        return None
+    point = TailAtScalePoint(
+        cluster_size=cluster_size,
+        slow_fraction=slow_fraction,
+        p50=run.root.get("p50"),
+        p99=run.root.get("p99"),
+        requests=len(run.latencies),
+        shard_recovery=run.recovery,
+    )
+    # Non-declared attribute, as on sharded SweepPoints: equality and
+    # journal round-trips ignore it.
+    point.shard_sync = run.shard_sync
+    return point
 
 
 def _measure_cell(

@@ -27,15 +27,12 @@ Layering:
   round and per-worker supervision (liveness deadlines, budgeted
   restart with verified replay) so a dead or hung worker costs a
   recovery, not the run;
-* :mod:`~repro.shard.adapter` — the generic world adapter: runs the
-  real :class:`~repro.topology.Dispatcher`/``Microservice`` wiring of
-  *any* registered topology behind ShardHost mailboxes (full-world
-  replication, machine ownership), with merged telemetry
-  (traces/SLO/mix) shipped home at ``finalize()``;
-* :mod:`~repro.shard.fanout` — the first ported model: the Fig 14
-  fan-out/fan-in cluster, kept as a hand-written port because its
-  per-shard fan-in batching (one message per shard per request) beats
-  the adapter's generic one-message-per-parent scheme at 500 leaves.
+* :mod:`~repro.shard.adapter` — the one sharded execution path: runs
+  the real :class:`~repro.topology.Dispatcher`/``Microservice``
+  wiring of *any* registered topology (the Fig 14 fan-out cluster
+  included) behind ShardHost mailboxes (full-world replication,
+  machine ownership), stopped by a horizon or a request count, with
+  merged telemetry (traces/SLO/mix) shipped home at ``finalize()``.
 
 Determinism contract: all shards share one root seed and draw from
 named :class:`~repro.engine.RandomStreams`, so the shard count decides
@@ -46,18 +43,12 @@ named :class:`~repro.engine.RandomStreams`, so the shard count decides
 
 from .adapter import (
     ShardedDispatcher,
+    ShardedRun,
     WorldShardHost,
     build_world_shard_host,
+    run_world_sharded,
     sharded_load_point,
     validate_world_shardable,
-)
-from .fanout import (
-    FanoutLeafHost,
-    FanoutRootHost,
-    fanout_sharded_load_point,
-    measure_fanout_sharded,
-    measure_fanout_vanilla,
-    plan_fanout_shards,
 )
 from .journal import ReplayJournal, load_replay_journal, outbound_digest
 from .message import ShardMessage, deterministic_order
@@ -77,8 +68,6 @@ from .worker import (
 __all__ = [
     "ConservativeCoordinator",
     "DEFAULT_WINDOW_TIMEOUT",
-    "FanoutLeafHost",
-    "FanoutRootHost",
     "ReplayJournal",
     "ShardHost",
     "ShardMessage",
@@ -88,18 +77,16 @@ __all__ = [
     "ShardWorkerHung",
     "ShardWorkerProxy",
     "ShardedDispatcher",
+    "ShardedRun",
     "WorldShardHost",
     "build_world_shard_host",
     "deterministic_order",
     "fabric_lookahead",
-    "fanout_sharded_load_point",
     "load_replay_journal",
-    "measure_fanout_sharded",
-    "measure_fanout_vanilla",
     "outbound_digest",
-    "plan_fanout_shards",
     "plan_shards",
     "run_sharded",
+    "run_world_sharded",
     "sharded_load_point",
     "spawn_worker",
     "start_shard_hosts",

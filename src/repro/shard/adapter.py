@@ -1,14 +1,11 @@
 """Generic shard-side world adapter: any registered topology under
 ``--shards``.
 
-PR 7/8 parallelised exactly one world — the 500-leaf fan-out — by
-re-expressing its dispatch logic by hand inside two bespoke
-:class:`~repro.shard.sync.ShardHost` subclasses
-(:mod:`repro.shard.fanout`). This module replaces the need for such
-hand ports: :class:`ShardedDispatcher` runs the real
+:class:`ShardedDispatcher` runs the real
 :class:`~repro.topology.Dispatcher` / ``Microservice`` wiring behind
 ShardHost mailboxes, so a topology builder only has to attach a
-``sharded_runner`` built from :func:`sharded_load_point`.
+``sharded_runner`` built from :func:`sharded_load_point` — no world
+needs a hand re-expression of its dispatch logic.
 
 The scheme — **full-world replication with machine ownership**:
 
@@ -52,11 +49,14 @@ Contracts (asserted by ``tests/shard/test_adapter_identity.py`` and
   requests per thousand see their queueing resolved in the other
   order — same distribution, same conservation, different samples.
   (The fan-in bookkeeping also moves: the adapter ships one
-  cross-machine message per parent and counts arrivals at the child,
-  where vanilla counts at the parents and ships only the last one —
-  entry still happens at the same max-arrival instant.);
+  cross-machine message per parent and enters the child at the
+  maximum over parents of leave time plus that parent's hop delay,
+  where vanilla counts at the parents and enters at the *last*
+  parent's leave time plus its hop delay. The two instants coincide
+  on a draw-free fabric; under a stochastic one a parent that leaves
+  earlier can still arrive later.);
 * supervision, barrier-replay recovery, and the merged conservation
-  audit (PR 8) work unchanged — the hosts here are ordinary
+  audit work unchanged — the hosts here are ordinary
   ``ShardHost`` subclasses.
 
 Telemetry ships home at ``finalize()``: each shard returns the spans
@@ -77,6 +77,7 @@ lives on a different machine, and in-simulation fault plans.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine import PRIORITY_ARRIVAL
@@ -87,18 +88,21 @@ from ..telemetry.tracing import Span, SpanEvent, TraceConfig, trace_requested
 from ..topology.dispatcher import Dispatcher, _RequestGroup
 from ..topology.path_tree import PathNode, PathTree
 from ..workload import OpenLoopClient
-from .fanout import _shard_chaos
-from .partition import plan_shards
+from .partition import ShardPlan, plan_shards
 from .sync import ShardHost
 from .worker import run_sharded
 
 __all__ = [
     "ShardedDispatcher",
+    "ShardedRun",
     "WorldShardHost",
     "build_world_shard_host",
+    "run_world_sharded",
     "sharded_load_point",
     "validate_world_shardable",
+    "world_shard_specs",
 ]
+
 
 def _owned_tiers(deployment, assignments: Dict[str, int],
                  shard_id: int) -> Dict[str, list]:
@@ -230,6 +234,11 @@ class ShardedDispatcher(Dispatcher):
         self._trees_by_tree_name = {
             tree.name: tree for tree in _iter_trees(self)
         }
+        #: The adapter refuses scaling and instance faults, so the
+        #: instance set is fixed for the run and names resolve once.
+        self._instances_by_name = {
+            inst.name: inst for inst in world.deployment.all_instances
+        }
         self._states: Dict[int, _AdapterState] = {}
         self._groups: Dict[int, _RequestGroup] = {}
         #: request_id -> (spans, events) of completed requests this
@@ -301,7 +310,7 @@ class ShardedDispatcher(Dispatcher):
         if key is None:
             return None
         upstream_key, instance_name, index = key
-        instance = self.deployment.find_instance(instance_name)
+        instance = self._instances_by_name[instance_name]
         pool = self.deployment.pool_between(upstream_key, instance)
         return pool.connections[index]
 
@@ -630,14 +639,18 @@ class WorldShardHost(ShardHost):
     Builds the full world replica, swaps in a
     :class:`ShardedDispatcher`, and — on the root shard (wherever the
     client machine landed) — attaches the open-loop client, the
-    optional tracer, and the optional SLO monitor. Everything else is
-    inherited ShardHost mechanics, so supervision/replay and the
-    conservation audit apply unchanged.
+    optional tracer, and the optional SLO monitor. The client stops at
+    the *duration* horizon, after *max_requests* arrivals, or at
+    whichever comes first; with no horizon the shard runs until its
+    queue drains. Everything else is inherited ShardHost mechanics, so
+    supervision/replay and the conservation audit apply unchanged.
     """
 
     def __init__(self, *, shard_id: int, builder, world_kwargs: dict,
                  seed: int, assignments: Dict[str, int], lookahead: float,
-                 qps: float, duration: float, warmup: Optional[float],
+                 qps: float, duration: Optional[float],
+                 warmup: Optional[float],
+                 max_requests: Optional[int] = None,
                  client_machine: str = "client", mix=None,
                  trace=False, slo=None,
                  scrape_interval: Optional[float] = None) -> None:
@@ -660,7 +673,8 @@ class WorldShardHost(ShardHost):
                 self.dispatcher.trace = trace if trace else True
             self.client = OpenLoopClient(
                 world.sim, self.dispatcher, arrivals=qps, mix=mix,
-                stop_at=duration, realism=world.realism,
+                max_requests=max_requests, stop_at=duration,
+                realism=world.realism,
             )
             if slo:
                 from ..telemetry.slo import SLOMonitor
@@ -774,6 +788,26 @@ def build_world_shard_host(**kwargs) -> WorldShardHost:
     return WorldShardHost(**kwargs)
 
 
+def world_shard_specs(plan: ShardPlan, **host_kwargs) -> Tuple[list, dict]:
+    """The :func:`~repro.shard.worker.run_sharded` inputs for one
+    :class:`WorldShardHost` per planned shard: the host specs, indexed
+    by shard id, and the all-pairs lookahead edge map. *host_kwargs*
+    are the hosts' shared keyword arguments."""
+    common = dict(host_kwargs, assignments=dict(plan.assignments),
+                  lookahead=plan.lookahead)
+    specs = [
+        (build_world_shard_host, dict(common, shard_id=shard))
+        for shard in range(plan.num_shards)
+    ]
+    edges = {
+        (i, j): plan.lookahead
+        for i in range(plan.num_shards)
+        for j in range(plan.num_shards)
+        if i != j
+    }
+    return specs, edges
+
+
 def _merge_traces(results: List[dict], root: dict) -> List:
     """Stitch per-shard span shadows into the root's Trace objects."""
     traces = root.get("traces") or []
@@ -793,6 +827,170 @@ def _merge_traces(results: List[dict], root: dict) -> List:
         trace.spans.sort(key=lambda s: (s.enter, s.attempt, s.node))
         trace.events.sort(key=lambda e: (e.t, e.name))
     return traces
+
+
+def _shard_chaos(fault_plan, plan: ShardPlan) -> Optional[dict]:
+    """``FaultPlan`` -> the coordinator's chaos schedule.
+
+    Only execution-layer (``shard_kill`` / ``shard_hang``) faults are
+    meaningful under shards; anything else in the plan is a loud error
+    — in-simulation faults are not supported by the adapter, and
+    silently dropping them would fake a chaos result.
+    """
+    if fault_plan is None:
+        return None
+    from ..faults.plan import SHARD_HANG, SHARD_KILL
+
+    chaos: Dict[int, List[Tuple[int, str]]] = {}
+    for fault in fault_plan.sorted():
+        if fault.kind not in (SHARD_KILL, SHARD_HANG):
+            raise ShardingError(
+                f"fault kind {fault.kind!r} targets the simulated "
+                f"world; the shard adapter only supports the "
+                f"execution-layer kinds shard_kill/shard_hang (run "
+                f"in-simulation fault plans with shards=1)"
+            )
+        plan.validate_shard(fault.shard)
+        action = "kill" if fault.kind == SHARD_KILL else "hang"
+        chaos.setdefault(int(fault.at), []).append((fault.shard, action))
+    return chaos
+
+
+def _shard_sync_counters(coordinator, num_shards: int) -> dict:
+    """A finished run's coordinator counters, in the ``shard_sync``
+    shape that :func:`repro.experiments.loadsweep.shard_sync_manifest_summary`
+    aggregates into run manifests."""
+    recovery = getattr(coordinator, "recovery", None) or {}
+    return {
+        "shards": num_shards,
+        "mode": getattr(coordinator, "mode", "inline"),
+        "rounds": coordinator.rounds,
+        "messages_exchanged": coordinator.messages_exchanged,
+        "stalls": coordinator.stalls,
+        "restarts": recovery.get("restarts", 0),
+        "per_shard_restarts": {
+            str(shard): info.get("restarts", 0)
+            for shard, info in (recovery.get("per_shard") or {}).items()
+        },
+        "straggler_rounds": dict(coordinator.runtime["straggler_rounds"]),
+    }
+
+
+@dataclass
+class ShardedRun:
+    """One adapter run, merged: what the client shard measured plus the
+    coordinator's bookkeeping."""
+
+    #: Latency samples and their completion times, in completion order.
+    latencies: List[float]
+    completions: List[float]
+    #: Resolved requests by outcome.
+    outcomes: Dict[str, int]
+    #: Coordinator counters (see :func:`_shard_sync_counters`).
+    shard_sync: dict
+    #: The supervisor's recovery report, or ``None`` when no worker had
+    #: to be restarted — so an unfaulted run equals its vanilla twin.
+    recovery: Optional[dict]
+    #: The client shard's ``finalize()`` payload (percentiles, stats
+    #: window, SLO summary, traces).
+    root: dict
+    #: Every shard's ``finalize()`` payload, indexed by shard id.
+    results: List[dict]
+    #: The coordinator's wall-clock runtime block.
+    runtime: dict
+
+
+def run_world_sharded(
+    build_world: Callable,
+    qps: float,
+    seed: int,
+    shards: int,
+    *,
+    duration: Optional[float] = None,
+    warmup: Optional[float] = None,
+    max_requests: Optional[int] = None,
+    mix=None,
+    trace=False,
+    slo=None,
+    scrape_interval: Optional[float] = None,
+    mode: str = "auto",
+    max_window: Optional[float] = None,
+    audit: bool = False,
+    fault_plan=None,
+    shard_timeout: Optional[float] = None,
+    shard_restarts: Optional[int] = None,
+    journal_path=None,
+    client_machine: str = "client",
+    **world_kwargs,
+) -> Optional[ShardedRun]:
+    """Run *build_world* under an open-loop client across *shards*
+    shards and merge the result.
+
+    Plans shards over the world's machines and replicates the world per
+    shard behind :class:`WorldShardHost`. The client stops at the
+    *duration* horizon (statistics then cover the post-*warmup* window)
+    and/or after *max_requests* arrivals; with no horizon the run ends
+    when the last request resolves. *seed* is used as-is.
+
+    Returns ``None`` when the planner falls back — loudly, via its
+    ``RuntimeWarning`` — because the fabric has no positive lookahead
+    or there are fewer machines than shards: the caller then runs its
+    own vanilla path, which is bit-identical by construction.
+    *fault_plan* may only carry ``shard_kill``/``shard_hang`` faults,
+    and only on a run that really shards. *audit* runs the merged
+    cross-shard conservation audit; *shard_timeout*, *shard_restarts*
+    and *journal_path* tune the supervision layer (see
+    :func:`repro.shard.worker.run_sharded`).
+    """
+    if duration is None and max_requests is None:
+        raise ShardingError(
+            "a sharded run needs a duration horizon and/or max_requests"
+        )
+    probe = build_world(seed=seed, **world_kwargs)
+    validate_world_shardable(probe)
+    plan = plan_shards(probe.cluster.machine_names, shards,
+                       probe.cluster.network)
+    if not plan.sharded:
+        if fault_plan is not None and len(fault_plan):
+            raise ShardingError(
+                f"fault plan carries {len(fault_plan)} fault(s) but the "
+                f"run is not sharded"
+                + (f" ({plan.fallback_reason})" if plan.fallback_reason else "")
+            )
+        return None
+    chaos = _shard_chaos(fault_plan, plan)
+    specs, edges = world_shard_specs(
+        plan, builder=build_world, world_kwargs=dict(world_kwargs),
+        seed=seed, qps=qps, duration=duration, warmup=warmup,
+        max_requests=max_requests, client_machine=client_machine,
+        mix=mix, trace=trace, slo=slo, scrape_interval=scrape_interval,
+    )
+    run_kwargs: dict = {"chaos": chaos, "journal_path": journal_path}
+    if shard_timeout is not None:
+        run_kwargs["window_timeout"] = shard_timeout
+    if shard_restarts is not None:
+        run_kwargs["max_shard_restarts"] = shard_restarts
+    results, coordinator = run_sharded(
+        specs, edges, mode=mode, max_window=max_window, **run_kwargs
+    )
+    if audit:
+        from ..experiments.audit import audit_sharded_run
+
+        audit_sharded_run(
+            results, messages_exchanged=coordinator.messages_exchanged
+        )
+    root = results[plan.assignments[client_machine]]
+    sync = _shard_sync_counters(coordinator, plan.num_shards)
+    return ShardedRun(
+        latencies=root["latencies"],
+        completions=root["completions"],
+        outcomes=root["outcomes"],
+        shard_sync=sync,
+        recovery=coordinator.recovery if sync["restarts"] else None,
+        root=root,
+        results=results,
+        runtime=coordinator.runtime,
+    )
 
 
 def sharded_load_point(
@@ -820,72 +1018,30 @@ def sharded_load_point(
 ):
     """Measure one load point of *build_world* across *shards* shards.
 
-    The generic counterpart of
-    :func:`repro.shard.fanout.fanout_sharded_load_point`: plans shards
-    over the world's machines, replicates the world per shard behind
-    :class:`WorldShardHost`, and merges telemetry (latency recorder,
-    SLO summary, traces) back into the same ``SweepPoint`` the vanilla
-    path produces. *seed* is the already-derived per-point seed. Falls
-    back — loudly, via the planner's ``RuntimeWarning`` — to the
-    untouched vanilla measurement (bit-identical by construction) when
-    the fabric has no positive lookahead or there are fewer machines
-    than shards.
+    :func:`run_world_sharded` over the *duration* horizon, with the
+    merged telemetry (latency window, SLO summary, traces, scrape
+    timeline) folded into the same ``SweepPoint`` / trace-export
+    artifacts the vanilla path produces. *seed* is the already-derived
+    per-point seed. When the planner falls back, this is the untouched
+    vanilla measurement (bit-identical by construction).
     """
     from ..experiments.loadsweep import SweepPoint, measure_vanilla_point
     from ..experiments.options import implied_trace
 
-    probe = build_world(seed=seed, **world_kwargs)
-    validate_world_shardable(probe)
-    fabric = probe.cluster.network
-    plan = plan_shards(probe.cluster.machine_names, shards, fabric)
-    if not plan.sharded:
-        if fault_plan is not None and len(fault_plan):
-            raise ShardingError(
-                f"fault plan carries {len(fault_plan)} fault(s) but the "
-                f"run is not sharded"
-                + (f" ({plan.fallback_reason})" if plan.fallback_reason else "")
-            )
+    run = run_world_sharded(
+        build_world, qps, seed, shards, duration=duration, warmup=warmup,
+        mix=mix, trace=implied_trace(trace, trace_dir), slo=slo,
+        scrape_interval=scrape_interval, mode=mode, max_window=max_window,
+        audit=audit, fault_plan=fault_plan, shard_timeout=shard_timeout,
+        shard_restarts=shard_restarts, journal_path=journal_path,
+        client_machine=client_machine, **world_kwargs,
+    )
+    if run is None:
         return measure_vanilla_point(
             build_world, qps, duration, warmup, seed,
             mix=mix, audit=audit, trace=trace, trace_dir=trace_dir,
             slo=slo, scrape_interval=scrape_interval, **world_kwargs,
         )
-    chaos = _shard_chaos(fault_plan, plan)
-    trace = implied_trace(trace, trace_dir)
-    common = dict(
-        builder=build_world, world_kwargs=dict(world_kwargs), seed=seed,
-        assignments=dict(plan.assignments), lookahead=plan.lookahead,
-        qps=qps, duration=duration, warmup=warmup,
-        client_machine=client_machine, mix=mix, trace=trace, slo=slo,
-        scrape_interval=scrape_interval,
-    )
-    specs = [
-        (build_world_shard_host, dict(common, shard_id=shard))
-        for shard in range(plan.num_shards)
-    ]
-    edges = {
-        (i, j): plan.lookahead
-        for i in range(plan.num_shards)
-        for j in range(plan.num_shards)
-        if i != j
-    }
-    run_kwargs: dict = {"chaos": chaos, "journal_path": journal_path}
-    if shard_timeout is not None:
-        run_kwargs["window_timeout"] = shard_timeout
-    if shard_restarts is not None:
-        run_kwargs["max_shard_restarts"] = shard_restarts
-    results, coordinator = run_sharded(
-        specs, edges, mode=mode, max_window=max_window, **run_kwargs
-    )
-    if audit:
-        from ..experiments.audit import audit_sharded_run
-
-        audit_sharded_run(
-            results, messages_exchanged=coordinator.messages_exchanged
-        )
-    root = results[plan.assignments[client_machine]]
-    recovery = getattr(coordinator, "recovery", None)
-    restarts = recovery["restarts"] if recovery else 0
     timeline = None
     scrape_series: Dict[str, dict] = {}
     if scrape_interval is not None:
@@ -894,7 +1050,7 @@ def sharded_load_point(
         # Tiers are machine-owned, so per-shard series names are
         # disjoint (the root alone contributes ``client/*``); the
         # merged union carries the same names a vanilla run scrapes.
-        for result in results:
+        for result in run.results:
             scrape_series.update(
                 (result.get("scrape") or {}).get("series", {})
             )
@@ -903,16 +1059,16 @@ def sharded_load_point(
             interval=scrape_interval,
             meta={
                 "qps": qps, "duration": duration, "warmup": warmup,
-                "seed": seed, "shards": plan.num_shards,
+                "seed": seed, "shards": run.shard_sync["shards"],
             },
-            shard_runtime=coordinator.runtime,
+            shard_runtime=run.runtime,
         )
     if trace_dir is not None:
         from pathlib import Path
 
         from ..telemetry.export import write_otlp, write_perfetto
 
-        traces = _merge_traces(results, root)
+        traces = _merge_traces(run.results, run.root)
         base = Path(trace_dir)
         base.mkdir(parents=True, exist_ok=True)
         stem = f"qps{qps:g}"
@@ -924,43 +1080,19 @@ def sharded_load_point(
 
             write_timeline(base / f"{stem}.timeseries.json", timeline)
     elif trace_requested(trace):
-        _merge_traces(results, root)
-    slo_summary = root.get("slo")
-    window = root.get("window") or {}
-    if not window.get("completed"):
-        point = SweepPoint(
-            qps, 0.0, math.inf, math.inf, math.inf, math.inf, 0,
-            slo=slo_summary,
-            shard_recovery=recovery if restarts else None,
-            timeline=timeline,
-        )
+        _merge_traces(run.results, run.root)
+    window = run.root.get("window") or {}
+    if window.get("completed"):
+        stats = [window[name] for name in
+                 ("throughput", "mean", "p50", "p95", "p99", "completed")]
     else:
-        point = SweepPoint(
-            qps,
-            window["throughput"],
-            window["mean"],
-            window["p50"],
-            window["p95"],
-            window["p99"],
-            window["completed"],
-            slo=slo_summary,
-            shard_recovery=recovery if restarts else None,
-            timeline=timeline,
-        )
+        stats = [0.0, math.inf, math.inf, math.inf, math.inf, 0]
+    point = SweepPoint(
+        qps, *stats, slo=run.root.get("slo"),
+        shard_recovery=run.recovery, timeline=timeline,
+    )
     # Coordinator counters ride as a non-declared attribute: dataclass
     # equality ignores it, so shards=1-vs-vanilla identity checks and
     # journal round-trips are unaffected (resumed points simply lack it).
-    point.shard_sync = {
-        "shards": plan.num_shards,
-        "mode": getattr(coordinator, "mode", "inline"),
-        "rounds": coordinator.rounds,
-        "messages_exchanged": coordinator.messages_exchanged,
-        "stalls": coordinator.stalls,
-        "restarts": restarts,
-        "per_shard_restarts": {
-            str(shard): info.get("restarts", 0)
-            for shard, info in ((recovery or {}).get("per_shard") or {}).items()
-        },
-        "straggler_rounds": dict(coordinator.runtime["straggler_rounds"]),
-    }
+    point.shard_sync = run.shard_sync
     return point

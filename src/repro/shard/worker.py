@@ -423,7 +423,7 @@ def run_sharded(
         coordinator.recovery = None
     # Fold the per-shard finalize runtime blocks + coordinator counters
     # into the introspection report once, here, so every caller
-    # (adapter, fan-out port, benchmarks) reads ``coordinator.runtime``
+    # (adapter, benchmarks) reads ``coordinator.runtime``
     # instead of re-deriving it. O(rounds x shards), off any hot path.
     coordinator.runtime = coordinator.runtime_report(results)
     return results, coordinator

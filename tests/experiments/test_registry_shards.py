@@ -121,9 +121,9 @@ class TestRegisteredCapabilities:
         assert registry.get(exp_id).supports("scrape_interval")
 
     def test_fanout_port_refuses_scrape(self):
-        # The hand-written fan-out runner declares no scrape support:
-        # asking fig14 for a timeline is a loud error, never a
-        # silently-unscraped run.
+        # The Fig 14 sweep declares no scrape support: asking fig14
+        # for a timeline is a loud error, never a silently-unscraped
+        # run.
         spec = registry.get("fig14")
         assert not spec.supports("scrape_interval")
         with pytest.raises(ReproError, match="scrape_interval"):

@@ -1,10 +1,12 @@
-"""Sharded fan-out world vs the single-simulator reference.
+"""The Fig 14 fan-out world through the generic shard adapter vs the
+single-simulator reference.
 
 The headline contract: under a draw-free propagation distribution the
 sharded run is **bit-identical** to the vanilla engine for any shard
-count; under a stochastic fabric, shard counts agree bitwise with each
-other and with vanilla in distribution (documented departure: the
-leaf->aggregator hop is drawn from per-leaf streams).
+count, whether it stops after a request count (Fig 14) or at a
+horizon (load sweeps); under a stochastic fabric, shard counts agree
+bitwise with each other and with vanilla in distribution (the adapter
+draws wire delays from per-machine streams).
 """
 
 import numpy as np
@@ -12,8 +14,13 @@ import pytest
 
 from repro.distributions import Deterministic, Exponential, Shifted
 from repro.errors import ShardingError
+from repro.experiments.tail_at_scale import (
+    build_fanout_cluster,
+    measure_tail_at_scale,
+)
 from repro.hardware import NetworkFabric
-from repro.shard import measure_fanout_sharded, measure_fanout_vanilla
+from repro.shard import run_world_sharded
+from repro.workload import OpenLoopClient
 
 
 def det_fabric():
@@ -27,114 +34,127 @@ def stochastic_fabric():
 CFG = dict(qps=60.0, num_requests=40, seed=7)
 
 
+def vanilla(cluster_size, slow_fraction, *, qps, seed, num_requests=None,
+            stop_at=None, warmup=None, network=None):
+    """The fan-out world on the single-simulator engine, reported in
+    the adapter's terms."""
+    world = build_fanout_cluster(
+        cluster_size, slow_fraction, seed=seed, network=network
+    )
+    client = OpenLoopClient(
+        world.sim, world.dispatcher, arrivals=qps,
+        max_requests=num_requests, stop_at=stop_at,
+    )
+    client.start()
+    world.sim.run(until=stop_at)
+    times, values = client.latencies.samples()
+    result = {
+        "latencies": [float(v) for v in values],
+        "completions": [float(t) for t in times],
+        "outcomes": dict(client.outcomes),
+        "requests_sent": client.requests_sent,
+    }
+    if warmup is not None:
+        result["completed"] = client.latencies.count(
+            since=warmup, until=stop_at
+        )
+    return result
+
+
+def sharded(cluster_size, slow_fraction, *, qps, seed, shards,
+            num_requests=None, mode="inline", **kwargs):
+    return run_world_sharded(
+        build_fanout_cluster, qps, seed, shards, max_requests=num_requests,
+        mode=mode, cluster_size=cluster_size, slow_fraction=slow_fraction,
+        **kwargs,
+    )
+
+
 class TestDeterministicFabricIdentity:
-    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("shards", [2, 3, 4])
     def test_count_mode_bit_identical(self, shards):
-        vanilla = measure_fanout_vanilla(
+        ref = vanilla(10, 0.2, network=det_fabric(), **CFG)
+        run = sharded(10, 0.2, shards=shards, network=det_fabric(), **CFG)
+        assert run.shard_sync["shards"] == shards
+        assert run.latencies == ref["latencies"]
+        assert run.completions == ref["completions"]
+        assert run.outcomes == ref["outcomes"]
+        assert run.root["requests_sent"] == ref["requests_sent"]
+        point = measure_tail_at_scale(
+            10, 0.2, shards=shards, network=det_fabric(), **CFG
+        )
+        assert point == measure_tail_at_scale(
             10, 0.2, network=det_fabric(), **CFG
         )
-        sharded = measure_fanout_sharded(
-            10, 0.2, shards=shards, network=det_fabric(),
-            mode="inline", **CFG
-        )
-        assert sharded["shards"] == shards
-        assert sharded["fallback_reason"] is None
-        assert sharded["latencies"] == vanilla["latencies"]
-        assert sharded["completions"] == vanilla["completions"]
-        assert sharded["outcomes"] == vanilla["outcomes"]
-        assert sharded["requests_sent"] == vanilla["requests_sent"]
 
     def test_duration_mode_bit_identical(self):
-        kwargs = dict(
-            qps=80.0, num_requests=None, seed=11,
-            stop_at=0.4, warmup=0.1,
-        )
-        vanilla = measure_fanout_vanilla(
-            8, 0.1, network=det_fabric(), **kwargs
-        )
-        sharded = measure_fanout_sharded(
-            8, 0.1, shards=2, network=det_fabric(),
-            mode="inline", **kwargs
-        )
-        assert sharded["latencies"] == vanilla["latencies"]
-        assert sharded["window"] == vanilla["window"]
+        kwargs = dict(qps=80.0, seed=11)
+        ref = vanilla(8, 0.1, network=det_fabric(), stop_at=0.4,
+                      warmup=0.1, **kwargs)
+        run = sharded(8, 0.1, shards=2, network=det_fabric(),
+                      duration=0.4, warmup=0.1, **kwargs)
+        assert run.latencies == ref["latencies"]
+        assert run.root["window"]["completed"] == ref["completed"]
 
     def test_process_mode_matches_inline(self):
-        inline = measure_fanout_sharded(
-            8, 0.1, shards=2, network=det_fabric(), mode="inline", **CFG
-        )
-        process = measure_fanout_sharded(
-            8, 0.1, shards=2, network=det_fabric(), mode="process", **CFG
-        )
-        assert process["mode"] == "process"
-        assert process["latencies"] == inline["latencies"]
-        assert process["rounds"] == inline["rounds"]
-        assert process["messages"] == inline["messages"]
+        inline = sharded(8, 0.1, shards=2, network=det_fabric(), **CFG)
+        process = sharded(8, 0.1, shards=2, network=det_fabric(),
+                          mode="process", **CFG)
+        assert process.shard_sync["mode"] == "process"
+        assert process.latencies == inline.latencies
+        for counter in ("rounds", "messages_exchanged"):
+            assert process.shard_sync[counter] == inline.shard_sync[counter]
 
 
 class TestStochasticFabric:
     def test_shard_counts_agree_bitwise(self):
-        two = measure_fanout_sharded(
-            10, 0.2, shards=2, network=stochastic_fabric(),
-            mode="inline", **CFG
-        )
-        three = measure_fanout_sharded(
-            10, 0.2, shards=3, network=stochastic_fabric(),
-            mode="inline", **CFG
-        )
-        assert two["latencies"] == three["latencies"]
-        assert two["completions"] == three["completions"]
+        two = sharded(10, 0.2, shards=2, network=stochastic_fabric(), **CFG)
+        three = sharded(10, 0.2, shards=3, network=stochastic_fabric(),
+                        **CFG)
+        assert two.latencies == three.latencies
+        assert two.completions == three.completions
 
     def test_matches_vanilla_in_distribution(self):
-        vanilla = measure_fanout_vanilla(
-            10, 0.2, network=stochastic_fabric(), qps=60.0,
-            num_requests=200, seed=7,
-        )
-        sharded = measure_fanout_sharded(
-            10, 0.2, shards=2, network=stochastic_fabric(), qps=60.0,
-            num_requests=200, seed=7, mode="inline",
-        )
-        assert sharded["outcomes"] == vanilla["outcomes"]
-        assert sharded["requests_sent"] == vanilla["requests_sent"]
-        # The response hop uses per-leaf streams instead of the shared
-        # dispatcher stream: same distribution, different draws — the
-        # percentiles must agree to well under the hop's scale.
-        assert sharded["p50"] == pytest.approx(vanilla["p50"], rel=0.02)
-        assert sharded["p99"] == pytest.approx(vanilla["p99"], rel=0.02)
-        assert np.mean(sharded["latencies"]) == pytest.approx(
-            np.mean(vanilla["latencies"]), rel=0.02
+        cfg = dict(CFG, num_requests=200)
+        ref = vanilla(10, 0.2, network=stochastic_fabric(), **cfg)
+        run = sharded(10, 0.2, shards=2, network=stochastic_fabric(), **cfg)
+        assert run.outcomes == ref["outcomes"]
+        assert run.root["requests_sent"] == ref["requests_sent"]
+        # Wire delays come from per-machine streams instead of the
+        # shared dispatcher stream: same distribution, different draws
+        # — the percentiles must agree to well under the hop's scale.
+        for q in (50, 99):
+            assert np.percentile(run.latencies, q) == pytest.approx(
+                np.percentile(ref["latencies"], q), rel=0.02
+            )
+        assert np.mean(run.latencies) == pytest.approx(
+            np.mean(ref["latencies"]), rel=0.02
         )
 
 
 class TestFallback:
     def test_zero_lookahead_falls_back_to_vanilla(self):
-        vanilla = measure_fanout_vanilla(6, 0.0, **CFG)
         with pytest.warns(RuntimeWarning, match="lookahead"):
-            sharded = measure_fanout_sharded(
-                6, 0.0, shards=2, mode="inline", **CFG
-            )
-        assert sharded["shards"] == 1
-        assert sharded["mode"] == "single"
-        assert sharded["fallback_reason"] is not None
-        assert sharded["latencies"] == vanilla["latencies"]
+            assert sharded(6, 0.0, shards=2, **CFG) is None
+        reference = measure_tail_at_scale(6, 0.0, **CFG)
+        with pytest.warns(RuntimeWarning, match="lookahead"):
+            point = measure_tail_at_scale(6, 0.0, shards=2, **CFG)
+        assert point == reference
+        assert not hasattr(point, "shard_sync")
 
     def test_needs_some_termination(self):
-        with pytest.raises(ShardingError, match="num_requests"):
-            measure_fanout_sharded(
-                4, 0.0, num_requests=None, stop_at=None,
-                network=det_fabric(),
-            )
+        with pytest.raises(ShardingError, match="max_requests"):
+            sharded(4, 0.0, shards=2, network=det_fabric(), qps=60.0,
+                    seed=7)
 
 
 class TestAccounting:
     def test_event_and_job_conservation(self):
-        sharded = measure_fanout_sharded(
-            10, 0.2, shards=3, network=det_fabric(), mode="inline", **CFG
-        )
-        vanilla = measure_fanout_vanilla(10, 0.2, network=det_fabric(), **CFG)
-        # Done-batching trims cross-shard notifications but every
-        # request still completes and every latency sample survives.
-        assert sharded["requests"] == vanilla["requests"] == 40
-        assert sharded["rounds"] > 0
-        assert sharded["messages"] > 0
-        assert sharded["events_total"] > 0
+        run = sharded(10, 0.2, shards=3, network=det_fabric(), **CFG)
+        ref = vanilla(10, 0.2, network=det_fabric(), **CFG)
+        # Every request completes and every latency sample survives
+        # the cross-shard fan-out and fan-in.
+        assert len(run.latencies) == len(ref["latencies"]) == 40
+        assert run.shard_sync["rounds"] > 0
+        assert run.shard_sync["messages_exchanged"] > 0
+        assert sum(result["events"] for result in run.results) > 0

@@ -7,10 +7,10 @@ from repro.apps import social_network, two_tier
 from repro.analysis import reconcile_shard_runtime
 from repro.distributions import Deterministic
 from repro.experiments.loadsweep import measure_vanilla_point
+from repro.experiments.tail_at_scale import build_fanout_cluster
 from repro.hardware import NetworkFabric
 from repro.runner import derive_seed
-from repro.shard import measure_fanout_sharded
-from repro.shard.adapter import sharded_load_point
+from repro.shard.adapter import run_world_sharded, sharded_load_point
 
 
 def det_fabric():
@@ -64,14 +64,14 @@ class TestCoordinatorCounters:
         with pytest.raises(Exception, match="straggler"):
             reconcile_shard_runtime(dict(runtime, straggler_rounds=cooked))
 
-    def test_fanout_port_reports_stragglers_too(self):
-        result = measure_fanout_sharded(
-            8, 0.1, shards=2, network=det_fabric(),
-            qps=100.0, num_requests=30, seed=3, mode="inline",
-        )
-        assert result["stalls"] >= 0
-        straggler = result["straggler_rounds"]
-        assert sum(straggler.values()) == result["rounds"]
+    def test_fanout_world_reports_stragglers_too(self):
+        sync = run_world_sharded(
+            build_fanout_cluster, 100.0, 3, 2, max_requests=30,
+            mode="inline", cluster_size=8, slow_fraction=0.1,
+            network=det_fabric(),
+        ).shard_sync
+        assert sync["stalls"] >= 0
+        assert sum(sync["straggler_rounds"].values()) == sync["rounds"]
 
 
 class TestScrapeUnderShards:

@@ -125,10 +125,20 @@ class TestMeasureAtLoad:
             measure_at_load(bare_builder, qps=10.0, shards=2)
 
     def test_blocked_knobs_listed(self):
-        with pytest.raises(ReproError, match="slo"):
+        def toy_builder(seed=0):  # pragma: no cover - never called
+            raise AssertionError
+
+        def toy_runner(qps, duration, warmup, seed, shards,
+                       journal_path=None):  # pragma: no cover
+            raise AssertionError
+
+        # The runner's signature is its capability set: every option it
+        # lacks is named in one refusal, before anything runs.
+        toy_builder.sharded_runner = lambda: toy_runner
+        with pytest.raises(ReproError, match="slo, scrape_interval"):
             measure_at_load(
-                build_fanout_cluster, qps=10.0, shards=2, slo="p99<5ms",
-                cluster_size=4, slow_fraction=0.0,
+                toy_builder, qps=10.0, shards=2, slo="p99<5ms",
+                scrape_interval=0.01,
             )
 
     def test_shard_tuning_needs_shards(self):

@@ -31,8 +31,8 @@ from repro.shard import (
     ShardMessage,
     ShardSupervisor,
     load_replay_journal,
-    measure_fanout_sharded,
     outbound_digest,
+    run_world_sharded,
     spawn_worker,
 )
 from repro.shard.worker import ShardWorkerDied
@@ -43,6 +43,16 @@ def det_fabric():
 
 
 CFG = dict(qps=60.0, num_requests=30, seed=7)
+
+
+def fanout_run(*, qps, num_requests, seed, shards, mode="process", **kwargs):
+    """The 8-leaf fan-out world (10% slow) through the shard adapter,
+    stopped after *num_requests* arrivals."""
+    return run_world_sharded(
+        build_fanout_cluster, qps, seed, shards, max_requests=num_requests,
+        mode=mode, cluster_size=8, slow_fraction=0.1, network=det_fabric(),
+        **kwargs,
+    )
 
 
 # --------------------------------------------------------------------
@@ -252,95 +262,76 @@ class TestFaultPlanRecovery:
     @pytest.mark.parametrize("shards,seed", [(2, 7), (2, 11), (4, 7)])
     def test_kill_recovery_bit_identical(self, shards, seed):
         cfg = dict(CFG, seed=seed)
-        base = measure_fanout_sharded(
-            8, 0.1, shards=shards, network=det_fabric(),
-            mode="process", **cfg
-        )
+        base = fanout_run(shards=shards, **cfg)
         plan = FaultPlan().kill_shard(1, 2).kill_shard(shards - 1, 5)
-        faulted = measure_fanout_sharded(
-            8, 0.1, shards=shards, network=det_fabric(),
-            mode="process", fault_plan=plan, **cfg
-        )
-        assert base["restarts"] == 0
-        assert faulted["restarts"] == 2
-        assert faulted["replayed_rounds"] > 0
-        assert faulted["latencies"] == base["latencies"]
-        assert faulted["completions"] == base["completions"]
-        assert faulted["outcomes"] == base["outcomes"]
-        assert faulted["rounds"] == base["rounds"]
-        assert faulted["messages"] == base["messages"]
-        per_shard = faulted["recovery"]["per_shard"]
+        faulted = fanout_run(shards=shards, fault_plan=plan, **cfg)
+        assert base.shard_sync["restarts"] == 0 and base.recovery is None
+        assert faulted.shard_sync["restarts"] == 2
+        assert faulted.recovery["replayed_rounds"] > 0
+        assert faulted.latencies == base.latencies
+        assert faulted.completions == base.completions
+        assert faulted.outcomes == base.outcomes
+        for counter in ("rounds", "messages_exchanged"):
+            assert faulted.shard_sync[counter] == base.shard_sync[counter]
+        per_shard = faulted.recovery["per_shard"]
         assert set(per_shard) == ({1, shards - 1} if shards > 2 else {1})
         for report in per_shard.values():
             assert report["restarts"] >= 1
             assert report["failures"]
 
     def test_hang_recovery_bit_identical(self):
-        base = measure_fanout_sharded(
-            8, 0.1, shards=2, network=det_fabric(),
-            mode="process", **CFG
-        )
-        faulted = measure_fanout_sharded(
-            8, 0.1, shards=2, network=det_fabric(), mode="process",
-            fault_plan=FaultPlan().hang_shard(1, 3),
+        base = fanout_run(shards=2, **CFG)
+        faulted = fanout_run(
+            shards=2, fault_plan=FaultPlan().hang_shard(1, 3),
             shard_timeout=1.0, **CFG
         )
-        assert faulted["restarts"] == 1
-        assert faulted["latencies"] == base["latencies"]
-        assert faulted["outcomes"] == base["outcomes"]
-        failures = faulted["recovery"]["per_shard"][1]["failures"]
+        assert faulted.shard_sync["restarts"] == 1
+        assert faulted.latencies == base.latencies
+        assert faulted.outcomes == base.outcomes
+        failures = faulted.recovery["per_shard"][1]["failures"]
         assert any("ShardWorkerHung" in f for f in failures)
 
     def test_budget_exhaustion_raises(self):
         plan = FaultPlan().kill_shard(1, 2)
         with pytest.raises(ShardingError, match="restart budget") as exc:
-            measure_fanout_sharded(
-                8, 0.1, shards=2, network=det_fabric(), mode="process",
-                fault_plan=plan, shard_restarts=0, **CFG
-            )
+            fanout_run(shards=2, fault_plan=plan, shard_restarts=0, **CFG)
         assert "shard 1" in str(exc.value)
 
     def test_journal_written_and_auditable(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        result = measure_fanout_sharded(
-            8, 0.1, shards=2, network=det_fabric(), mode="process",
-            audit=True, fault_plan=FaultPlan().kill_shard(1, 2),
+        result = fanout_run(
+            shards=2, audit=True, fault_plan=FaultPlan().kill_shard(1, 2),
             journal_path=path, **CFG
         )
-        assert result["restarts"] == 1
+        assert result.shard_sync["restarts"] == 1
         journal = load_replay_journal(path)
-        assert journal.rounds == result["rounds"]
+        assert journal.rounds == result.shard_sync["rounds"]
         delivered = sum(journal.message_counts().values())
-        assert delivered == result["messages"]
+        assert delivered == result.shard_sync["messages_exchanged"]
 
     def test_chaos_rejected_without_process_workers(self):
         with pytest.raises(ShardingError, match="supervised"):
-            measure_fanout_sharded(
-                8, 0.1, shards=2, network=det_fabric(), mode="inline",
+            fanout_run(
+                shards=2, mode="inline",
                 fault_plan=FaultPlan().kill_shard(1, 2), **CFG
             )
 
     def test_unknown_shard_rejected(self):
         with pytest.raises(ShardingError, match="shards 0..1"):
-            measure_fanout_sharded(
-                8, 0.1, shards=2, network=det_fabric(), mode="process",
-                fault_plan=FaultPlan().kill_shard(5, 2), **CFG
+            fanout_run(
+                shards=2, fault_plan=FaultPlan().kill_shard(5, 2), **CFG
             )
 
     def test_simulation_faults_rejected_under_shards(self):
         with pytest.raises(ShardingError, match="simulated world"):
-            measure_fanout_sharded(
-                8, 0.1, shards=2, network=det_fabric(), mode="process",
-                fault_plan=FaultPlan().crash(0.1, "leaf_0"), **CFG
+            fanout_run(
+                shards=2, fault_plan=FaultPlan().crash(0.1, "leaf_0"), **CFG
             )
 
 
 class TestShardedAudit:
     def test_audit_passes_on_clean_run(self):
-        measure_fanout_sharded(
-            8, 0.1, shards=3, network=det_fabric(), mode="inline",
-            audit=True, **CFG
-        )
+        fanout_run(shards=3, mode="inline", audit=True, **CFG)
 
     def test_missing_ledger_is_a_problem(self):
         with pytest.raises(AuditError, match="conservation"):
