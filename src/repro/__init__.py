@@ -40,7 +40,6 @@ from . import (
     hardware,
     power,
     resilience,
-    scaling,
     service,
     telemetry,
     testbed,
@@ -90,7 +89,6 @@ __all__ = [
     "hardware",
     "power",
     "resilience",
-    "scaling",
     "service",
     "telemetry",
     "testbed",

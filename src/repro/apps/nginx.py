@@ -14,6 +14,7 @@ three execution paths for NGINX's three jobs in the evaluation:
 
 from __future__ import annotations
 
+from ..hardware import CoreSet
 from ..service import (
     EpollQueue,
     ExecutionPath,
@@ -48,10 +49,29 @@ def make_nginx(
     ``batching=False`` is an ablation switch: the epoll stage serves one
     job per invocation (its base cost is charged to every request), the
     single-queue failure mode of BigHouse."""
-    realism = world.realism
-    machine = world.cluster.machine(machine_name)
-    cores = machine.allocate(name, processes)
+    cores = world.cluster.machine(machine_name).allocate(name, processes)
+    instance = build_nginx(
+        world, name, machine_name, cores,
+        epoll_events=epoll_events, tier=tier, batching=batching,
+    )
+    world.deployment.add_instance(instance)
+    return instance
 
+
+def build_nginx(
+    world: World,
+    name: str,
+    machine_name: str,
+    cores: CoreSet,
+    epoll_events: int = 16,
+    tier: str = "nginx",
+    batching: bool = True,
+) -> Microservice:
+    """Build (but do not register) one NGINX instance on *cores*, which
+    the caller has already reserved on *machine_name* — one worker
+    process per core. A control-plane replica factory calls this with
+    the cores its scheduler placed."""
+    realism = world.realism
     epoll_queue = (
         EpollQueue(per_connection_limit=epoll_events)
         if batching
@@ -94,15 +114,13 @@ def make_nginx(
     )
     # NGINX worker processes are single-threaded event loops: one
     # process per core, context switching negligible under pinning.
-    instance = Microservice(
+    return Microservice(
         name,
         world.sim,
         stages,
         selector,
         cores,
-        model=MultiThreadedModel(processes, context_switch=1e-6),
+        model=MultiThreadedModel(len(cores), context_switch=1e-6),
         machine_name=machine_name,
         tier=tier,
     )
-    world.deployment.add_instance(instance)
-    return instance

@@ -220,6 +220,24 @@ class ControlPlane:
     def version_of(self, name: str) -> str:
         return self._versions.get(name, "")
 
+    def core_seconds(self, service: str) -> float:
+        """Provisioned core-seconds of *service* so far — the cost side
+        of scaling — integrated from :attr:`events`: each replica holds
+        ``cores_per_replica`` cores from its ``place`` until its
+        ``retire``, ``start_cancelled`` or ``start_aborted`` (or until
+        now while it lives), so cold start and drain count as cost."""
+        placed: Dict[str, float] = {}
+        held = 0.0
+        for event in self.events:
+            if event.attrs.get("service") != service:
+                continue
+            if event.name == "place":
+                placed[event.attrs["replica"]] = event.t
+            elif event.name in ("retire", "start_cancelled", "start_aborted"):
+                held += event.t - placed.pop(event.attrs["replica"])
+        held += sum(self.sim.now - t for t in placed.values())
+        return held * self.spec(service).cores_per_replica
+
     # Canary cohort (used by CanaryRollout) ------------------------------
 
     def add_canaries(

@@ -1,13 +1,15 @@
 """The horizontal autoscaler: registry metrics in, replica counts out.
 
-The original :class:`~repro.scaling.AutoScaler` flips an active set
-inside a fixed replica pool — capacity exists either way, only routing
-changes. This HPA is the control-plane recast: it measures the managed
+A use case in the spirit of the paper's SSV studies: the introduction
+motivates uqSim with cluster management ("the scheduler must now
+determine the impact of dependencies between any two microservices in
+order to guarantee end-to-end QoS"). This HPA measures the managed
 cohort's core utilisation over each decision window, publishes the
 observation to the metrics registry, and requests a replica count
 *through* :meth:`~repro.controlplane.ControlPlane.set_replicas` — so
 scale-ups pay placement + cold start and scale-downs drain gracefully,
-exactly like an operator-driven ``kubectl scale``.
+exactly like an operator-driven ``kubectl scale``. The cost side of
+scaling is :meth:`~repro.controlplane.ControlPlane.core_seconds`.
 
 Scaling follows the Kubernetes HPA formula::
 
@@ -15,8 +17,8 @@ Scaling follows the Kubernetes HPA formula::
 
 clamped to ``[min_replicas, max_replicas]``, with an optional SLO
 override: while an attached monitor is in breach, the HPA adds one
-replica per cycle and never scales down (the same
-breach-outranks-utilisation rule the active-set scaler uses).
+replica per cycle and never scales down: recovering QoS outranks
+reclaiming capacity.
 """
 
 from __future__ import annotations
@@ -94,18 +96,10 @@ class HorizontalAutoscaler:
 
     # Measurement ---------------------------------------------------------
 
-    def _busy_of(self, replica) -> float:
-        now = self.sim.now
-        busy = 0.0
-        for core in replica.cores.cores:
-            busy += core.busy_time
-            if core.busy and core._busy_since is not None:
-                busy += now - core._busy_since
-        return busy
-
     def _snapshot_busy(self) -> None:
+        now = self.sim.now
         for replica in self.cp.ready_replicas(self.service):
-            self._last_busy[replica.name] = self._busy_of(replica)
+            self._last_busy[replica.name] = replica.cores.busy_time(now)
 
     def observed_utilization(self) -> float:
         """Mean core utilisation of the ready cohort over the window
@@ -118,7 +112,7 @@ class HorizontalAutoscaler:
             return 0.0
         utils = []
         for replica in self.cp.ready_replicas(self.service):
-            busy = self._busy_of(replica)
+            busy = replica.cores.busy_time(now)
             previous = self._last_busy.get(replica.name)
             if previous is not None:
                 utils.append(

@@ -124,6 +124,16 @@ class CoreSet:
         """Current frequency (the sets are always stepped together)."""
         return self.cores[0].frequency
 
+    def busy_time(self, now: float) -> float:
+        """Accumulated busy seconds of every core in the set, counting
+        in-progress executions up to *now*."""
+        busy = 0.0
+        for core in self.cores:
+            busy += core.busy_time
+            if core.busy and core._busy_since is not None:
+                busy += now - core._busy_since
+        return busy
+
     def utilization(self, now: float, since: float = 0.0) -> float:
         """Mean utilisation across the set's cores."""
         return sum(c.utilization(now, since) for c in self.cores) / len(self.cores)

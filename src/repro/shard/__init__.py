@@ -14,8 +14,8 @@ Layering:
 
 * :mod:`~repro.shard.message` — the mailbox currency and its
   canonical (machine-independent) delivery order;
-* :mod:`~repro.shard.partition` — planning machines onto shards,
-  colocation groups, and the loud zero-lookahead fallback;
+* :mod:`~repro.shard.partition` — planning machines onto shards and
+  the loud zero-lookahead fallback;
 * :mod:`~repro.shard.sync` — :class:`ShardHost` (one shard's
   simulator + mailbox) and :class:`ConservativeCoordinator` (the
   round loop, with a per-pair lookahead closure so an idle shard

@@ -7,18 +7,12 @@ zero minimum latency must share a shard: conservative synchronisation
 strictly positive *lookahead* — the guaranteed minimum delay of the
 :class:`~repro.hardware.NetworkFabric` between distinct machines.
 
-Two rules follow:
-
-* **Colocation groups** — machines named in one ``colocate`` group are
-  pinned to the same shard, because messages between colocated
-  services ride the loopback path whose minimum is typically far below
-  the cross-machine propagation floor (and the client/dispatcher pair
-  exchanges callbacks with no network at all).
-* **Zero-lookahead fallback** — when ``fabric.lookahead() <= 0`` (the
-  default exponential propagation has an infimum of 0), no positive
-  window exists and :func:`plan_shards` *loudly* degrades to a single
-  shard instead of deadlocking. Results are then exactly the
-  single-shard results.
+When ``fabric.lookahead() <= 0`` (the default exponential propagation
+has an infimum of 0), no positive window exists and :func:`plan_shards`
+*loudly* degrades to a single shard instead of deadlocking. Results are
+then exactly the single-shard results. Colocated services share a
+machine, and machines are the unit of assignment, so loopback traffic
+never crosses shards.
 
 Assignment is deterministic: machines are distributed contiguously in
 the caller-supplied order, so the same topology always yields the same
@@ -97,18 +91,13 @@ def plan_shards(
     machines: Sequence[str],
     num_shards: int,
     fabric: NetworkFabric,
-    colocate: Optional[Sequence[Sequence[str]]] = None,
 ) -> ShardPlan:
-    """Assign *machines* to *num_shards* shards.
-
-    *colocate* lists groups of machine names that must land on one
-    shard (zero-lookahead neighbours). Each group is pinned to the
-    shard of its first member; remaining machines are spread
-    contiguously and evenly over all shards in input order.
+    """Assign *machines* to *num_shards* shards, contiguously and
+    evenly in input order.
 
     Returns a 1-shard plan (with a ``RuntimeWarning`` and a
     ``fallback_reason``) when the fabric's lookahead is not strictly
-    positive or there are fewer free machines than shards.
+    positive or there are fewer machines than shards.
     """
     if num_shards < 1:
         raise ShardingError(f"num_shards must be >= 1, got {num_shards!r}")
@@ -142,58 +131,23 @@ def plan_shards(
         warnings.warn(reason, RuntimeWarning, stacklevel=2)
         return single(reason)
 
-    groups: List[List[str]] = []
-    grouped: Dict[str, int] = {}
-    for group in colocate or ():
-        group = list(group)
-        merged = None
-        for name in group:
-            if name not in seen:
-                raise ShardingError(
-                    f"colocate group names unknown machine {name!r}"
-                )
-            if name in grouped:
-                merged = grouped[name]
-        if merged is None:
-            merged = len(groups)
-            groups.append([])
-        for name in group:
-            if name not in grouped:
-                grouped[name] = merged
-                groups[merged].append(name)
-
-    # Units to place: colocation groups count as one unit, pinned by
-    # their first member's position in the input order.
-    units: List[List[str]] = []
-    emitted_groups = set()
-    for name in machines:
-        gid = grouped.get(name)
-        if gid is None:
-            units.append([name])
-        elif gid not in emitted_groups:
-            emitted_groups.add(gid)
-            units.append(groups[gid])
-
-    if len(units) < num_shards:
+    n = len(machines)
+    if n < num_shards:
         reason = (
-            f"only {len(units)} placeable unit(s) for {num_shards} "
+            f"only {n} placeable unit(s) for {num_shards} "
             f"shards; falling back to shards=1"
         )
         warnings.warn(reason, RuntimeWarning, stacklevel=2)
         return single(reason)
 
-    # Contiguous deterministic assignment: unit k of n goes to shard
-    # floor(k * num_shards / n) — balanced within one unit, and stable
-    # under the input order.
-    assignments: Dict[str, int] = {}
-    n = len(units)
-    for k, unit in enumerate(units):
-        shard = (k * num_shards) // n
-        for name in unit:
-            assignments[name] = shard
+    # Contiguous deterministic assignment: machine k of n goes to shard
+    # floor(k * num_shards / n) — balanced within one machine, and
+    # stable under the input order.
     return ShardPlan(
         num_shards=num_shards,
-        assignments=assignments,
+        assignments={
+            name: (k * num_shards) // n for k, name in enumerate(machines)
+        },
         lookahead=lookahead,
         fallback_reason=None,
     )

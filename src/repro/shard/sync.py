@@ -350,7 +350,7 @@ class ConservativeCoordinator:
                 raise ShardingError(
                     f"cross-shard edge ({src}, {dst}) has non-positive "
                     f"lookahead {la!r}; conservative sync cannot make "
-                    f"progress — colocate the endpoints or fall back to "
+                    f"progress — put the endpoints on one shard or fall back to "
                     f"shards=1 (see repro.shard.partition)"
                 )
             dist[src][dst] = min(dist[src][dst], float(la))

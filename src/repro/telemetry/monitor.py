@@ -66,26 +66,16 @@ class ServiceMonitor:
         self._last_time = self.sim.now
         self._start_time = self.sim.now
         for inst in self.instances:
-            self._last_busy[inst.name] = self._total_busy(inst)
+            self._last_busy[inst.name] = inst.cores.busy_time(inst.sim.now)
         self.sim.schedule(self.interval, self._sample, priority=PRIORITY_MONITOR)
         return self
-
-    @staticmethod
-    def _total_busy(instance: Microservice) -> float:
-        now = instance.sim.now
-        busy = 0.0
-        for core in instance.cores.cores:
-            busy += core.busy_time
-            if core.busy and core._busy_since is not None:
-                busy += now - core._busy_since
-        return busy
 
     def _sample(self) -> None:
         now = self.sim.now
         window = now - self._last_time
         for inst in self.instances:
             self.queue_depth[inst.name].append(now, inst.queued_jobs)
-            busy = self._total_busy(inst)
+            busy = inst.cores.busy_time(inst.sim.now)
             delta = busy - self._last_busy[inst.name]
             util = delta / (window * len(inst.cores)) if window > 0 else 0.0
             # Float rounding in the busy-time bookkeeping can land a

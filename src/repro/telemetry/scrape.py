@@ -115,18 +115,8 @@ class Scraper:
             series = self.series[name] = TimeSeries(name)
         return series
 
-    @staticmethod
-    def _total_busy(instance) -> float:
-        now = instance.sim.now
-        busy = 0.0
-        for core in instance.cores.cores:
-            busy += core.busy_time
-            if core.busy and core._busy_since is not None:
-                busy += now - core._busy_since
-        return busy
-
     def _tier_busy(self, instances: List[Any]) -> float:
-        return sum(self._total_busy(inst) for inst in instances)
+        return sum(inst.cores.busy_time(inst.sim.now) for inst in instances)
 
     # Lifecycle --------------------------------------------------------
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.hardware import GHZ
 from repro.power import PowerManager
-from repro.scaling import ActiveSetBalancer, AutoScaler
 from repro.telemetry import WindowedLatency
 from repro.topology import PathNode, PathTree
 from repro.workload import MMPPArrivals, OpenLoopClient
@@ -64,35 +63,3 @@ class TestPowerManagerInvariants:
         sim.run(until=1.0)
         assert len(manager.p99_series) == manager.decisions
         assert manager.violations <= manager.decisions
-
-
-class TestAutoScalerInvariants:
-    def test_active_count_always_in_range(self, sim, network):
-        cluster, deployment, dispatcher = build_world(
-            sim, network, machines=4, cores=4
-        )
-        instances = [
-            build_instance(sim, cluster, f"web{i}", f"node{i}",
-                           service_time=5e-4, cores=1, tier="web")
-            for i in range(4)
-        ]
-        for inst in instances:
-            deployment.add_instance(inst)
-        balancer = ActiveSetBalancer(4, initial_active=2)
-        deployment._balancers["web"] = balancer
-        dispatcher.add_tree(PathTree().chain(PathNode("web", "web")))
-        scaler = AutoScaler(sim, instances, balancer, decision_interval=0.05)
-        client = OpenLoopClient(
-            sim, dispatcher,
-            arrivals=MMPPArrivals(low_qps=100, high_qps=6000, mean_dwell=0.3),
-            stop_at=3.0,
-        )
-        scaler.start()
-        client.start()
-        sim.run(until=3.0)
-        active = scaler.active_series.values
-        assert (active >= 1).all()
-        assert (active <= 4).all()
-        utils = scaler.utilization_series.values
-        assert (utils >= 0).all()
-        assert (utils <= 1.0 + 1e-9).all()

@@ -44,28 +44,6 @@ class TestPlanShards:
         assert plans[0].assignments == plans[1].assignments
         assert plans[1].assignments == plans[2].assignments
 
-    def test_colocate_pins_group_together(self):
-        machines = ["a", "b", "c", "d", "e", "f"]
-        plan = plan_shards(
-            machines, 3, det_fabric(), colocate=[["a", "d"]]
-        )
-        assert plan.assignments["a"] == plan.assignments["d"]
-
-    def test_overlapping_colocate_groups_merge(self):
-        machines = ["a", "b", "c", "d", "e", "f"]
-        plan = plan_shards(
-            machines, 2, det_fabric(), colocate=[["a", "b"], ["b", "c"]]
-        )
-        assert (
-            plan.assignments["a"]
-            == plan.assignments["b"]
-            == plan.assignments["c"]
-        )
-
-    def test_colocate_unknown_machine_rejected(self):
-        with pytest.raises(ShardingError, match="unknown machine"):
-            plan_shards(["a", "b"], 2, det_fabric(), colocate=[["a", "zz"]])
-
     def test_duplicate_machine_rejected(self):
         with pytest.raises(ShardingError, match="duplicate machine"):
             plan_shards(["a", "b", "a"], 2, det_fabric())
@@ -89,9 +67,6 @@ class TestPlanShards:
 
     def test_fewer_units_than_shards_falls_back_loudly(self):
         with pytest.warns(RuntimeWarning, match="placeable unit"):
-            plan = plan_shards(
-                ["a", "b", "c"], 3, det_fabric(),
-                colocate=[["a", "b", "c"]],
-            )
+            plan = plan_shards(["a", "b"], 3, det_fabric())
         assert not plan.sharded
         assert "placeable unit" in plan.fallback_reason

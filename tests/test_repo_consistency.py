@@ -45,6 +45,7 @@ class TestPublicApiSurface:
         "repro.apps",
         "repro.bighouse",
         "repro.config",
+        "repro.controlplane",
         "repro.distributions",
         "repro.engine",
         "repro.experiments",
@@ -52,7 +53,6 @@ class TestPublicApiSurface:
         "repro.hardware",
         "repro.power",
         "repro.resilience",
-        "repro.scaling",
         "repro.service",
         "repro.telemetry",
         "repro.testbed",
