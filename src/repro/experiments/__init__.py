@@ -1,6 +1,11 @@
 """Experiment harness: load sweeps, validation experiment definitions,
 the tail-at-scale and power-management studies, the BigHouse
-comparison, and the figure/table registry."""
+comparison, and the figure/table registry.
+
+Every load point and Fig 14 cell is one run core — :func:`run_world`,
+or :func:`repro.shard.run_world_sharded` under shards — returning one
+:class:`WorldRun` record that one builder per result type turns into
+the point."""
 
 from . import (
     audit,
@@ -23,10 +28,12 @@ from .orchestration import (
 from .replication import ReplicatedPoint, replicate_at_load
 from .loadsweep import (
     SweepPoint,
+    WorldRun,
     find_shard_journal,
     load_latency_sweep,
     measure_at_load,
     measure_vanilla_point,
+    run_world,
     saturation_load,
     shard_journal_name,
 )
@@ -36,6 +43,7 @@ __all__ = [
     "ReplicatedPoint",
     "RolloutPoint",
     "SweepPoint",
+    "WorldRun",
     "audit",
     "audit_client",
     "audit_sharded_run",
@@ -52,6 +60,7 @@ __all__ = [
     "replicate_at_load",
     "resilience",
     "rollout_experiment",
+    "run_world",
     "saturation_load",
     "shard_journal_name",
     "tail_at_scale",

@@ -12,6 +12,7 @@ simulated curve against the real system's. Here both curves come from
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -329,6 +330,234 @@ def measure_at_load(
     )
 
 
+@dataclass
+class WorldRun:
+    """One world run under an open-loop client, from either executor
+    (:func:`run_world` or :func:`repro.shard.adapter.run_world_sharded`):
+    what the client measured plus the coordinator's bookkeeping."""
+
+    #: Latency samples and their completion times, in completion order.
+    latencies: List[float]
+    completions: List[float]
+    #: Resolved requests by outcome.
+    outcomes: Dict[str, int]
+    #: Coordinator counters; ``None`` unsharded.
+    shard_sync: Optional[dict]
+    #: The supervisor's recovery report, or ``None`` when no worker had
+    #: to be restarted — so an unfaulted run equals its vanilla twin.
+    recovery: Optional[dict]
+    #: The client's :func:`client_payload` plus, when on, ``slo``,
+    #: ``traces`` and ``scrape`` (sharded: the client shard's finalize).
+    root: dict
+    #: Every shard's payload, indexed by shard id; ``[root]`` unsharded.
+    results: List[dict]
+    #: The coordinator's wall-clock runtime block; ``None`` unsharded.
+    runtime: Optional[dict]
+
+    def annotate(self, point: Any) -> Any:
+        """*point*, carrying a sharded run's counters as a non-declared
+        ``shard_sync`` attribute, which equality and journal
+        round-trips ignore (resumed points simply lack it)."""
+        if self.shard_sync is not None:
+            point.shard_sync = self.shard_sync
+        return point
+
+
+def arm_faults(world: World, fault_plan: FaultPlan) -> None:
+    """Arm *fault_plan* against *world*'s instances, links and
+    machines before its clock starts."""
+    FaultInjector(
+        world.sim, world.deployment, world.cluster.network, fault_plan,
+        cluster=world.cluster,
+    ).arm()
+
+
+def start_slo_monitor(client: OpenLoopClient, slo: Optional[SLOSpec],
+                      qps: float, *, duration: Optional[float] = None,
+                      warmup: Optional[float] = None,
+                      max_requests: Optional[int] = None,
+                      ) -> Optional[SLOMonitor]:
+    """Attach and start an :class:`SLOMonitor` for *slo* on *client*
+    (``None`` when no objective was asked for). A *duration* horizon
+    sets the window from the post-*warmup* span and evaluates every 1%
+    of it until the horizon; a run stopped after *max_requests* has no
+    horizon, so the window is sized from the expected span of the run."""
+    if duration is not None:
+        window = max(0.05, min(1.0, duration - (warmup or 0.0)))
+        interval = max(duration / 100.0, 0.005)
+    else:
+        window = max(0.1, max_requests / max(qps, 1e-9) / 4.0)
+        interval = window / 10.0
+    slos = resolve_slos(slo, window=window)
+    if not slos:
+        return None
+    monitor = SLOMonitor(client.sim, slos, interval=interval)
+    monitor.attach(client)
+    monitor.start(stop_at=duration)
+    return monitor
+
+
+def client_payload(client: OpenLoopClient, warmup: Optional[float] = None,
+                   until: Optional[float] = None) -> Dict[str, Any]:
+    """What a finished *client* measured: counts, outcomes, latency
+    samples and completion times, whole-run p50/p99 (when anything
+    completed) and, given a *warmup*, the stats over ``[warmup, until]``
+    as ``window``."""
+    recorder = client.latencies
+    times, values = recorder.samples()
+    payload: Dict[str, Any] = dict(
+        requests_sent=client.requests_sent,
+        requests_completed=client.requests_completed,
+        outcomes=dict(client.outcomes),
+        completions=[float(t) for t in times],
+        latencies=[float(v) for v in values],
+    )
+    if len(recorder):
+        payload["p50"] = recorder.p50()
+        payload["p99"] = recorder.p99()
+    if warmup is not None:
+        completed = recorder.count(since=warmup, until=until)
+        window: Dict[str, Any] = {"completed": completed}
+        if completed:
+            window.update(
+                throughput=recorder.throughput(warmup, until),
+                mean=recorder.mean(since=warmup, until=until),
+                p50=recorder.percentile(50, since=warmup, until=until),
+                p95=recorder.percentile(95, since=warmup, until=until),
+                p99=recorder.percentile(99, since=warmup, until=until),
+            )
+        payload["window"] = window
+    return payload
+
+
+def export_artifacts(trace_dir: Union[str, Path], stem: str,
+                     traces: Sequence[Any], counters: Optional[dict] = None,
+                     timeline: Optional[dict] = None) -> None:
+    """Write ``{stem}.perfetto.json`` (*traces* plus *counters* tracks)
+    and ``{stem}.otlp.json`` into *trace_dir*, and
+    ``{stem}.timeseries.json`` when there is a *timeline*."""
+    base = Path(trace_dir)
+    base.mkdir(parents=True, exist_ok=True)
+    write_perfetto(base / f"{stem}.perfetto.json", traces, counters=counters)
+    write_otlp(base / f"{stem}.otlp.json", traces)
+    if timeline is not None:
+        from ..telemetry.scrape import write_timeline
+
+        write_timeline(base / f"{stem}.timeseries.json", timeline)
+
+
+def run_world(
+    build_world: Callable[..., World],
+    qps: float,
+    seed: int,
+    *,
+    duration: Optional[float] = None,
+    warmup: Optional[float] = None,
+    max_requests: Optional[int] = None,
+    mix: Optional[RequestMix] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    audit: bool = False,
+    trace: Union[bool, TraceConfig] = False,
+    slo: Optional[SLOSpec] = None,
+    scrape_interval: Optional[float] = None,
+    **world_kwargs,
+) -> WorldRun:
+    """Run *build_world* under an open-loop client on one simulator —
+    the vanilla twin of :func:`repro.shard.adapter.run_world_sharded`.
+
+    The client stops at the *duration* horizon (window stats cover the
+    post-*warmup* span) and/or after *max_requests* arrivals; with no
+    horizon the run ends when the last request resolves. *seed* is
+    used as-is. Faults arm first, then the SLO monitor, then the
+    scraper; *audit* checks request conservation after the run.
+    """
+    if duration is None and max_requests is None:
+        raise ReproError("a run needs a duration horizon and/or max_requests")
+    world = build_world(seed=seed, **world_kwargs)
+    if trace:
+        world.dispatcher.trace = trace
+    if fault_plan is not None:
+        arm_faults(world, fault_plan)
+    client = OpenLoopClient(
+        world.sim, world.dispatcher, arrivals=qps, mix=mix,
+        max_requests=max_requests, stop_at=duration, realism=world.realism,
+    )
+    slo_monitor = start_slo_monitor(
+        client, slo, qps, duration=duration, warmup=warmup,
+        max_requests=max_requests,
+    )
+    scraper = None
+    if scrape_interval is not None:
+        from ..telemetry.metrics import MetricsRegistry
+        from ..telemetry.scrape import Scraper, scrape_tiers
+
+        registry = MetricsRegistry()
+        registry.instrument_world(world)
+        scraper = Scraper(
+            world.sim, interval=scrape_interval,
+            tiers=scrape_tiers(world.deployment), client=client,
+            registry=registry, stop_at=duration,
+        ).start()
+    clock_start = world.sim.now
+    client.start()
+    world.sim.run(until=duration)
+    if audit:
+        audit_client(client, world.sim, dispatcher=world.dispatcher,
+                     clock_start=clock_start)
+    root = client_payload(client, warmup, duration)
+    if slo_monitor is not None:
+        root["slo"] = slo_monitor.summary()
+    if scraper is not None:
+        root["scrape"] = {"interval": scrape_interval,
+                          "series": scraper.snapshot()}
+    if trace:
+        root["traces"] = list(world.dispatcher.tracer.traces)
+    return WorldRun(root["latencies"], root["completions"], root["outcomes"],
+                    shard_sync=None, recovery=None, root=root,
+                    results=[root], runtime=None)
+
+
+def sweep_point(run: WorldRun, qps: float, duration: float, warmup: float,
+                seed: int, *, trace_dir: Optional[Union[str, Path]] = None,
+                scrape_interval: Optional[float] = None) -> SweepPoint:
+    """The :class:`SweepPoint` of a horizon *run* at *qps* from derived
+    *seed*, with its merged scrape timeline when *scrape_interval* is
+    set; with *trace_dir* set, its traces and timeline export there
+    named after the offered load."""
+    series: Dict[str, dict] = {}
+    timeline = None
+    if scrape_interval is not None:
+        from ..telemetry.scrape import timeline_payload
+
+        # Tiers are machine-owned, so per-shard series names are
+        # disjoint (the root alone contributes ``client/*``); the
+        # merged union carries the same names a vanilla run scrapes.
+        for result in run.results:
+            series.update((result.get("scrape") or {}).get("series", {}))
+        shards = run.shard_sync["shards"] if run.shard_sync else 1
+        timeline = timeline_payload(
+            series, interval=scrape_interval, shard_runtime=run.runtime,
+            meta={"qps": qps, "duration": duration, "warmup": warmup,
+                  "seed": seed, "shards": shards},
+        )
+    if trace_dir is not None:
+        traces = run.root.get("traces") or []
+        export_artifacts(trace_dir, f"qps{qps:g}", traces,
+                         counters=series or None, timeline=timeline)
+    window = run.root.get("window") or {}
+    if window.get("completed"):
+        stats = [window[name] for name in
+                 ("throughput", "mean", "p50", "p95", "p99", "completed")]
+    else:
+        # Fully wedged system: report the offered load with infinite
+        # latency markers rather than crashing the sweep.
+        stats = [0.0, math.inf, math.inf, math.inf, math.inf, 0]
+    return run.annotate(SweepPoint(
+        qps, *stats, slo=run.root.get("slo"), shard_recovery=run.recovery,
+        timeline=timeline,
+    ))
+
+
 def measure_vanilla_point(
     build_world: Callable[..., World],
     qps: float,
@@ -345,114 +574,19 @@ def measure_vanilla_point(
     scrape_interval: Optional[float] = None,
     **world_kwargs,
 ) -> SweepPoint:
-    """The raw single-simulator measurement behind one sweep point.
-
-    Split out of :func:`measure_at_load` so the sharded adapter's
-    planner fallback (:func:`repro.shard.adapter.sharded_load_point`)
-    can run the *identical* code path with the *identical*
-    already-derived seed — which is what makes ``shards=1`` trivially
-    bit-identical to vanilla. Callers are expected to have done the
-    shard/tuning guard checks; *derived_seed* is used as-is.
-    """
-    trace = implied_trace(trace, trace_dir)
-    world = build_world(seed=derived_seed, **world_kwargs)
-    if trace:
-        world.dispatcher.trace = trace
-    if fault_plan is not None:
-        FaultInjector(
-            world.sim, world.deployment, world.cluster.network, fault_plan
-        ).arm()
-    client = OpenLoopClient(
-        world.sim,
-        world.dispatcher,
-        arrivals=qps,
-        mix=mix,
-        stop_at=duration,
-        realism=world.realism,
+    """One sweep point on one simulator: :func:`run_world` over the
+    horizon, then :func:`sweep_point` — the same two steps the sharded
+    adapter's planner fallback runs, which is what makes ``shards=1``
+    bit-identical to vanilla. *derived_seed* is used as-is; callers
+    are expected to have done the shard/tuning guard checks."""
+    run = run_world(
+        build_world, qps, derived_seed, duration=duration, warmup=warmup,
+        mix=mix, fault_plan=fault_plan, audit=audit,
+        trace=implied_trace(trace, trace_dir), slo=slo,
+        scrape_interval=scrape_interval, **world_kwargs,
     )
-    slos = resolve_slos(slo, window=max(0.05, min(1.0, duration - warmup)))
-    slo_monitor = None
-    if slos:
-        slo_monitor = SLOMonitor(
-            world.sim, slos, interval=max(duration / 100.0, 0.005)
-        )
-        slo_monitor.attach(client)
-        slo_monitor.start(stop_at=duration)
-    scraper = None
-    if scrape_interval is not None:
-        from ..telemetry.metrics import MetricsRegistry
-        from ..telemetry.scrape import Scraper, scrape_tiers
-
-        registry = MetricsRegistry()
-        registry.instrument_world(world)
-        scraper = Scraper(
-            world.sim,
-            interval=scrape_interval,
-            tiers=scrape_tiers(world.deployment),
-            client=client,
-            registry=registry,
-            stop_at=duration,
-        ).start()
-    clock_start = world.sim.now
-    client.start()
-    world.sim.run(until=duration)
-    if audit:
-        audit_client(
-            client, world.sim, dispatcher=world.dispatcher,
-            clock_start=clock_start,
-        )
-    timeline = None
-    scrape_series = None
-    if scraper is not None:
-        from ..telemetry.scrape import timeline_payload
-
-        scrape_series = scraper.snapshot()
-        timeline = timeline_payload(
-            scrape_series,
-            interval=scrape_interval,
-            meta={
-                "qps": qps, "duration": duration, "warmup": warmup,
-                "seed": derived_seed, "shards": 1,
-            },
-        )
-    if trace and trace_dir is not None:
-        traces = world.dispatcher.tracer.traces
-        base = Path(trace_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        stem = f"qps{qps:g}"
-        write_perfetto(base / f"{stem}.perfetto.json", traces,
-                       counters=scrape_series)
-        write_otlp(base / f"{stem}.otlp.json", traces)
-    if timeline is not None and trace_dir is not None:
-        from ..telemetry.scrape import write_timeline
-
-        base = Path(trace_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        write_timeline(base / f"qps{qps:g}.timeseries.json", timeline)
-
-    slo_summary = (
-        slo_monitor.summary() if slo_monitor is not None else None
-    )
-    recorder = client.latencies
-    completed = recorder.count(since=warmup, until=duration)
-    if completed == 0:
-        # Fully wedged system: report the offered load with infinite-ish
-        # latency markers rather than crashing the sweep.
-        return SweepPoint(qps, 0.0, float("inf"), float("inf"), float("inf"),
-                          float("inf"), 0, slo=slo_summary,
-                          timeline=timeline)
-    window = (warmup, duration)
-    return SweepPoint(
-        offered_qps=qps,
-        throughput=recorder.throughput(*window),
-        mean=recorder.mean(since=warmup, until=duration),
-        p50=recorder.percentile(50, since=warmup, until=duration),
-        p95=recorder.percentile(95, since=warmup, until=duration),
-        p99=recorder.percentile(99, since=warmup, until=duration),
-        completed=completed,
-        slo=slo_summary,
-        timeline=timeline,
-    )
+    return sweep_point(run, qps, duration, warmup, derived_seed,
+                       trace_dir=trace_dir, scrape_interval=scrape_interval)
 
 
 def _config_token(value: Any) -> Any:

@@ -38,7 +38,7 @@ from ..controlplane import (
 )
 from ..distributions import Exponential
 from ..errors import ConfigError
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultPlan
 from ..hardware import Machine
 from ..resilience import ResiliencePolicy, RetryPolicy
 from ..runner import derive_seed, point_key, register_result_type
@@ -55,7 +55,7 @@ from ..telemetry.slo import LATENCY, SLO
 from ..topology import PathNode, PathTree
 from ..workload import OpenLoopClient
 from .audit import audit_client
-from .loadsweep import sweep_config
+from .loadsweep import arm_faults, sweep_config
 from .options import RunOptions
 
 #: The tier every orchestrated world serves.
@@ -226,11 +226,7 @@ def measure_node_failure(
     )
     world, cp = cw.world, cw.control_plane
     cp.start(stop_at=duration)
-    plan = fault_plan or FaultPlan().fail_machine(fail_at, machine)
-    FaultInjector(
-        world.sim, world.deployment, world.cluster.network, plan,
-        cluster=world.cluster,
-    ).arm()
+    arm_faults(world, fault_plan or FaultPlan().fail_machine(fail_at, machine))
     client = OpenLoopClient(
         world.sim,
         world.dispatcher,

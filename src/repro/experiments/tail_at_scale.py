@@ -12,6 +12,7 @@ fraction of randomly-selected servers by 10x."
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
@@ -30,20 +31,15 @@ from ..service import (
     Stage,
 )
 from ..runner import point_key, register_result_type
-from ..telemetry.export import write_otlp, write_perfetto
-from ..telemetry.slo import SLOMonitor
 from ..telemetry.tracing import TraceConfig, trace_requested
 from ..topology import PathNode, PathTree
-from ..workload import OpenLoopClient
-from .audit import audit_client
-from .loadsweep import sweep_manifest_extra
-from .options import (
-    RunOptions,
-    SLOSpec,
-    implied_trace,
-    resolve_slos,
-    runner_kwargs,
+from .loadsweep import (
+    WorldRun,
+    export_artifacts,
+    run_world,
+    sweep_manifest_extra,
 )
+from .options import RunOptions, SLOSpec, implied_trace, runner_kwargs
 
 
 def build_fanout_cluster(
@@ -180,12 +176,12 @@ def measure_tail_at_scale(
     *slo* remain single-simulator-only and are refused. *fault_plan*
     under shards may carry ``shard_kill``/``shard_hang`` chaos (the
     supervisor recovers and results must not change); under
-    ``shards=1`` it arms the ordinary in-simulation
-    :class:`~repro.faults.FaultInjector`. A sharded point carries the
-    coordinator counters as a ``shard_sync`` attribute, which the run
-    manifest summarises.
+    ``shards=1`` it arms in-simulation faults. Either way the run goes
+    through :func:`tail_point`; a sharded point carries the coordinator
+    counters as a ``shard_sync`` attribute, which the manifest sums.
     """
     options = RunOptions.pick(locals())
+    run = None
     if shards > 1:
         requested = options.point_options()
         if trace and trace_requested(trace, trace_dir):
@@ -196,73 +192,27 @@ def measure_tail_at_scale(
                 Path(shard_journal_dir)
                 / f"shard_journal_size{cluster_size}_slow{slow_fraction:g}.jsonl"
             )
-        point = _sharded_tail_point(
+        run = _sharded_tail_run(
             cluster_size, slow_fraction, qps=qps,
             num_requests=num_requests, slow_factor=slow_factor,
             seed=seed, network=network, journal_path=journal_path,
             **runner_kwargs(
-                _sharded_tail_point, requested,
+                _sharded_tail_run, requested,
                 f"the fan-out cluster with shards={shards}",
             ),
         )
-        if point is not None:
-            return point
-    trace = implied_trace(trace, trace_dir)
-    world = build_fanout_cluster(
-        cluster_size, slow_fraction, slow_factor, seed=seed,
-        network=network,
-    )
-    if fault_plan is not None:
-        from ..faults import FaultInjector
-
-        FaultInjector(
-            world.sim, world.deployment, world.cluster.network,
-            fault_plan, cluster=world.cluster,
-        ).arm()
-    if trace:
-        world.dispatcher.trace = trace
-    client = OpenLoopClient(
-        world.sim, world.dispatcher, arrivals=qps, max_requests=num_requests
-    )
-    # The fan-out run has no fixed horizon (it stops when the last of
-    # num_requests resolves), so size the evaluation window from the
-    # expected span of the run.
-    expected_span = max(0.1, num_requests / max(qps, 1e-9) / 4.0)
-    slos = resolve_slos(slo, window=expected_span)
-    slo_monitor = None
-    if slos:
-        slo_monitor = SLOMonitor(
-            world.sim, slos, interval=expected_span / 10.0
+    if run is None:
+        run = run_world(
+            build_fanout_cluster, qps, seed, max_requests=num_requests,
+            fault_plan=fault_plan, audit=audit,
+            trace=implied_trace(trace, trace_dir), slo=slo,
+            cluster_size=cluster_size, slow_fraction=slow_fraction,
+            slow_factor=slow_factor, network=network,
         )
-        slo_monitor.attach(client)
-        slo_monitor.start()
-    clock_start = world.sim.now
-    client.start()
-    world.sim.run()
-    if audit:
-        audit_client(
-            client, world.sim, dispatcher=world.dispatcher,
-            clock_start=clock_start,
-        )
-    if trace and trace_dir is not None:
-        base = Path(trace_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        stem = f"size{cluster_size}_slow{slow_fraction:g}"
-        traces = world.dispatcher.tracer.traces
-        write_perfetto(base / f"{stem}.perfetto.json", traces)
-        write_otlp(base / f"{stem}.otlp.json", traces)
-    recorder = client.latencies
-    return TailAtScalePoint(
-        cluster_size=cluster_size,
-        slow_fraction=slow_fraction,
-        p50=recorder.p50(),
-        p99=recorder.p99(),
-        requests=len(recorder),
-        slo=slo_monitor.summary() if slo_monitor is not None else None,
-    )
+    return tail_point(run, cluster_size, slow_fraction, trace_dir=trace_dir)
 
 
-def _sharded_tail_point(
+def _sharded_tail_run(
     cluster_size: int,
     slow_fraction: float,
     *,
@@ -277,36 +227,45 @@ def _sharded_tail_point(
     shard_timeout: Optional[float] = None,
     shard_restarts: Optional[int] = None,
     journal_path: Optional[Path] = None,
-) -> Optional[TailAtScalePoint]:
+) -> Optional[WorldRun]:
     """One Fig 14 cell through the generic shard adapter, stopped after
     *num_requests* arrivals; ``None`` when the planner falls back to
     one shard. The signature is the capability set of sharded Fig 14:
-    the adapter sizes SLO windows and names trace exports by a
-    horizon, which a count-terminated run lacks, so *trace* and *slo*
-    stay single-simulator-only."""
+    *trace* and *slo* stay single-simulator-only, since a root shard's
+    SLO monitor stands down when its own shard's queue drains, not the
+    world's, and neither has been shown identical to vanilla."""
     from ..shard.adapter import run_world_sharded
 
-    run = run_world_sharded(
+    return run_world_sharded(
         build_fanout_cluster, qps, seed, shards, max_requests=num_requests,
         audit=audit, fault_plan=fault_plan, shard_timeout=shard_timeout,
         shard_restarts=shard_restarts, journal_path=journal_path,
         cluster_size=cluster_size, slow_fraction=slow_fraction,
         slow_factor=slow_factor, network=network,
     )
-    if run is None:
-        return None
-    point = TailAtScalePoint(
-        cluster_size=cluster_size,
-        slow_fraction=slow_fraction,
-        p50=run.root.get("p50"),
-        p99=run.root.get("p99"),
-        requests=len(run.latencies),
-        shard_recovery=run.recovery,
-    )
-    # Non-declared attribute, as on sharded SweepPoints: equality and
-    # journal round-trips ignore it.
-    point.shard_sync = run.shard_sync
-    return point
+
+
+def tail_point(
+    run: WorldRun,
+    cluster_size: int,
+    slow_fraction: float,
+    *,
+    trace_dir: Optional[Union[str, Path]] = None,
+) -> TailAtScalePoint:
+    """The :class:`TailAtScalePoint` of a count-terminated *run* from
+    either executor: whole-run p50/p99 of the fan-in-synchronised
+    latency, ``inf`` for a wedged cell where nothing completed. With
+    *trace_dir* set, the run's traces export there named by the cell."""
+    if trace_dir is not None:
+        export_artifacts(
+            trace_dir, f"size{cluster_size}_slow{slow_fraction:g}",
+            run.root.get("traces") or [],
+        )
+    return run.annotate(TailAtScalePoint(
+        cluster_size, slow_fraction, run.root.get("p50", math.inf),
+        run.root.get("p99", math.inf), len(run.latencies),
+        slo=run.root.get("slo"), shard_recovery=run.recovery,
+    ))
 
 
 def _measure_cell(

@@ -32,7 +32,9 @@ Layering:
   wiring of *any* registered topology (the Fig 14 fan-out cluster
   included) behind ShardHost mailboxes (full-world replication,
   machine ownership), stopped by a horizon or a request count, with
-  merged telemetry (traces/SLO/mix) shipped home at ``finalize()``.
+  merged telemetry (traces/SLO/mix) shipped home at ``finalize()``
+  into the same :class:`WorldRun` record the vanilla core
+  (:func:`repro.experiments.loadsweep.run_world`) returns.
 
 Determinism contract: all shards share one root seed and draw from
 named :class:`~repro.engine.RandomStreams`, so the shard count decides
@@ -43,7 +45,7 @@ named :class:`~repro.engine.RandomStreams`, so the shard count decides
 
 from .adapter import (
     ShardedDispatcher,
-    ShardedRun,
+    WorldRun,
     WorldShardHost,
     build_world_shard_host,
     run_world_sharded,
@@ -77,7 +79,7 @@ __all__ = [
     "ShardWorkerHung",
     "ShardWorkerProxy",
     "ShardedDispatcher",
-    "ShardedRun",
+    "WorldRun",
     "WorldShardHost",
     "build_world_shard_host",
     "deterministic_order",

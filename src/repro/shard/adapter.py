@@ -62,9 +62,10 @@ Contracts (asserted by ``tests/shard/test_adapter_identity.py`` and
 Telemetry ships home at ``finalize()``: each shard returns the spans
 and events of the requests it touched (only when tracing is on — a
 trace-off run never pays the shipping cost), the root shard returns
-the client's latency recorder samples and the SLO monitor summary,
-and :func:`sharded_load_point` merges everything into the same
-``SweepPoint`` / trace-export artifacts the vanilla path produces.
+the vanilla client payload and SLO summary, and
+:func:`run_world_sharded` merges everything into the same
+:class:`~repro.experiments.loadsweep.WorldRun` the vanilla core
+returns — one point builder per result type serves both.
 
 Not everything can run under the adapter; unsupported shapes raise
 :class:`~repro.errors.ShardingError` at build time rather than
@@ -76,12 +77,18 @@ lives on a different machine, and in-simulation fault plans.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine import PRIORITY_ARRIVAL
 from ..errors import ShardingError
+from ..experiments.loadsweep import (
+    WorldRun,
+    client_payload,
+    run_world,
+    start_slo_monitor,
+    sweep_point,
+)
+from ..experiments.options import implied_trace
 from ..service import Job, Request
 from ..service.job import OUTCOME_OK
 from ..telemetry.tracing import Span, SpanEvent, TraceConfig, trace_requested
@@ -94,7 +101,7 @@ from .worker import run_sharded
 
 __all__ = [
     "ShardedDispatcher",
-    "ShardedRun",
+    "WorldRun",
     "WorldShardHost",
     "build_world_shard_host",
     "run_world_sharded",
@@ -676,18 +683,10 @@ class WorldShardHost(ShardHost):
                 max_requests=max_requests, stop_at=duration,
                 realism=world.realism,
             )
-            if slo:
-                from ..telemetry.slo import SLOMonitor
-                from ..experiments.options import resolve_slos
-
-                window = max(0.05, min(1.0, duration - (warmup or 0.0)))
-                slos = resolve_slos(slo, window)
-                self._slo_monitor = SLOMonitor(
-                    world.sim, slos,
-                    interval=max(duration / 100.0, 0.005),
-                )
-                self._slo_monitor.attach(self.client)
-                self._slo_monitor.start(stop_at=duration)
+            self._slo_monitor = start_slo_monitor(
+                self.client, slo, qps, duration=duration, warmup=warmup,
+                max_requests=max_requests,
+            )
             self.client.start()
         self._scraper = None
         if scrape_interval is not None:
@@ -727,32 +726,10 @@ class WorldShardHost(ShardHost):
             }
         if not self.is_root:
             return base
-        recorder = self.client.latencies
-        times, values = recorder.samples()
         base.update(
-            requests_sent=self.client.requests_sent,
-            requests_completed=self.client.requests_completed,
-            outcomes=dict(self.client.outcomes),
-            completions=[float(t) for t in times],
-            latencies=[float(v) for v in values],
+            client_payload(self.client, self._warmup, self.end_time),
             in_flight=len(dispatcher._groups),
         )
-        if len(recorder):
-            base["p50"] = recorder.p50()
-            base["p99"] = recorder.p99()
-        if self._warmup is not None:
-            warmup, duration = self._warmup, self.end_time
-            completed = recorder.count(since=warmup, until=duration)
-            window = {"completed": completed}
-            if completed:
-                window.update(
-                    throughput=recorder.throughput(warmup, duration),
-                    mean=recorder.mean(since=warmup, until=duration),
-                    p50=recorder.percentile(50, since=warmup, until=duration),
-                    p95=recorder.percentile(95, since=warmup, until=duration),
-                    p99=recorder.percentile(99, since=warmup, until=duration),
-                )
-            base["window"] = window
         if self._slo_monitor is not None:
             base["slo"] = self._slo_monitor.summary()
         if self.trace_active and dispatcher.tracer is not None:
@@ -808,7 +785,7 @@ def world_shard_specs(plan: ShardPlan, **host_kwargs) -> Tuple[list, dict]:
     return specs, edges
 
 
-def _merge_traces(results: List[dict], root: dict) -> List:
+def _merge_traces(results: List[dict], root: dict) -> None:
     """Stitch per-shard span shadows into the root's Trace objects."""
     traces = root.get("traces") or []
     by_rid = {trace.request_id: trace for trace in traces}
@@ -826,7 +803,6 @@ def _merge_traces(results: List[dict], root: dict) -> List:
     for trace in traces:
         trace.spans.sort(key=lambda s: (s.enter, s.attempt, s.node))
         trace.events.sort(key=lambda e: (e.t, e.name))
-    return traces
 
 
 def _shard_chaos(fault_plan, plan: ShardPlan) -> Optional[dict]:
@@ -876,30 +852,6 @@ def _shard_sync_counters(coordinator, num_shards: int) -> dict:
     }
 
 
-@dataclass
-class ShardedRun:
-    """One adapter run, merged: what the client shard measured plus the
-    coordinator's bookkeeping."""
-
-    #: Latency samples and their completion times, in completion order.
-    latencies: List[float]
-    completions: List[float]
-    #: Resolved requests by outcome.
-    outcomes: Dict[str, int]
-    #: Coordinator counters (see :func:`_shard_sync_counters`).
-    shard_sync: dict
-    #: The supervisor's recovery report, or ``None`` when no worker had
-    #: to be restarted — so an unfaulted run equals its vanilla twin.
-    recovery: Optional[dict]
-    #: The client shard's ``finalize()`` payload (percentiles, stats
-    #: window, SLO summary, traces).
-    root: dict
-    #: Every shard's ``finalize()`` payload, indexed by shard id.
-    results: List[dict]
-    #: The coordinator's wall-clock runtime block.
-    runtime: dict
-
-
 def run_world_sharded(
     build_world: Callable,
     qps: float,
@@ -922,9 +874,10 @@ def run_world_sharded(
     journal_path=None,
     client_machine: str = "client",
     **world_kwargs,
-) -> Optional[ShardedRun]:
+) -> Optional[WorldRun]:
     """Run *build_world* under an open-loop client across *shards*
-    shards and merge the result.
+    shards and merge the result into the :class:`WorldRun` record the
+    vanilla :func:`~repro.experiments.loadsweep.run_world` returns.
 
     Plans shards over the world's machines and replicates the world per
     shard behind :class:`WorldShardHost`. The client stops at the
@@ -980,16 +933,14 @@ def run_world_sharded(
             results, messages_exchanged=coordinator.messages_exchanged
         )
     root = results[plan.assignments[client_machine]]
+    if trace_requested(trace):
+        _merge_traces(results, root)
     sync = _shard_sync_counters(coordinator, plan.num_shards)
-    return ShardedRun(
-        latencies=root["latencies"],
-        completions=root["completions"],
-        outcomes=root["outcomes"],
+    return WorldRun(
+        root["latencies"], root["completions"], root["outcomes"],
         shard_sync=sync,
         recovery=coordinator.recovery if sync["restarts"] else None,
-        root=root,
-        results=results,
-        runtime=coordinator.runtime,
+        root=root, results=results, runtime=coordinator.runtime,
     )
 
 
@@ -1018,81 +969,24 @@ def sharded_load_point(
 ):
     """Measure one load point of *build_world* across *shards* shards.
 
-    :func:`run_world_sharded` over the *duration* horizon, with the
-    merged telemetry (latency window, SLO summary, traces, scrape
-    timeline) folded into the same ``SweepPoint`` / trace-export
-    artifacts the vanilla path produces. *seed* is the already-derived
-    per-point seed. When the planner falls back, this is the untouched
-    vanilla measurement (bit-identical by construction).
+    :func:`run_world_sharded` over the *duration* horizon — or, when
+    the planner falls back, the untouched vanilla
+    :func:`~repro.experiments.loadsweep.run_world` — folded into a
+    ``SweepPoint`` by :func:`~repro.experiments.loadsweep.sweep_point`.
+    *seed* is the already-derived per-point seed.
     """
-    from ..experiments.loadsweep import SweepPoint, measure_vanilla_point
-    from ..experiments.options import implied_trace
-
+    common = dict(
+        duration=duration, warmup=warmup, mix=mix,
+        trace=implied_trace(trace, trace_dir), slo=slo,
+        scrape_interval=scrape_interval, audit=audit,
+        fault_plan=fault_plan, **world_kwargs,
+    )
     run = run_world_sharded(
-        build_world, qps, seed, shards, duration=duration, warmup=warmup,
-        mix=mix, trace=implied_trace(trace, trace_dir), slo=slo,
-        scrape_interval=scrape_interval, mode=mode, max_window=max_window,
-        audit=audit, fault_plan=fault_plan, shard_timeout=shard_timeout,
-        shard_restarts=shard_restarts, journal_path=journal_path,
-        client_machine=client_machine, **world_kwargs,
+        build_world, qps, seed, shards, mode=mode, max_window=max_window,
+        shard_timeout=shard_timeout, shard_restarts=shard_restarts,
+        journal_path=journal_path, client_machine=client_machine, **common,
+    ) or run_world(build_world, qps, seed, **common)
+    return sweep_point(
+        run, qps, duration, warmup, seed, trace_dir=trace_dir,
+        scrape_interval=scrape_interval,
     )
-    if run is None:
-        return measure_vanilla_point(
-            build_world, qps, duration, warmup, seed,
-            mix=mix, audit=audit, trace=trace, trace_dir=trace_dir,
-            slo=slo, scrape_interval=scrape_interval, **world_kwargs,
-        )
-    timeline = None
-    scrape_series: Dict[str, dict] = {}
-    if scrape_interval is not None:
-        from ..telemetry.scrape import timeline_payload
-
-        # Tiers are machine-owned, so per-shard series names are
-        # disjoint (the root alone contributes ``client/*``); the
-        # merged union carries the same names a vanilla run scrapes.
-        for result in run.results:
-            scrape_series.update(
-                (result.get("scrape") or {}).get("series", {})
-            )
-        timeline = timeline_payload(
-            scrape_series,
-            interval=scrape_interval,
-            meta={
-                "qps": qps, "duration": duration, "warmup": warmup,
-                "seed": seed, "shards": run.shard_sync["shards"],
-            },
-            shard_runtime=run.runtime,
-        )
-    if trace_dir is not None:
-        from pathlib import Path
-
-        from ..telemetry.export import write_otlp, write_perfetto
-
-        traces = _merge_traces(run.results, run.root)
-        base = Path(trace_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        stem = f"qps{qps:g}"
-        write_perfetto(base / f"{stem}.perfetto.json", traces,
-                       counters=scrape_series or None)
-        write_otlp(base / f"{stem}.otlp.json", traces)
-        if timeline is not None:
-            from ..telemetry.scrape import write_timeline
-
-            write_timeline(base / f"{stem}.timeseries.json", timeline)
-    elif trace_requested(trace):
-        _merge_traces(run.results, run.root)
-    window = run.root.get("window") or {}
-    if window.get("completed"):
-        stats = [window[name] for name in
-                 ("throughput", "mean", "p50", "p95", "p99", "completed")]
-    else:
-        stats = [0.0, math.inf, math.inf, math.inf, math.inf, 0]
-    point = SweepPoint(
-        qps, *stats, slo=run.root.get("slo"),
-        shard_recovery=run.recovery, timeline=timeline,
-    )
-    # Coordinator counters ride as a non-declared attribute: dataclass
-    # equality ignores it, so shards=1-vs-vanilla identity checks and
-    # journal round-trips are unaffected (resumed points simply lack it).
-    point.shard_sync = run.shard_sync
-    return point
