@@ -3,7 +3,8 @@
 Two guarantees of the profiling layer, checked on every push:
 
 * **A disabled profiler is free.** ``Simulator.profiler`` defaults to
-  ``None`` and the run loop pays one attribute check per call; the raw
+  ``None`` and the one run loop pays one ``is None`` branch per
+  event; the raw
   engine event rate must stay within measurement noise of the
   ``bench_scalability.py`` baseline recorded earlier in the same
   session (same 2%-or-observed-noise budget as ``bench_tracing.py``).

@@ -55,22 +55,16 @@ from .config import SimulationSpec
 from .engine import EngineProfiler
 from .errors import ReproError
 from .experiments import registry
+from .experiments.loadsweep import drive_world, export_artifacts
 from .experiments.options import RunOptions
 from .faults import load_fault_plan
 from .telemetry import (
-    MetricsRegistry,
-    Scraper,
-    SLOMonitor,
     TraceConfig,
     format_analytics_report,
     format_run_manifest,
     format_table,
     ms,
-    parse_slo,
-    scrape_tiers,
     timeline_payload,
-    write_otlp,
-    write_perfetto,
     write_timeline,
 )
 from .testbed import RealismConfig
@@ -84,37 +78,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("spec has no client.json; nothing to drive", file=sys.stderr)
         return 2
     tracing = args.trace or args.trace_dir is not None
-    if tracing:
-        world.dispatcher.trace = TraceConfig(sample_rate=args.trace_sample)
-    slo_monitor = None
-    if args.slo:
-        window = (
-            min(1.0, args.until) if args.until is not None else 1.0
-        )
-        slos = [parse_slo(spec_str, window=window) for spec_str in args.slo]
-        interval = (
-            max(args.until / 100.0, 0.005)
-            if args.until is not None else 0.01
-        )
-        slo_monitor = SLOMonitor(world.sim, slos, interval=interval)
-        slo_monitor.attach(client)
-        slo_monitor.start(stop_at=args.until)
-    scraper = None
-    if args.scrape_interval is not None:
-        metrics = MetricsRegistry()
-        metrics.instrument_world(world)
-        scraper = Scraper(
-            world.sim,
-            interval=args.scrape_interval,
-            tiers=scrape_tiers(world.deployment),
-            client=client,
-            registry=metrics,
-            stop_at=args.until,
-        ).start()
     if args.profile:
         world.sim.profiler = EngineProfiler()
-    client.start()
-    world.sim.run(until=args.until)
+    run = drive_world(
+        world, client, duration=args.until,
+        trace=tracing and TraceConfig(sample_rate=args.trace_sample),
+        slo=args.slo or None, scrape_interval=args.scrape_interval,
+    )
     if client.requests_ok == 0:
         print("no requests completed ok; raise --until or the client's "
               "stop_at/max_requests", file=sys.stderr)
@@ -138,46 +108,38 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ["p95 (ms)", ms(lat.p95())],
         ["p99 (ms)", ms(lat.p99())],
     ]
+    traces = run.root.get("traces")
+    series = run.root.get("scrape", {}).get("series")
     timeline = None
-    scrape_series = None
-    if scraper is not None:
-        scrape_series = scraper.snapshot()
+    if series is not None:
         meta = {"spec": str(args.spec_dir), "seed": args.seed}
         if args.until is not None:
             meta["duration"] = args.until
         timeline = timeline_payload(
-            scrape_series, interval=args.scrape_interval, meta=meta
+            series, interval=args.scrape_interval, meta=meta
         )
-        rows.append(["timeline series", len(scrape_series)])
+        rows.append(["timeline series", len(series)])
     if tracing:
-        tracer = world.dispatcher.tracer
-        rows.append(["traces sampled", len(tracer.traces)])
-        if args.trace_dir is not None:
-            base = Path(args.trace_dir)
-            base.mkdir(parents=True, exist_ok=True)
-            write_perfetto(base / "trace.perfetto.json", tracer.traces,
-                           counters=scrape_series)
-            write_otlp(base / "trace.otlp.json", tracer.traces)
-            rows.append(["trace dir", str(base)])
-    if timeline is not None and args.trace_dir is not None:
+        rows.append(["traces sampled", len(traces)])
+    if args.trace_dir is not None:
         base = Path(args.trace_dir)
-        base.mkdir(parents=True, exist_ok=True)
-        write_timeline(base / "timeseries.json", timeline)
-        rows.append(["timeline artifact", str(base / "timeseries.json")])
+        export_artifacts(base, "trace", traces, counters=series)
+        rows.append(["trace dir", str(base)])
+        if timeline is not None:
+            write_timeline(base / "timeseries.json", timeline)
+            rows.append(["timeline artifact", str(base / "timeseries.json")])
     print(format_table(
         ["metric", "value"],
         rows,
         title=f"uqSim run of {args.spec_dir}"
               + (" [real-system surrogate]" if args.real else ""),
     ))
-    if tracing or slo_monitor is not None or args.profile:
-        analytics = None
-        if tracing and world.dispatcher.tracer.traces:
-            analytics = analyze_traces(world.dispatcher.tracer.traces)
+    slo = run.root.get("slo")
+    if tracing or slo is not None or args.profile:
         print()
         print(format_analytics_report(
-            analytics,
-            slo=slo_monitor.summary() if slo_monitor is not None else None,
+            analyze_traces(traces) if traces else None,
+            slo=slo,
             profile=(
                 world.sim.profiler.summary() if args.profile else None
             ),

@@ -43,7 +43,7 @@ class Event:
     O(log n) without requiring heap surgery.
 
     ``transient`` marks a slab-allocated event from the module free
-    list (see :func:`acquire_event`): the simulator's run loops recycle
+    list (see :func:`acquire_event`): the simulator's run loop recycles
     it the moment its callback returns. The flag is the whole contract
     — transient events are only created through
     :meth:`Simulator.schedule_transient
@@ -140,7 +140,7 @@ def acquire_event(
 
     Only :meth:`Simulator.schedule_transient
     <repro.engine.simulator.Simulator.schedule_transient>` should call
-    this; the run loops hand the event back via :func:`release_event`
+    this; the run loop hands the event back via :func:`release_event`
     right after it fires.
     """
     free = _FREE_EVENTS

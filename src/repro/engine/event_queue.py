@@ -13,8 +13,9 @@ that timeouts, hedges, and circuit breakers cancel events in bulk).
 
 from __future__ import annotations
 
+import math
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class EventQueue:
     def _purge_cancelled_head(self) -> None:
         """Drop cancelled entries off the top of the heap.
 
-        The single skip loop shared by :meth:`pop` and
+        The single skip loop shared by :meth:`pop`, :meth:`pop_due` and
         :meth:`peek_time` — the lazy-deletion half of
         :meth:`Event.cancel`.
         """
@@ -104,9 +105,19 @@ class EventQueue:
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or ``None`` if empty."""
+        return self.pop_due(math.inf)
+
+    def pop_due(self, until: float) -> Optional[Event]:
+        """Remove and return the earliest live event if its time is
+        ``<= until``, else ``None`` (queue empty or next event later).
+
+        The simulator's one run loop pops through this: a single
+        heap-top inspection per event serves both the horizon check and
+        the pop (``until=math.inf`` drains).
+        """
         self._purge_cancelled_head()
         heap = self._heap
-        if not heap:
+        if not heap or heap[0][0] > until:
             return None
         event = heappop(heap)[3]
         event._queue = None
@@ -176,18 +187,3 @@ class EventQueue:
             entry[3]._queue = None
         self._heap.clear()
         self._live = 0
-
-    def drain_until(self, time: float, sink: Callable[[Event], None]) -> None:
-        """Pop every live event with ``event.time <= time`` into *sink*.
-
-        Used by batch post-processing utilities and tests; the main loop
-        in :class:`~repro.engine.simulator.Simulator` pops one event at a
-        time so handlers may schedule new earlier work.
-        """
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > time:
-                return
-            event = self.pop()
-            assert event is not None
-            sink(event)

@@ -14,10 +14,9 @@ ticks, resilience timers — and *which microservice* owns them. The
   wall-time to the simulated component that scheduled the work.
 
 Profiling is strictly opt-in: ``sim.profiler = EngineProfiler()``
-before ``run()``. When the attribute is ``None`` (the default) the
-simulator's hot loops run *unmodified* — the only cost is one ``None``
-check per ``run()`` call — so profiler-off throughput stays within
-noise of the un-profiled engine (guarded by
+before ``run()``. The simulator's one run loop checks the attribute
+with a single ``is None`` branch per event, so profiler-off
+throughput stays within noise of the un-profiled engine (guarded by
 ``benchmarks/bench_profiler.py``). Profiled runs pay two
 ``perf_counter`` reads plus a couple of dict updates per event;
 expect a moderate, roughly uniform slowdown that leaves the *relative*

@@ -13,6 +13,8 @@ helpers in :mod:`repro.telemetry` convert to ms/us for reporting.
 
 from __future__ import annotations
 
+import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -22,7 +24,7 @@ from .event import Event, acquire_event, release_event
 from .event_queue import EventQueue
 from .random import RandomStreams
 
-#: How many events the guarded loop processes between guardrail checks.
+#: How many events the run loop processes between guardrail checks.
 #: Checks cost a clock read plus a couple of comparisons, so at the
 #: default cadence their overhead is well under 1% of event throughput
 #: while still bounding a runaway loop to a fraction of a second.
@@ -56,8 +58,7 @@ class Simulator:
         #: Opt-in self-profiling: assign an
         #: :class:`~repro.engine.profiler.EngineProfiler` before
         #: :meth:`run` to time every event handler. ``None`` (the
-        #: default) keeps the hot loops completely unmodified — the
-        #: check happens once per ``run()``, not per event.
+        #: default) costs the run loop one ``is None`` branch per event.
         self.profiler = None
 
     # Scheduling -------------------------------------------------------
@@ -133,7 +134,7 @@ class Simulator:
         the clock is left at ``until``. Returns the final clock value.
 
         Guardrails (all opt-in, checked every ``GUARD_CHECK_EVERY``
-        events so the unguarded hot loops stay untouched):
+        events on the countdown that also enforces ``max_events``):
 
         * ``wall_clock_budget`` — abort with
           :class:`~repro.errors.SimulationAborted` once the run has
@@ -161,139 +162,75 @@ class Simulator:
             or max_live_events is not None
             or watchdog is not None
         )
-        # Hot loop: hoist bound methods out of the loop — at hundreds of
-        # thousands of events per second the attribute lookups dominate.
+        horizon = math.inf if until is None else until
+        # One countdown to the next slow-path check serves both the
+        # max_events budget and the guardrail cadence, so the per-event
+        # cost is a decrement and a compare; the first check runs up
+        # front, so a tiny budget still trips on a pathological first
+        # event batch.
+        remaining = sys.maxsize if max_events is None else max_events
+        countdown = 0
+        # Hoist bound methods out of the loop — at hundreds of thousands
+        # of events per second the attribute lookups dominate.
         events = self.events
-        pop = events.pop
-        try:
-            if guarded or self.profiler is not None:
-                return self._run_guarded(
-                    until, max_events, guarded, wall_clock_budget,
-                    max_live_events, watchdog, watchdog_interval,
-                )
-            if until is None and max_events is None:
-                # Drain fast path: no horizon to compare against, so pop
-                # directly instead of peeking first (halves the number
-                # of heap-top inspections per event).
-                while not self._stop_requested:
-                    event = pop()
-                    if event is None:
-                        break
-                    next_time = event.time
-                    if next_time < self.now:
-                        raise SimulationError(
-                            f"event queue yielded a past event: {event!r} "
-                            f"at t={self.now}"
-                        )
-                    self.now = next_time
-                    event.fn(*event.args)
-                    if event.transient:
-                        release_event(event)
-                    self.events_processed += 1
-            else:
-                peek_time = events.peek_time
-                processed_this_run = 0
-                while not self._stop_requested:
-                    if max_events is not None and processed_this_run >= max_events:
-                        break
-                    next_time = peek_time()
-                    if next_time is None:
-                        break
-                    if until is not None and next_time > until:
-                        self.now = max(self.now, until)
-                        break
-                    event = pop()
-                    assert event is not None
-                    if next_time < self.now:
-                        raise SimulationError(
-                            f"event queue yielded a past event: {event!r} "
-                            f"at t={self.now}"
-                        )
-                    self.now = next_time
-                    event.fn(*event.args)
-                    if event.transient:
-                        release_event(event)
-                    self.events_processed += 1
-                    processed_this_run += 1
-        finally:
-            self._running = False
-        if until is not None and not self.events:
-            self.now = max(self.now, until)
-        return self.now
-
-    def _run_guarded(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        guarded: bool,
-        wall_clock_budget: Optional[float],
-        max_live_events: Optional[int],
-        watchdog: Optional[Callable[[RunProgress], None]],
-        watchdog_interval: float,
-    ) -> float:
-        """The instrumented loop: every handler routed through the
-        attached profiler (if any), plus — when *guarded* — guardrail
-        checks every ``GUARD_CHECK_EVERY`` events (and once up front, so
-        a tiny budget still trips on a pathological first event batch).
-        Kept apart from the drain and horizon loops so uninstrumented
-        runs stay branch-free."""
-        events = self.events
-        pop = events.pop
-        peek_time = events.peek_time
+        pop_due = events.pop_due
         profiler = self.profiler
         started = time.monotonic()
         next_watchdog = started + watchdog_interval
-        processed_this_run = 0
-        countdown = 1  # check once up front, then every GUARD_CHECK_EVERY
-        while not self._stop_requested:
-            countdown -= 1
-            if guarded and countdown <= 0:
-                countdown = GUARD_CHECK_EVERY
-                wall = time.monotonic() - started
-                if (wall_clock_budget is not None
-                        and wall > wall_clock_budget):
-                    self._abort("wall_clock_budget exceeded", wall)
-                if (max_live_events is not None
-                        and len(events) > max_live_events):
-                    self._abort(
-                        f"live events exceeded {max_live_events}", wall
-                    )
-                if watchdog is not None and started + wall >= next_watchdog:
-                    next_watchdog = started + wall + watchdog_interval
-                    watchdog(RunProgress(
-                        clock=self.now,
-                        events_processed=self.events_processed,
-                        queue_depth=len(events),
-                        wall_clock=wall,
-                    ))
-                    if self._stop_requested:
+        try:
+            while not self._stop_requested:
+                if countdown <= 0:
+                    if remaining <= 0:
                         break
-            if max_events is not None and processed_this_run >= max_events:
-                break
-            next_time = peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
+                    if guarded:
+                        wall = time.monotonic() - started
+                        if (wall_clock_budget is not None
+                                and wall > wall_clock_budget):
+                            self._abort("wall_clock_budget exceeded", wall)
+                        if (max_live_events is not None
+                                and len(events) > max_live_events):
+                            self._abort(
+                                f"live events exceeded {max_live_events}", wall
+                            )
+                        if (watchdog is not None
+                                and started + wall >= next_watchdog):
+                            next_watchdog = started + wall + watchdog_interval
+                            watchdog(RunProgress(
+                                clock=self.now,
+                                events_processed=self.events_processed,
+                                queue_depth=len(events),
+                                wall_clock=wall,
+                            ))
+                            if self._stop_requested:
+                                break
+                        countdown = min(remaining, GUARD_CHECK_EVERY)
+                    else:
+                        countdown = remaining
+                    remaining -= countdown
+                event = pop_due(horizon)
+                if event is None:  # drained, or the horizon is reached
+                    if until is not None:
+                        self.now = max(self.now, until)
+                    break
+                next_time = event.time
+                if next_time < self.now:
+                    raise SimulationError(
+                        f"event queue yielded a past event: {event!r} "
+                        f"at t={self.now}"
+                    )
+                self.now = next_time
+                if profiler is None:
+                    event.fn(*event.args)
+                else:
+                    profiler.dispatch(event.fn, event.args)
+                if event.transient:
+                    release_event(event)
+                self.events_processed += 1
+                countdown -= 1
+            if until is not None and not events:
                 self.now = max(self.now, until)
-                break
-            event = pop()
-            assert event is not None
-            if next_time < self.now:
-                raise SimulationError(
-                    f"event queue yielded a past event: {event!r} "
-                    f"at t={self.now}"
-                )
-            self.now = next_time
-            if profiler is None:
-                event.fn(*event.args)
-            else:
-                profiler.dispatch(event.fn, event.args)
-            if event.transient:
-                release_event(event)
-            self.events_processed += 1
-            processed_this_run += 1
-        if until is not None and not events:
-            self.now = max(self.now, until)
+        finally:
+            self._running = False
         return self.now
 
     def _abort(self, reason: str, wall: float) -> None:

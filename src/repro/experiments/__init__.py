@@ -5,7 +5,8 @@ comparison, and the figure/table registry.
 Every load point and Fig 14 cell is one run core — :func:`run_world`,
 or :func:`repro.shard.run_world_sharded` under shards — returning one
 :class:`WorldRun` record that one builder per result type turns into
-the point."""
+the point. :func:`run_world` drives its world through
+:func:`drive_world`, which ``repro run`` uses for its spec-built world."""
 
 from . import (
     audit,
@@ -29,6 +30,7 @@ from .replication import ReplicatedPoint, replicate_at_load
 from .loadsweep import (
     SweepPoint,
     WorldRun,
+    drive_world,
     find_shard_journal,
     load_latency_sweep,
     measure_at_load,
@@ -49,6 +51,7 @@ __all__ = [
     "audit_sharded_run",
     "build_cluster_world",
     "comparison",
+    "drive_world",
     "find_shard_journal",
     "load_latency_sweep",
     "measure_at_load",

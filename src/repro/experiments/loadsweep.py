@@ -373,21 +373,26 @@ def arm_faults(world: World, fault_plan: FaultPlan) -> None:
 
 
 def start_slo_monitor(client: OpenLoopClient, slo: Optional[SLOSpec],
-                      qps: float, *, duration: Optional[float] = None,
+                      qps: Optional[float], *,
+                      duration: Optional[float] = None,
                       warmup: Optional[float] = None,
                       max_requests: Optional[int] = None,
                       ) -> Optional[SLOMonitor]:
     """Attach and start an :class:`SLOMonitor` for *slo* on *client*
     (``None`` when no objective was asked for). A *duration* horizon
     sets the window from the post-*warmup* span and evaluates every 1%
-    of it until the horizon; a run stopped after *max_requests* has no
-    horizon, so the window is sized from the expected span of the run."""
+    of it until the horizon; a run stopped after *max_requests* at
+    *qps* has no horizon, so the window is sized from the expected span
+    of the run; a run with neither (``repro run`` draining its spec's
+    client) gets a 1 s window evaluated every 10 ms."""
     if duration is not None:
         window = max(0.05, min(1.0, duration - (warmup or 0.0)))
         interval = max(duration / 100.0, 0.005)
-    else:
+    elif max_requests is not None:
         window = max(0.1, max_requests / max(qps, 1e-9) / 4.0)
         interval = window / 10.0
+    else:
+        window, interval = 1.0, 0.01
     slos = resolve_slos(slo, window=window)
     if not slos:
         return None
@@ -468,20 +473,50 @@ def run_world(
     The client stops at the *duration* horizon (window stats cover the
     post-*warmup* span) and/or after *max_requests* arrivals; with no
     horizon the run ends when the last request resolves. *seed* is
-    used as-is. Faults arm first, then the SLO monitor, then the
-    scraper; *audit* checks request conservation after the run.
+    used as-is. The run itself is :func:`drive_world`.
     """
     if duration is None and max_requests is None:
         raise ReproError("a run needs a duration horizon and/or max_requests")
     world = build_world(seed=seed, **world_kwargs)
-    if trace:
-        world.dispatcher.trace = trace
-    if fault_plan is not None:
-        arm_faults(world, fault_plan)
     client = OpenLoopClient(
         world.sim, world.dispatcher, arrivals=qps, mix=mix,
         max_requests=max_requests, stop_at=duration, realism=world.realism,
     )
+    return drive_world(
+        world, client, qps, duration=duration, warmup=warmup,
+        max_requests=max_requests, fault_plan=fault_plan, audit=audit,
+        trace=trace, slo=slo, scrape_interval=scrape_interval,
+    )
+
+
+def drive_world(
+    world: World,
+    client: OpenLoopClient,
+    qps: Optional[float] = None,
+    *,
+    duration: Optional[float] = None,
+    warmup: Optional[float] = None,
+    max_requests: Optional[int] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    audit: bool = False,
+    trace: Union[bool, TraceConfig] = False,
+    slo: Optional[SLOSpec] = None,
+    scrape_interval: Optional[float] = None,
+) -> WorldRun:
+    """Run a built *world* under its not-yet-started *client* until the
+    *duration* horizon, or until the queue drains without one: the one
+    run core of :func:`run_world` and ``repro run``.
+
+    Tracing, faults, the SLO monitor (cadence from
+    :func:`start_slo_monitor`) and the scraper attach in that order
+    before the client starts; *audit* checks request conservation after
+    the run. The root payload carries ``slo``, ``scrape`` and
+    ``traces`` when they were on.
+    """
+    if trace:
+        world.dispatcher.trace = trace
+    if fault_plan is not None:
+        arm_faults(world, fault_plan)
     slo_monitor = start_slo_monitor(
         client, slo, qps, duration=duration, warmup=warmup,
         max_requests=max_requests,

@@ -65,12 +65,11 @@ class TestCancellation:
 
 
 class TestDrain:
-    def test_drain_until_respects_bound(self):
+    def test_pop_due_respects_bound(self):
         q = EventQueue()
         for t in [1.0, 2.0, 3.0]:
             q.push(make(t))
-        seen = []
-        q.drain_until(2.0, seen.append)
+        seen = list(iter(lambda: q.pop_due(2.0), None))
         assert [e.time for e in seen] == [1.0, 2.0]
         assert len(q) == 1
 
@@ -185,13 +184,12 @@ class TestHeavyCancellation:
         fresh = q.push(make(2.0))
         assert q.pop() is fresh
 
-    def test_drain_until_with_interleaved_cancels(self):
+    def test_pop_due_with_interleaved_cancels(self):
         q = EventQueue()
         events = [q.push(make(float(i))) for i in range(10)]
         for e in events[1::2]:  # cancel 1,3,5,7,9
             e.cancel()
-        seen = []
-        q.drain_until(6.0, seen.append)
+        seen = list(iter(lambda: q.pop_due(6.0), None))
         assert [e.time for e in seen] == [0.0, 2.0, 4.0, 6.0]
         assert len(q) == 1  # only 8.0 left live
         assert q.pop().time == 8.0

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.engine import GUARD_CHECK_EVERY, RunProgress, Simulator
+from repro.engine import (
+    GUARD_CHECK_EVERY,
+    EngineProfiler,
+    RunProgress,
+    Simulator,
+)
 from repro.errors import SimulationAborted, SimulationError
 
 
@@ -102,7 +107,7 @@ class TestRunBounds:
 
 
 class TestStopResume:
-    """stop() on the drain fast path, and running again afterwards."""
+    """stop() with and without a horizon, and running again afterwards."""
 
     def test_stop_on_drain_fast_path_leaves_queue_intact(self):
         sim = Simulator()
@@ -131,6 +136,9 @@ class TestStopResume:
         assert sim.now == 5.0
         assert sim.events_processed == processed_first + 3
         assert len(sim.events) == 0
+        # A horizon reached on an empty queue leaves the clock at it.
+        sim.run(until=7.0)
+        assert sim.now == 7.0
 
     def test_stop_on_bounded_path_then_resume(self):
         sim = Simulator()
@@ -139,6 +147,7 @@ class TestStopResume:
         sim.schedule(2.0, fired.append, 2)
         sim.run(until=10.0)
         assert fired == [1]
+        assert sim.now == 1.0  # the clock stays at the stopping event
         sim.run(until=10.0)
         assert fired == [1, 2]
         assert sim.now == 10.0
@@ -230,10 +239,18 @@ class TestGuardrails:
         assert sim.now == 2.0
         sim.run(max_events=1, wall_clock_budget=30.0)
         assert fired == [0, 1, 2, 3]
+        # The max_events budget and the guardrail cadence share one
+        # countdown; a budget past a check boundary is still exact.
+        _self_rescheduling(sim)
+        before = sim.events_processed
+        sim.run(max_events=GUARD_CHECK_EVERY + 5, wall_clock_budget=30.0)
+        assert sim.events_processed - before == GUARD_CHECK_EVERY + 5
 
     def test_guarded_matches_unguarded_results(self):
-        def drive(**kwargs):
+        def drive(profiled=False, **kwargs):
             sim = Simulator(seed=3)
+            if profiled:
+                sim.profiler = EngineProfiler()
             order = []
             for i in range(3 * GUARD_CHECK_EVERY):
                 sim.schedule(
@@ -245,6 +262,12 @@ class TestGuardrails:
         plain = drive()
         guarded = drive(wall_clock_budget=60.0, max_live_events=10**7)
         assert guarded == plain
+        # A profiled run with a max_events budget stops at the same
+        # event as an unprofiled one.
+        budget = GUARD_CHECK_EVERY + 5
+        stopped = drive(max_events=budget)
+        assert len(stopped[1]) == budget
+        assert drive(profiled=True, max_events=budget) == stopped
 
 
 class TestDeterminism:
