@@ -70,6 +70,7 @@ class TestRunBounds:
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(2.0, lambda: fired.append(2))
         sim.run(until=1.5)
+        assert sim.now == 1.5  # horizon reached with an event pending
         sim.run()
         assert fired == [1, 2]
 
