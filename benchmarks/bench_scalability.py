@@ -14,7 +14,7 @@ from repro.experiments.tail_at_scale import build_fanout_cluster
 from repro.telemetry import format_table
 from repro.workload import OpenLoopClient
 
-from .conftest import bench_record, run_once, scaled_n
+from .conftest import run_once, scaled_n
 
 
 def raw_engine_throughput(n_events=200_000):
@@ -48,7 +48,6 @@ def test_engine_event_throughput(benchmark, emit):
     rate = run_once(benchmark, raw_engine_throughput)
     emit(f"\n=== Scalability: raw engine throughput ===")
     emit(f"event loop: {rate/1e3:.0f}k events/s")
-    bench_record("engine", {"raw_events_per_s": round(rate)})
     assert rate > 50_000
 
 
@@ -72,22 +71,6 @@ def test_cluster_size_scaling(benchmark, emit):
     emit(format_table(
         ["cluster size", "events", "wall s", "k events/s"], rows
     ))
-    bench_record("cluster_scaling", {
-        str(size): {
-            "events": events,
-            "wall_s": round(elapsed, 4),
-            "events_per_s": round(events / elapsed),
-        }
-        for size, (events, elapsed) in results.items()
-    })
-    # The per-size rate table also rides the "engine" section, so one
-    # key in BENCH_engine.json answers "how fast is the engine at what
-    # world size" without joining sections.
-    bench_record("engine", {
-        "cluster_events_per_s": {
-            str(size): round(rate) for size, rate in rates.items()
-        }
-    })
     # Event rate must not collapse with world size (>= 1/4 of small-world
     # rate even at 50x the cluster size).
     assert rates[500] > rates[10] / 4

@@ -1,27 +1,22 @@
 """Sharded-core scalability: the 500-leaf fan-out world across shard
 counts, run through the generic shard adapter.
 
-Four guarantees of :mod:`repro.shard`, checked on every push:
+Three guarantees of :mod:`repro.shard`, checked on every push:
 
 * **Identity.** Under a draw-free propagation fabric, the sharded run
   is bit-identical to the vanilla single-simulator engine — same
   outcome counts, same latency samples — at every shard count.
 * **Scalability.** On machines with enough cores, shards=4 processes
   events at >= 2x the single-shard rate on the 500-leaf world.
-* **No single-shard regression.** The slab-allocated event fast path
-  keeps the vanilla engine's throughput within noise of the session
-  baseline recorded by ``bench_scalability.py``.
 * **Free supervision.** The shard supervisor's fault-tolerance
   machinery (liveness deadlines, barrier-replay journal) costs nothing
   measurable on a fault-free run, and supervised results are
   bit-identical to bare-proxy results.
 
-Results land in ``BENCH_shard.json`` (see ``bench_record_shard``), a
-separate artifact from ``BENCH_engine.json`` because sharded numbers
-carry their own identity/tolerance contract.
+The cost of the shard layer per simulated request is measured by the
+``social_shards2`` workload of ``benchmarks/perf``.
 """
 
-import json
 import os
 import time
 
@@ -34,9 +29,7 @@ from repro.shard import run_world_sharded
 from repro.telemetry import format_table
 from repro.workload import OpenLoopClient
 
-from . import conftest as bench
-from .bench_scalability import raw_engine_throughput
-from .conftest import bench_record_shard, run_once, scaled_n
+from .conftest import run_once, scaled_n
 
 #: The benchmark world: 500 leaves, healthy, driven hard enough that
 #: the event stream dwarfs the per-window sync cost. The 100 us
@@ -89,7 +82,6 @@ def measure(shards, requests, mode="auto"):
             "outcomes": run.outcomes,
             "requests_sent": run.root["requests_sent"],
         }
-    result["requests"] = len(result["latencies"])
     result["wall_s"] = time.perf_counter() - start
     return result
 
@@ -105,7 +97,6 @@ def test_sharded_scalability(benchmark, emit):
 
     emit("\n=== Sharded core: 500-leaf fan-out scalability ===")
     rows = []
-    payload = {}
     for shards, result in results.items():
         rate = result["events_total"] / result["wall_s"]
         speedup = result["wall_s"] and vanilla["wall_s"] / result["wall_s"]
@@ -114,30 +105,11 @@ def test_sharded_scalability(benchmark, emit):
             round(result["wall_s"], 2), round(rate / 1e3),
             result["rounds"], result["messages"], round(speedup, 2),
         ])
-        payload[str(shards)] = {
-            "mode": result["mode"],
-            "events_total": result["events_total"],
-            "wall_s": round(result["wall_s"], 4),
-            "events_per_s": round(rate),
-            "rounds": result["rounds"],
-            "messages": result["messages"],
-            "speedup_vs_1": round(speedup, 4),
-            "requests": result["requests"],
-        }
     emit(format_table(
         ["shards", "mode", "events", "wall s", "k ev/s",
          "rounds", "msgs", "speedup"],
         rows,
     ))
-    bench_record_shard("fanout_500", payload)
-    bench_record_shard("config", {
-        "cluster_size": CLUSTER_SIZE,
-        "qps": QPS,
-        "requests": requests,
-        "seed": SEED,
-        "propagation_s": PROPAGATION,
-        "cpu_count": os.cpu_count(),
-    })
 
     # Identity: deterministic fabric => bit-identical to vanilla at
     # every shard count, not just statistically close.
@@ -164,45 +136,6 @@ def test_sharded_scalability(benchmark, emit):
     else:
         emit(f"(speedup assertion skipped: {cores} core(s), "
              f"shards=4 ran {results[4]['mode']})")
-
-
-def test_single_shard_throughput_no_worse_than_baseline(benchmark, emit):
-    rates = run_once(
-        benchmark,
-        lambda: [raw_engine_throughput(100_000) for _ in range(3)],
-    )
-    rate = max(rates)
-    spread = (max(rates) - min(rates)) / max(rates)
-    tolerance = max(0.02, 2.0 * spread)
-    emit("\n=== Sharded core: single-shard engine guard ===")
-    emit(f"event loop: {rate / 1e3:.0f}k events/s "
-         f"(spread {spread:.1%}, tolerance {tolerance:.1%})")
-    payload = {
-        "events_per_s": round(rate),
-        "noise_spread": round(spread, 4),
-    }
-    baseline = None
-    try:
-        fresh = os.path.getmtime(bench.BENCH_JSON) >= bench._SESSION_START
-        if fresh:
-            with open(bench.BENCH_JSON) as fh:
-                baseline = json.load(fh)["engine"]["raw_events_per_s"]
-    except (OSError, ValueError, KeyError):
-        baseline = None
-    if baseline is not None:
-        payload["baseline_events_per_s"] = baseline
-        payload["ratio"] = round(rate / baseline, 4)
-        emit(f"baseline (this session): {baseline / 1e3:.0f}k events/s "
-             f"-> ratio {rate / baseline:.3f}")
-        assert rate >= baseline * (1.0 - tolerance), (
-            f"single-shard engine rate {rate:.0f}/s fell more than "
-            f"{tolerance:.1%} below the session baseline {baseline:.0f}/s "
-            f"— the event slab must not tax the vanilla path"
-        )
-    else:
-        emit("no fresh BENCH_engine.json baseline in this session; "
-             "recorded the measurement only")
-    bench_record_shard("single_shard_guard", payload)
 
 
 def test_supervisor_fault_free_overhead(benchmark, emit):
@@ -273,121 +206,8 @@ def test_supervisor_fault_free_overhead(benchmark, emit):
     emit(f"bare {bare_wall:.2f}s vs supervised {sup_wall:.2f}s "
          f"-> overhead {overhead:+.1%} (spread {spread:.1%}, "
          f"tolerance {tolerance:.1%})")
-    bench_record_shard("supervisor_overhead", {
-        "bare_wall_s": round(bare_wall, 4),
-        "supervised_wall_s": round(sup_wall, 4),
-        "overhead": round(overhead, 4),
-        "noise_spread": round(spread, 4),
-        "rounds": sup_coord.rounds,
-        "requests": requests,
-    })
     assert overhead <= tolerance, (
         f"fault-free supervision cost {overhead:.1%} exceeds "
         f"{tolerance:.1%} — the barrier-replay journal must not tax "
         f"the happy path"
     )
-
-
-def test_adapter_social_network(benchmark, emit):
-    """The generic shard adapter on the Social Network world.
-
-    Three contracts (ISSUE 9): ``shards=1`` stays bit-identical to the
-    vanilla engine, shard counts 2 and 4 stay bit-identical to *each
-    other* under the draw-free fabric (at this load same-instant queue
-    ties occur, where the adapter's tie order is shard-invariant but
-    not vanilla's — see the ``repro.shard.adapter`` contracts), and
-    with telemetry off the per-shard ``finalize()`` payloads ship
-    **no** trace/SLO freight — the blocked-knob lift must cost nothing
-    when the knobs are unused."""
-    from repro.apps import social_network
-    from repro.experiments.loadsweep import measure_vanilla_point
-    from repro.runner import derive_seed
-    from repro.shard.adapter import sharded_load_point, world_shard_specs
-    from repro.shard.partition import plan_shards
-    from repro.shard.worker import run_sharded
-
-    qps, duration, warmup = 4000.0, 0.2, 0.05
-    seed = derive_seed(SEED, qps)
-    fabric_kwargs = {"network": det_fabric()}
-
-    def point(shards, mode="auto"):
-        start = time.perf_counter()
-        if shards == 1:
-            result = measure_vanilla_point(
-                social_network, qps, duration, warmup, seed,
-                **fabric_kwargs,
-            )
-        else:
-            result = sharded_load_point(
-                social_network, qps, duration, warmup, seed, shards,
-                mode=mode, **fabric_kwargs,
-            )
-        return result, time.perf_counter() - start
-
-    def sweep():
-        return {shards: point(shards) for shards in (1, 2, 4)}
-
-    results = run_once(benchmark, sweep)
-    vanilla_point, vanilla_wall = results[1]
-    two_point, two_wall = results[2]
-    adapter_point, adapter_wall = results[4]
-
-    emit("\n=== Sharded core: Social Network via the generic adapter ===")
-    emit(f"shards=1 {vanilla_wall:.2f}s vs shards=2 {two_wall:.2f}s vs "
-         f"shards=4 {adapter_wall:.2f}s "
-         f"({adapter_point.completed} completions)")
-    bench_record_shard("social_adapter", {
-        "qps": qps,
-        "duration_s": duration,
-        "completed": adapter_point.completed,
-        "p99_s": adapter_point.p99,
-        "vanilla_wall_s": round(vanilla_wall, 4),
-        "shards2_wall_s": round(two_wall, 4),
-        "shards4_wall_s": round(adapter_wall, 4),
-        "shard_counts_identical": two_point == adapter_point,
-    })
-
-    # Identity contracts: N-invariance, and shards=1 == vanilla.
-    assert two_point == adapter_point, (
-        "adapter-built Social Network diverged between shard counts "
-        "under a draw-free fabric"
-    )
-    explicit_one = sharded_load_point(
-        social_network, qps, duration, warmup, seed, 1,
-        mode="inline", **fabric_kwargs,
-    )
-    assert explicit_one == vanilla_point, (
-        "shards=1 through the adapter must be bit-identical to vanilla"
-    )
-
-    # Telemetry-off shipping guard: no trace/SLO freight in any
-    # per-shard result when the knobs are off.
-    probe = social_network(seed=seed, **fabric_kwargs)
-    plan = plan_shards(probe.cluster.machine_names, 4, probe.cluster.network)
-    assert plan.sharded
-    specs, edges = world_shard_specs(
-        plan, builder=social_network, world_kwargs=dict(fabric_kwargs),
-        seed=seed, qps=qps, duration=duration, warmup=warmup,
-        client_machine="client", mix=None, trace=False, slo=None,
-    )
-    raw_results, _ = run_sharded(specs, edges, mode="inline")
-    for raw in raw_results:
-        assert "trace_spans" not in raw and "traces" not in raw, (
-            "telemetry-off run shipped trace freight cross-shard"
-        )
-        assert "slo" not in raw
-
-
-@pytest.mark.parametrize("shards", [2])
-def test_sharded_identity_smoke(shards, benchmark, emit):
-    """A fast standalone identity check (CI perf-smoke runs this plus
-    the full scalability bench): shards=N and shards=1 agree exactly
-    on outcome counts under the deterministic fabric."""
-    requests = max(10, scaled_n(60) // 3)
-    vanilla = measure(1, requests)
-    sharded = run_once(benchmark, measure, shards, requests)
-    assert sharded["outcomes"] == vanilla["outcomes"]
-    assert sharded["latencies"] == vanilla["latencies"]
-    emit(f"\nshards={shards} identity smoke: "
-         f"{sharded['requests']} requests, outcomes "
-         f"{sharded['outcomes']} == vanilla")

@@ -11,88 +11,17 @@ points out across worker processes (0 = all cores) — results are
 identical to the serial run, only the wall clock changes.
 """
 
-import json
 import os
-import time
 
 import pytest
 
 from repro.runner import default_jobs_from_env
-from repro.runner.runstore import environment_info, write_json_atomic
 
 #: Multiplier on measurement windows / request counts.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 #: Worker processes for sweep fan-out (``REPRO_BENCH_JOBS``, default 1).
 JOBS = default_jobs_from_env("REPRO_BENCH_JOBS")
-
-#: Where :func:`bench_record` accumulates machine-readable results.
-BENCH_JSON = os.environ.get("REPRO_BENCH_JSON", "BENCH_engine.json")
-
-#: Where :func:`bench_record_shard` accumulates sharded-core results —
-#: a separate artifact because sharded numbers carry their own
-#: identity/tolerance contract (see docs/performance.md).
-BENCH_SHARD_JSON = os.environ.get("REPRO_BENCH_SHARD_JSON", "BENCH_shard.json")
-
-#: Companion manifest describing the run that produced ``BENCH_JSON``
-#: (environment, scale/jobs knobs, wall time, recorded sections).
-MANIFEST_JSON = os.environ.get("REPRO_BENCH_MANIFEST", "manifest.json")
-
-_SESSION_START = time.time()
-
-
-def _sections_of(path):
-    try:
-        with open(path) as fh:
-            return sorted(k for k in json.load(fh) if k != "_meta")
-    except (OSError, ValueError):
-        return []
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Leave a ``manifest.json`` next to ``BENCH_engine.json`` so the CI
-    artifact records *how* the numbers were produced, not just what
-    they were."""
-    write_json_atomic(MANIFEST_JSON, {
-        "experiment": "benchmarks",
-        "status": "completed" if exitstatus == 0 else f"exit={exitstatus}",
-        "environment": environment_info(),
-        "scale": SCALE,
-        "jobs": JOBS,
-        "wall_time_s": round(time.time() - _SESSION_START, 3),
-        "sections": _sections_of(BENCH_JSON),
-        "shard_sections": _sections_of(BENCH_SHARD_JSON),
-    })
-
-
-def _record_into(path: str, section: str, payload: dict) -> None:
-    """Merge *payload* under *section* in the JSON artifact at *path*.
-
-    The file accumulates across tests within a run (read-merge-write),
-    giving CI one artifact with every recorded metric. Corrupt or
-    missing files start fresh rather than failing the bench.
-    """
-    data = {}
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        pass
-    data.setdefault(section, {}).update(payload)
-    data["_meta"] = {"scale": SCALE, "jobs": JOBS}
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def bench_record(section: str, payload: dict) -> None:
-    """Merge *payload* under *section* in ``BENCH_engine.json``."""
-    _record_into(BENCH_JSON, section, payload)
-
-
-def bench_record_shard(section: str, payload: dict) -> None:
-    """Merge *payload* under *section* in ``BENCH_shard.json``."""
-    _record_into(BENCH_SHARD_JSON, section, payload)
 
 
 def scaled(seconds: float) -> float:

@@ -15,21 +15,21 @@ ticks, resilience timers — and *which microservice* owns them. The
 
 Profiling is strictly opt-in: ``sim.profiler = EngineProfiler()``
 before ``run()``. The simulator's one run loop checks the attribute
-with a single ``is None`` branch per event, so profiler-off
-throughput stays within noise of the un-profiled engine (guarded by
-``benchmarks/bench_profiler.py``). Profiled runs pay two
+with a single ``is None`` branch per event; every ``benchmarks/perf``
+workload runs with the profiler off, so the perf gate
+(``python -m benchmarks.compare``) fails a change that makes that
+branch costly. Profiled runs pay two
 ``perf_counter`` reads plus a couple of dict updates per event;
 expect a moderate, roughly uniform slowdown that leaves the *relative*
 ranking honest.
 
-:meth:`EngineProfiler.summary` returns the ``BENCH_engine.json``-style
-payload (events, wall seconds, events/sec, top hotspots) the CLI's
-``--profile`` flag prints and the benchmark harness records.
+:meth:`EngineProfiler.summary` returns the JSON-ready payload (events,
+wall seconds, events/sec, top hotspots) the CLI's ``--profile`` flag
+prints.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -149,7 +149,7 @@ class EngineProfiler:
         self._by_site.clear()
 
     def summary(self, top: int = 10) -> Dict[str, Any]:
-        """``BENCH_engine.json``-style payload of the profile."""
+        """JSON-ready payload of the profile."""
         return {
             "events": self.events,
             "handler_wall_s": self.wall,
@@ -173,12 +173,6 @@ class EngineProfiler:
                 for e in self.sites(top)
             ] if self._by_site else [],
         }
-
-    def write(self, path, top: int = 10) -> None:
-        """Write :meth:`summary` to *path* as JSON."""
-        with open(path, "w") as fh:
-            json.dump(self.summary(top), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def __repr__(self) -> str:
         return (

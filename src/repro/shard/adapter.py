@@ -32,7 +32,9 @@ The scheme — **full-world replication with machine ownership**:
   holds by construction). Same-machine hops short-circuit through
   loopback exactly like the vanilla dispatcher.
 
-Contracts (asserted by ``tests/shard/test_adapter_identity.py`` and
+Contracts (asserted for the two-tier and Social Network worlds by
+``tests/shard/test_adapter_identity.py``, and for the fan-out world by
+``tests/shard/test_fanout_equivalence.py`` and, at 500 leaves,
 ``benchmarks/bench_shard.py``):
 
 * ``shards=1`` (or any planner fallback) runs the untouched vanilla

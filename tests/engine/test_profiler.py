@@ -1,7 +1,5 @@
 """Engine self-profiler: attribution, determinism, and the off switch."""
 
-import json
-
 import pytest
 
 from repro.engine import EngineProfiler, Simulator
@@ -136,7 +134,7 @@ class TestSimulatorIntegration:
         assert sim.profiler.events == len(self_calls)
         assert sim.profiler.hotspots()[0].count == len(self_calls)
 
-    def test_summary_shape_and_write(self, tmp_path):
+    def test_summary_shape(self):
         sim = Simulator(seed=0)
         sim.profiler = EngineProfiler()
         self._chain_run(sim, n_events=50)
@@ -148,6 +146,3 @@ class TestSimulatorIntegration:
         assert summary["hotspots"]
         for spot in summary["hotspots"]:
             assert set(spot) == {"key", "count", "seconds", "mean_us"}
-        path = tmp_path / "profile.json"
-        sim.profiler.write(path, top=5)
-        assert json.loads(path.read_text())["events"] == 50

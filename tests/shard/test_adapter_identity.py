@@ -82,10 +82,13 @@ class TestBitIdentity:
             == sharded(social_network, SN, 4)
         )
 
-    def test_shards1_falls_back_to_vanilla(self):
+    @pytest.mark.parametrize("build, cfg", [
+        (two_tier, TT), (social_network, SN),
+    ], ids=["two_tier", "social_network"])
+    def test_shards1_falls_back_to_vanilla(self, build, cfg):
         # One shard never plans a sharded run; the fallback is the
         # untouched vanilla measurement with the same derived seed.
-        assert sharded(two_tier, TT, 1) == vanilla(two_tier, TT)
+        assert sharded(build, cfg, 1) == vanilla(build, cfg)
 
     def test_zero_lookahead_falls_back_loudly(self):
         # The default fabric's Exponential propagation has minimum 0,

@@ -161,4 +161,8 @@ class TestWorldWiring:
         world = two_tier(seed=3)
         world.dispatcher.submit(Request(0.0))
         world.sim.run()
+        assert world.dispatcher.tracer is None
+        assert world.dispatcher.trace is False
         assert world.dispatcher.metrics is None
+        for instance in world.deployment.all_instances:
+            assert instance.metrics is None

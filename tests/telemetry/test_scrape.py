@@ -1,16 +1,19 @@
 """Sim-time scrape loop: sampling, export round-trips, and the
 never-changes-results contract."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps import two_tier
-from repro.engine import Simulator
+from repro.engine import EngineProfiler, Simulator
 from repro.errors import ReproError
 from repro.experiments.loadsweep import measure_vanilla_point
 from repro.telemetry import (
     TIMELINE_SCHEMA,
     MetricsRegistry,
     Scraper,
+    TraceConfig,
     counters_from_perfetto,
     load_timeline,
     scrape_tiers,
@@ -91,20 +94,27 @@ class TestScraperLifecycle:
             assert tiers[proc.name] == [proc]
 
 
+def _profiled_two_tier(seed, **kwargs):
+    world = two_tier(seed=seed, **kwargs)
+    world.sim.profiler = EngineProfiler()
+    return world
+
+
 class TestScrapeNeverChangesResults:
-    def test_vanilla_outcome_identity(self):
+    # Scraping, trace sampling (on its own RNG stream) and the engine
+    # profiler only read state: every measured field must equal the
+    # plain point's, not merely be close.
+    @pytest.mark.parametrize("build, observe", [
+        (two_tier, {"scrape_interval": 0.01}),
+        (two_tier, {"trace": TraceConfig(sample_rate=0.5)}),
+        (_profiled_two_tier, {}),
+    ], ids=["scraped", "traced", "profiled"])
+    def test_vanilla_outcome_identity(self, build, observe):
         off = measure_vanilla_point(two_tier, QPS, 0.05, 0.01, 7)
-        on = measure_vanilla_point(
-            two_tier, QPS, 0.05, 0.01, 7, scrape_interval=0.01
-        )
-        # The scrape loop reads state and draws no randomness: every
-        # measured field must be identical, not merely close.
-        assert off.timeline is None and on.timeline is not None
-        assert on == type(off)(
-            **{f: getattr(off, f) for f in off.__dataclass_fields__
-               if f != "timeline"},
-            timeline=on.timeline,
-        )
+        on = measure_vanilla_point(build, QPS, 0.05, 0.01, 7, **observe)
+        assert off.timeline is None
+        assert (on.timeline is not None) == ("scrape_interval" in observe)
+        assert on == dataclasses.replace(off, timeline=on.timeline)
 
     def test_scraped_point_carries_expected_series(self):
         on = measure_vanilla_point(
