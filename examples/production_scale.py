@@ -6,9 +6,10 @@ it with converged replications, and find its bottleneck.
 Run:  python examples/production_scale.py
 """
 
+from repro.analysis import bottleneck
 from repro.apps import GraphShape, synthetic_graph
 from repro.experiments import replicate_at_load
-from repro.telemetry import ServiceMonitor, format_table, ms
+from repro.telemetry import Scraper, format_table, ms, scrape_tiers
 from repro.workload import OpenLoopClient
 
 
@@ -39,17 +40,17 @@ def main() -> None:
 
     # One instrumented run to locate the bottleneck tier.
     world = synthetic_graph(shape, seed=12)
-    monitor = ServiceMonitor(
-        world.sim, world.deployment.all_instances, interval=0.05, stop_at=0.5
-    )
+    scraper = Scraper(world.sim, interval=0.05, stop_at=0.5,
+                      tiers=scrape_tiers(world.deployment))
     client = OpenLoopClient(world.sim, world.dispatcher, arrivals=800,
                             stop_at=0.5)
-    monitor.start()
+    scraper.start()
     client.start()
     world.sim.run(until=0.5)
-    hot = monitor.bottleneck()
+    hot = bottleneck(scraper)
+    peak = scraper.series[f"depth/{hot}"].values.max()
     print(f"\nhighest-utilisation service: {hot} "
-          f"(peak queue depth {monitor.peak_depth(hot):.0f})")
+          f"(peak queue depth {peak:.0f})")
 
 
 if __name__ == "__main__":

@@ -57,8 +57,8 @@ class StageQueue(abc.ABC):
         """Total queued jobs, including ones hidden by blocking."""
 
     @abc.abstractmethod
-    def ready_count(self) -> int:
-        """Jobs currently eligible to be batched."""
+    def has_ready(self) -> bool:
+        """Whether any job is currently eligible to be batched."""
 
     @abc.abstractmethod
     def remove(self, job: Job) -> bool:
@@ -76,9 +76,6 @@ class StageQueue(abc.ABC):
         Used by instance crash handling: a dead process loses its whole
         backlog at once, visibility rules notwithstanding.
         """
-
-    def has_ready(self) -> bool:
-        return self.ready_count() > 0
 
 
 class SingleQueue(StageQueue):
@@ -115,8 +112,8 @@ class SingleQueue(StageQueue):
     def __len__(self) -> int:
         return len(self._fifo)
 
-    def ready_count(self) -> int:
-        return sum(1 for job in self._fifo if not _is_blocked(job))
+    def has_ready(self) -> bool:
+        return any(not _is_blocked(job) for job in self._fifo)
 
     def remove(self, job: Job) -> bool:
         try:
@@ -163,9 +160,10 @@ class _SubqueueMixin:
             ready.append(key)
         return ready
 
-    def _ready_total(self) -> int:
-        return sum(
-            len(self._subqueues[key]) for key in self._ready_keys()
+    def has_ready(self) -> bool:
+        return any(
+            queue and not _is_blocked(queue[0])
+            for queue in self._subqueues.values()
         )
 
     def _gc(self, key: int) -> None:
@@ -190,7 +188,7 @@ class _SubqueueMixin:
         return jobs
 
 
-class SocketQueue(StageQueue, _SubqueueMixin):
+class SocketQueue(_SubqueueMixin, StageQueue):
     """``socket_read``-style queue: batch from ONE ready connection.
 
     Connections are served round-robin so a hot connection cannot
@@ -226,9 +224,6 @@ class SocketQueue(StageQueue, _SubqueueMixin):
     def __len__(self) -> int:
         return self._total()
 
-    def ready_count(self) -> int:
-        return self._ready_total()
-
     def remove(self, job: Job) -> bool:
         return self._remove(job)
 
@@ -239,7 +234,7 @@ class SocketQueue(StageQueue, _SubqueueMixin):
         return f"<SocketQueue conns={len(self._subqueues)} depth={len(self)}>"
 
 
-class EpollQueue(StageQueue, _SubqueueMixin):
+class EpollQueue(_SubqueueMixin, StageQueue):
     """``epoll``-style queue: batch takes jobs from EVERY active
     connection at once.
 
@@ -278,9 +273,6 @@ class EpollQueue(StageQueue, _SubqueueMixin):
 
     def __len__(self) -> int:
         return self._total()
-
-    def ready_count(self) -> int:
-        return self._ready_total()
 
     def remove(self, job: Job) -> bool:
         return self._remove(job)

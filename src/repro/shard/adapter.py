@@ -188,8 +188,8 @@ class _AdapterState:
 
     __slots__ = (
         "request", "tree", "node_instance", "node_conn", "node_conn_key",
-        "node_upstream", "arrivals", "entered", "left", "my_remaining",
-        "used_conns", "spans", "events", "traced",
+        "arrivals", "my_remaining", "used_conns", "spans", "events",
+        "traced",
     )
 
     def __init__(self, request: Request, tree: PathTree,
@@ -199,10 +199,7 @@ class _AdapterState:
         self.node_instance: Dict[str, Any] = {}
         self.node_conn: Dict[str, Any] = {}
         self.node_conn_key: Dict[str, Optional[tuple]] = {}
-        self.node_upstream: Dict[str, str] = {}
         self.arrivals: Dict[str, int] = {}
-        self.entered: Dict[str, bool] = {}
-        self.left: Dict[str, bool] = {}
         self.my_remaining = my_remaining
         self.used_conns: List[Any] = []
         self.traced = traced
@@ -494,11 +491,9 @@ class ShardedDispatcher(Dispatcher):
         state.arrivals[node.name] = arrived
         if arrived < state.tree.fan_in(node.name):
             return  # fan-in not satisfied yet; this arrival only counts
-        state.node_upstream[node.name] = upstream_key
         state.node_instance[node.name] = instance
         state.node_conn[node.name] = conn
         state.node_conn_key[node.name] = conn_key
-        state.entered[node.name] = True
         instance.pending_dispatch += 1
         job = Job(state.request, size_bytes=size, connection=conn)
         job.on_complete = lambda j, _n=node: self._leave_node_sharded(
@@ -519,7 +514,6 @@ class ShardedDispatcher(Dispatcher):
                             job: Job) -> None:
         instance = state.node_instance[node.name]
         instance.pending_dispatch -= 1
-        state.left[node.name] = True
         self._apply_op(node.on_leave, state, job)
         if state.traced:
             span = state.spans.get(node.name)

@@ -13,7 +13,6 @@ from .export import (
 )
 from .latency import LatencyRecorder, WindowedLatency
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .monitor import ServiceMonitor
 from .report import (
     format_analytics_report,
     format_run_manifest,
@@ -70,7 +69,6 @@ __all__ = [
     "SPAN_CANCELLED",
     "SPAN_OK",
     "Scraper",
-    "ServiceMonitor",
     "Span",
     "SpanEvent",
     "TIMELINE_SCHEMA",

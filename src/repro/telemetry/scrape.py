@@ -8,10 +8,10 @@ The :class:`Scraper` is the Prometheus-style counterpart: a
 path — it is just scheduled events) that snapshots, every *interval*
 simulated seconds:
 
-* per-tier **utilisation** (busy-core-time delta over the window, the
-  same accounting :class:`~repro.telemetry.monitor.ServiceMonitor`
-  uses), **queue depth**, and **in-flight** dispatches, each summed
-  over the tier's instances;
+* per-tier **utilisation** (busy-core-time delta over the window),
+  **queue depth**, and **in-flight** dispatches, each summed over the
+  tier's instances — the series :mod:`repro.analysis.backpressure`
+  reads to find a bottleneck tier and where a cascade started;
 * the attached client's windowed **QPS** and **p50/p99**, plus its
   outstanding request count;
 * every labelled counter and gauge of an attached registry, as
@@ -197,8 +197,9 @@ class Scraper:
                 self.interval, self._sample, priority=PRIORITY_MONITOR
             )
         elif now < self.stop_at:
-            # Close out the final partial window instead of dropping it
-            # (same contract as ServiceMonitor).
+            # Close out the final partial window instead of dropping it:
+            # a stop_at that is not a multiple of the interval would
+            # otherwise lose the last slice of the run.
             self.sim.schedule(
                 self.stop_at - now, self._sample, priority=PRIORITY_MONITOR
             )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.service import queues
 from repro.service import (
     Connection,
     EpollQueue,
@@ -42,7 +43,6 @@ class TestSingleQueue:
         q = SingleQueue()
         q.push(job_on())
         assert len(q) == 1
-        assert q.ready_count() == 1
         assert q.has_ready()
 
     def test_invalid_limit(self):
@@ -86,7 +86,8 @@ class TestSocketQueue:
         a = Connection("a")
         q.push(job_on(a))
         a.block(request_id=10**9)
-        assert q.ready_count() == 0
+        assert len(q) == 1
+        assert not q.has_ready()
         assert q.next_batch() == []
         assert len(q) == 1  # still queued, just hidden
         a.unblock(request_id=10**9)
@@ -137,6 +138,31 @@ class TestEpollQueue:
     def test_invalid_limit(self):
         with pytest.raises(ConfigError):
             EpollQueue(per_connection_limit=0)
+
+
+@pytest.mark.parametrize("make, one_connection", [
+    (SingleQueue, True),
+    (SocketQueue, False),
+    (EpollQueue, False),
+], ids=["single", "socket", "epoll"])
+def test_has_ready_stops_at_the_first_ready_job(
+    monkeypatch, make, one_connection
+):
+    # The dispatch scan asks has_ready() of every stage on every pass;
+    # it must stop at the first visible job, not count the backlog.
+    calls = []
+
+    def counting_is_blocked(job):
+        calls.append(job)
+        return False
+
+    monkeypatch.setattr(queues, "_is_blocked", counting_is_blocked)
+    q = make()
+    shared = Connection("shared")
+    for i in range(1000):
+        q.push(job_on(shared if one_connection else Connection(str(i))))
+    assert q.has_ready()
+    assert len(calls) == 1
 
 
 class TestMakeQueue:

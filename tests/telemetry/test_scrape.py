@@ -8,7 +8,7 @@ import pytest
 from repro.apps import two_tier
 from repro.engine import EngineProfiler, Simulator
 from repro.errors import ReproError
-from repro.experiments.loadsweep import measure_vanilla_point
+from repro.experiments.loadsweep import measure_vanilla_point, run_world
 from repro.telemetry import (
     TIMELINE_SCHEMA,
     MetricsRegistry,
@@ -27,6 +27,18 @@ from repro.telemetry import (
 QPS = 2000.0
 
 
+def _counter_tick_times(interval, stop_at):
+    """Sample times of a registry counter scraped until *stop_at*."""
+    sim = Simulator()
+    reg = MetricsRegistry()
+    reg.counter("n").inc()
+    scraper = Scraper(
+        sim, interval=interval, registry=reg, stop_at=stop_at
+    ).start()
+    sim.run(until=0.2)
+    return scraper.series["counter/n"].times.tolist()
+
+
 class TestScraperLifecycle:
     def test_interval_must_be_positive(self):
         sim = Simulator()
@@ -43,17 +55,11 @@ class TestScraperLifecycle:
 
     def test_tick_cadence_includes_partial_closeout(self):
         # stop_at is not a multiple of the interval: the loop must add
-        # one final sample at exactly stop_at (the ServiceMonitor
-        # contract) instead of dropping the partial window.
-        sim = Simulator()
-        reg = MetricsRegistry()
-        reg.counter("n").inc()
-        scraper = Scraper(
-            sim, interval=0.025, registry=reg, stop_at=0.09
-        ).start()
-        sim.run(until=0.2)
-        times = scraper.series["counter/n"].times.tolist()
-        assert times == pytest.approx([0.025, 0.05, 0.075, 0.09])
+        # one final sample at exactly stop_at instead of dropping the
+        # partial window.
+        assert _counter_tick_times(0.025, 0.09) == pytest.approx(
+            [0.025, 0.05, 0.075, 0.09]
+        )
 
     def test_registry_series_are_cumulative(self):
         sim = Simulator()
@@ -92,6 +98,55 @@ class TestScraperLifecycle:
             assert tiers[service]
         for proc in world.deployment.netprocs.values():
             assert tiers[proc.name] == [proc]
+
+
+def _scraped_series(qps, interval):
+    """Scrape series of a 0.2s two_tier load point at *qps*."""
+    return run_world(
+        two_tier, qps, 8, duration=0.2, scrape_interval=interval
+    ).root["scrape"]["series"]
+
+
+class TestTierSampling:
+    def test_samples_recorded_at_interval(self):
+        depth = _scraped_series(5_000, 0.02)["depth/nginx"]
+        assert 8 <= len(depth["times"]) <= 11
+
+    def test_final_partial_window_is_sampled(self):
+        # stop_at=0.2 with interval=0.03 leaves a 0.02s tail window;
+        # it must be sampled at exactly stop_at, not dropped.
+        assert _counter_tick_times(0.03, 0.2) == pytest.approx(
+            [0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.2]
+        )
+
+    def test_exact_multiple_stop_has_no_extra_sample(self):
+        # stop_at an exact multiple of the interval: the last regular
+        # sample already lands on stop_at, so no partial window exists.
+        assert _counter_tick_times(0.05, 0.2) == pytest.approx(
+            [0.05, 0.1, 0.15, 0.2]
+        )
+
+    def test_idle_system_shows_zero_utilisation(self):
+        world = two_tier(seed=8)
+        tiers = scrape_tiers(world.deployment)
+        scraper = Scraper(
+            world.sim, interval=0.05, tiers=tiers, stop_at=0.2
+        ).start()
+        world.sim.run(until=0.2)
+        for tier in tiers:
+            assert scraper.series[f"util/{tier}"].values.tolist() == [0.0] * 4
+
+    def test_utilisation_tracks_load(self):
+        util = _scraped_series(30_000, 0.02)["util/nginx"]["values"]
+        # ~30k x ~135us / 8 cores ~ 0.5.
+        assert 0.3 < sum(util[2:]) / len(util[2:]) < 0.75
+
+    def test_utilisation_clamped_to_unit_interval(self):
+        # Past saturation (75k QPS against ~62k capacity, with a 0.02s
+        # final window), where busy-time rounding could stray.
+        for name, data in _scraped_series(75_000, 0.03).items():
+            if name.startswith("util/"):
+                assert all(0.0 <= v <= 1.0 for v in data["values"])
 
 
 def _profiled_two_tier(seed, **kwargs):
