@@ -32,11 +32,6 @@ from ..errors import ReproError
 from ..service import Request
 from ..telemetry.tracing import SPAN_OK, Span, Trace
 
-#: Backwards-compatible alias: span extraction used to return a
-#: purpose-built NodeSpan; it now returns the telemetry Span directly
-#: (same ``node``/``instance``/``enter``/``leave``/``duration`` API).
-NodeSpan = Span
-
 
 def _upgrade_legacy(entries: Sequence[tuple]) -> List[Span]:
     """Turn legacy (node, instance, enter, leave) tuples into spans."""

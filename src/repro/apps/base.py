@@ -97,6 +97,36 @@ def add_client_machine(world: World, name: str = "client") -> Machine:
     return world.cluster.add_machine(Machine(name, 16))
 
 
+def add_one_stage_service(
+    world: World,
+    machine_name: str,
+    tier: str,
+    dist: Distribution,
+    cores: int,
+    name: Optional[str] = None,
+) -> Microservice:
+    """Deploy a one-stage, one-path service of *tier* whose stage time
+    is *dist*, on *cores* cores of *machine_name* (named *name*, or
+    after its tier) — the leaf server of the fan-out and resilience
+    studies."""
+    machine = world.cluster.machine(machine_name)
+    core_set = machine.allocate(tier, cores)
+    stage = Stage("process", 0, SingleQueue(), base=dist)
+    selector = PathSelector([ExecutionPath(0, "only", [0])])
+    instance = Microservice(
+        name or tier,
+        world.sim,
+        [stage],
+        selector,
+        core_set,
+        model=SimpleModel(),
+        machine_name=machine_name,
+        tier=tier,
+    )
+    world.deployment.add_instance(instance)
+    return instance
+
+
 def make_netproc(
     world: World,
     machine_name: str,

@@ -10,7 +10,6 @@ counterpart instead (see DESIGN.md SS1).
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 from ..distributions import Exponential
@@ -521,27 +520,3 @@ def default_value_sizes() -> Exponential:
     """The exponentially distributed request value sizes of SSIV-A."""
     return Exponential(cal.DEFAULT_VALUE_BYTES)
 
-
-# Sharded runners ------------------------------------------------------
-#
-# Opt-in hooks read by :func:`repro.experiments.loadsweep.measure_at_load`
-# when called with ``shards > 1``: each returns the builder's sharded
-# runner, whose signature is its capability set. Both route through
-# the generic world adapter (:func:`repro.shard.adapter.sharded_load_point`),
-# which replicates the full world per shard and runs the real
-# dispatcher behind ShardHost mailboxes — no hand re-expression of
-# dispatch logic per topology.
-
-
-def _adapter_runner(build_world):
-    """The generic shard adapter bound to *build_world*, imported late
-    so ``repro.shard`` stays an optional layer of the import graph."""
-    from ..shard.adapter import sharded_load_point
-
-    return functools.partial(sharded_load_point, build_world)
-
-
-two_tier.sharded_runner = functools.partial(_adapter_runner, two_tier)
-social_network.sharded_runner = functools.partial(
-    _adapter_runner, social_network
-)

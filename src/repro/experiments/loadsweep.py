@@ -23,7 +23,7 @@ from ..faults import FaultInjector, FaultPlan
 from ..runner import derive_seed, point_key, register_result_type
 from ..telemetry.export import write_otlp, write_perfetto
 from ..telemetry.slo import SLOMonitor
-from ..telemetry.tracing import TraceConfig, trace_requested
+from ..telemetry.tracing import TraceConfig
 from ..workload import OpenLoopClient, RequestMix
 from .audit import audit_client
 from .options import (
@@ -31,7 +31,6 @@ from .options import (
     SLOSpec,
     implied_trace,
     resolve_slos,
-    runner_kwargs,
 )
 
 
@@ -286,9 +285,10 @@ def measure_at_load(
     implies ``trace=True``). Tracing draws from its own named RNG
     stream, so the measured numbers are identical with or without it.
 
-    ``shards > 1`` measures the point on the builder's sharded runner,
-    which must accept every other option that is set (see
-    :func:`~repro.experiments.options.runner_kwargs`).
+    ``shards > 1`` measures the point through the shard adapter
+    (:func:`repro.shard.adapter.sharded_load_point`), which refuses a
+    world it cannot shard with a :class:`~repro.errors.ShardingError`
+    and runs the vanilla point when the planner falls back.
     """
     if warmup >= duration:
         raise ReproError(
@@ -301,32 +301,16 @@ def measure_at_load(
             build_world, qps, duration, warmup, derived, mix=mix,
             trace=trace, **options.point_options(), **world_kwargs,
         )
-    # The sharded core replaces the whole build-world/client/run
-    # pipeline, so it is an opt-in capability of the *builder*: models
-    # advertise it with a ``sharded_runner`` hook returning the runner
-    # (see repro.apps.builders). Anything else fails loudly rather than
-    # silently measuring unsharded.
-    name = getattr(build_world, "__name__", repr(build_world))
-    load_runner = getattr(build_world, "sharded_runner", None)
-    if load_runner is None:
-        raise ReproError(
-            f"builder {name!r} has no sharded runner; only topologies "
-            f"ported to repro.shard support shards > 1 (run with shards=1)"
-        )
-    runner = load_runner()
-    requested = options.point_options()
-    if mix is not None:
-        requested["mix"] = mix
-    if trace and trace_requested(trace, trace_dir):
-        requested["trace"] = trace
+    # Imported late so ``repro.shard`` stays an optional layer of the
+    # import graph.
+    from ..shard.adapter import sharded_load_point
+
     journal_path = None
     if shard_journal_dir is not None:
         journal_path = Path(shard_journal_dir) / shard_journal_name(derived)
-    return runner(
-        qps=qps, duration=duration, warmup=warmup, seed=derived,
-        journal_path=journal_path,
-        **runner_kwargs(runner, requested, f"{name!r} with shards={shards}"),
-        **world_kwargs,
+    return sharded_load_point(
+        build_world, qps, duration, warmup, derived, mix=mix, trace=trace,
+        journal_path=journal_path, **options.point_options(), **world_kwargs,
     )
 
 

@@ -4,13 +4,14 @@
 fan-out, durable run directories, the conservation audit, trace
 export, live SLOs, timeline scraping, fault plans, and the sharded
 core with its supervisor — together with the rules that tie them to
-each other. Runners declare which options they support simply by
-accepting a keyword argument of the same name, and
-:func:`runner_kwargs` is the one capability check: it hands a runner
-the options that were set, or refuses loudly when the runner cannot
-honour one. The registry, the sweeps and the sharded runners all go
-through it, so adding a knob means adding a field here and a keyword
-to the runners that honour it.
+each other. Experiment runners declare which options they support
+simply by accepting a keyword argument of the same name, and
+:func:`runner_kwargs` is the registry's one capability check: it hands
+a runner the options that were set, or refuses loudly when the runner
+cannot honour one. Which worlds shard, and with which options, is the
+shard adapter's rule (:func:`repro.shard.adapter.run_world_sharded`),
+not a signature's. Adding a knob means adding a field here and a
+keyword to the runners that honour it.
 """
 
 from __future__ import annotations

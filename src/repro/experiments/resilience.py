@@ -22,40 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..apps.base import World, add_client_machine, new_world
+from ..apps.base import (
+    World,
+    add_client_machine,
+    add_one_stage_service,
+    new_world,
+)
 from ..distributions import Erlang, Exponential
 from ..errors import ConfigError
 from ..hardware import Machine
 from ..resilience import HedgePolicy, ResiliencePolicy, RetryBudget, RetryPolicy
-from ..service import (
-    ExecutionPath,
-    Microservice,
-    PathSelector,
-    SimpleModel,
-    SingleQueue,
-    Stage,
-)
 from ..topology import PathNode, PathTree
 from ..workload import OpenLoopClient
-
-
-def _one_stage_service(world, machine_name, tier, dist, cores, name=None):
-    machine = world.cluster.machine(machine_name)
-    core_set = machine.allocate(tier, cores)
-    stage = Stage("process", 0, SingleQueue(), base=dist)
-    selector = PathSelector([ExecutionPath(0, "only", [0])])
-    instance = Microservice(
-        name or tier,
-        world.sim,
-        [stage],
-        selector,
-        core_set,
-        model=SimpleModel(),
-        machine_name=machine_name,
-        tier=tier,
-    )
-    world.deployment.add_instance(instance)
-    return instance
 
 
 def build_single_tier(
@@ -75,7 +53,7 @@ def build_single_tier(
     for i in range(replicas):
         machine_name = f"server-node{i}"
         world.cluster.add_machine(Machine(machine_name, cores))
-        _one_stage_service(
+        add_one_stage_service(
             world,
             machine_name,
             "server",
@@ -116,7 +94,7 @@ def build_straggler_tier(
         mean = mean_service * (slow_factor if i < slow_count else 1.0)
         # Erlang(4) keeps fast and slow latency modes well separated,
         # so the straggler cleanly owns the p99.
-        _one_stage_service(
+        add_one_stage_service(
             world, machine_name, "leaf", Erlang(4, mean), cores=1,
             name=f"leaf_{i}",
         )

@@ -17,21 +17,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
-from ..apps.base import World, add_client_machine, new_world
-from ..apps.builders import _adapter_runner
+from ..apps.base import (
+    World,
+    add_client_machine,
+    add_one_stage_service,
+    new_world,
+)
 from ..distributions import Deterministic, Exponential
 from ..errors import ConfigError
 from ..hardware import Machine, NetworkFabric
-from ..service import (
-    ExecutionPath,
-    Microservice,
-    PathSelector,
-    SimpleModel,
-    SingleQueue,
-    Stage,
-)
 from ..runner import point_key, register_result_type
-from ..telemetry.tracing import TraceConfig, trace_requested
+from ..telemetry.tracing import TraceConfig
 from ..topology import PathNode, PathTree
 from .loadsweep import (
     WorldRun,
@@ -39,7 +35,7 @@ from .loadsweep import (
     run_world,
     sweep_manifest_extra,
 )
-from .options import RunOptions, SLOSpec, implied_trace, runner_kwargs
+from .options import RunOptions, SLOSpec, implied_trace
 
 
 def build_fanout_cluster(
@@ -67,7 +63,7 @@ def build_fanout_cluster(
 
     tree = PathTree("tail_at_scale")
     agg_machine = world.cluster.add_machine(Machine("aggregator", 4))
-    aggregator = _one_stage_service(
+    aggregator = add_one_stage_service(
         world, "aggregator", "agg", Deterministic(5e-6), cores=4
     )
     tree.add_node(PathNode("root", "agg"))
@@ -75,7 +71,7 @@ def build_fanout_cluster(
         machine_name = f"leaf-node{i}"
         world.cluster.add_machine(Machine(machine_name, 1))
         mean = mean_service * (slow_factor if slow_mask[i] else 1.0)
-        _one_stage_service(
+        add_one_stage_service(
             world, machine_name, f"leaf{i}", Exponential(mean), cores=1
         )
         tree.add_node(PathNode(f"leaf{i}", f"leaf{i}"))
@@ -92,33 +88,6 @@ def build_fanout_cluster(
         ),
     )
     return world
-
-
-#: Opt-in hook read by :func:`repro.experiments.loadsweep.measure_at_load`
-#: when called with ``shards > 1``: the generic world adapter, as for
-#: the ``repro.apps`` builders.
-build_fanout_cluster.sharded_runner = functools.partial(
-    _adapter_runner, build_fanout_cluster
-)
-
-
-def _one_stage_service(world, machine_name, tier, dist, cores):
-    machine = world.cluster.machine(machine_name)
-    core_set = machine.allocate(tier, cores)
-    stage = Stage("process", 0, SingleQueue(), base=dist)
-    selector = PathSelector([ExecutionPath(0, "only", [0])])
-    instance = Microservice(
-        tier,
-        world.sim,
-        [stage],
-        selector,
-        core_set,
-        model=SimpleModel(),
-        machine_name=machine_name,
-        tier=tier,
-    )
-    world.deployment.add_instance(instance)
-    return instance
 
 
 @register_result_type
@@ -173,76 +142,38 @@ def measure_tail_at_scale(
     planner falls back to one shard with a ``RuntimeWarning``).
     *audit* works under shards too — it runs the merged cross-shard
     conservation audit on the per-shard finalize counters; *trace* and
-    *slo* remain single-simulator-only and are refused. *fault_plan*
-    under shards may carry ``shard_kill``/``shard_hang`` chaos (the
-    supervisor recovers and results must not change); under
-    ``shards=1`` it arms in-simulation faults. Either way the run goes
-    through :func:`tail_point`; a sharded point carries the coordinator
+    *slo* are refused, as on every sharded run stopped by a request
+    count rather than a horizon. *fault_plan* under shards may carry
+    ``shard_kill``/``shard_hang`` chaos (the supervisor recovers and
+    results must not change); under ``shards=1`` it arms
+    in-simulation faults. Either way the run goes through
+    :func:`tail_point`; a sharded point carries the coordinator
     counters as a ``shard_sync`` attribute, which the manifest sums.
     """
-    options = RunOptions.pick(locals())
-    run = None
-    if shards > 1:
-        requested = options.point_options()
-        if trace and trace_requested(trace, trace_dir):
-            requested["trace"] = trace
+    RunOptions.pick(locals())  # refuses incoherent option combinations
+    common = dict(
+        max_requests=num_requests, fault_plan=fault_plan, audit=audit,
+        trace=implied_trace(trace, trace_dir), slo=slo,
+        cluster_size=cluster_size, slow_fraction=slow_fraction,
+        slow_factor=slow_factor, network=network,
+    )
+    if shards == 1:
+        run = run_world(build_fanout_cluster, qps, seed, **common)
+    else:
+        from ..shard.adapter import run_world_sharded
+
         journal_path = None
         if shard_journal_dir is not None:
             journal_path = (
                 Path(shard_journal_dir)
                 / f"shard_journal_size{cluster_size}_slow{slow_fraction:g}.jsonl"
             )
-        run = _sharded_tail_run(
-            cluster_size, slow_fraction, qps=qps,
-            num_requests=num_requests, slow_factor=slow_factor,
-            seed=seed, network=network, journal_path=journal_path,
-            **runner_kwargs(
-                _sharded_tail_run, requested,
-                f"the fan-out cluster with shards={shards}",
-            ),
-        )
-    if run is None:
-        run = run_world(
-            build_fanout_cluster, qps, seed, max_requests=num_requests,
-            fault_plan=fault_plan, audit=audit,
-            trace=implied_trace(trace, trace_dir), slo=slo,
-            cluster_size=cluster_size, slow_fraction=slow_fraction,
-            slow_factor=slow_factor, network=network,
+        run = run_world_sharded(
+            build_fanout_cluster, qps, seed, shards,
+            shard_timeout=shard_timeout, shard_restarts=shard_restarts,
+            journal_path=journal_path, **common,
         )
     return tail_point(run, cluster_size, slow_fraction, trace_dir=trace_dir)
-
-
-def _sharded_tail_run(
-    cluster_size: int,
-    slow_fraction: float,
-    *,
-    qps: float,
-    num_requests: int,
-    slow_factor: float,
-    seed: int,
-    shards: int,
-    network: Optional[NetworkFabric] = None,
-    audit: bool = False,
-    fault_plan=None,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
-    journal_path: Optional[Path] = None,
-) -> Optional[WorldRun]:
-    """One Fig 14 cell through the generic shard adapter, stopped after
-    *num_requests* arrivals; ``None`` when the planner falls back to
-    one shard. The signature is the capability set of sharded Fig 14:
-    *trace* and *slo* stay single-simulator-only, since a root shard's
-    SLO monitor stands down when its own shard's queue drains, not the
-    world's, and neither has been shown identical to vanilla."""
-    from ..shard.adapter import run_world_sharded
-
-    return run_world_sharded(
-        build_fanout_cluster, qps, seed, shards, max_requests=num_requests,
-        audit=audit, fault_plan=fault_plan, shard_timeout=shard_timeout,
-        shard_restarts=shard_restarts, journal_path=journal_path,
-        cluster_size=cluster_size, slow_fraction=slow_fraction,
-        slow_factor=slow_factor, network=network,
-    )
 
 
 def tail_point(

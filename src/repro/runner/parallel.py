@@ -137,7 +137,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: Optional[int] = 1,
-    chunksize: int = 1,  # kept for call-site compatibility; unused
     *,
     retries: int = 0,
     timeout: Optional[float] = None,

@@ -34,7 +34,9 @@ Layering:
   machine ownership), stopped by a horizon or a request count, with
   merged telemetry (traces/SLO/mix) shipped home at ``finalize()``
   into the same :class:`WorldRun` record the vanilla core
-  (:func:`repro.experiments.loadsweep.run_world`) returns.
+  (:func:`repro.experiments.loadsweep.run_world`) returns — and, when
+  the planner falls back, runs that core itself, so every caller gets
+  a :class:`WorldRun` from one call.
 
 Determinism contract: all shards share one root seed and draw from
 named :class:`~repro.engine.RandomStreams`, so the shard count decides

@@ -3,9 +3,11 @@
 
 :class:`ShardedDispatcher` runs the real
 :class:`~repro.topology.Dispatcher` / ``Microservice`` wiring behind
-ShardHost mailboxes, so a topology builder only has to attach a
-``sharded_runner`` built from :func:`sharded_load_point` — no world
-needs a hand re-expression of its dispatch logic.
+ShardHost mailboxes, so any builder's world shards through
+:func:`run_world_sharded` (or :func:`sharded_load_point` for a load
+point) — no world needs a hand re-expression of its dispatch logic,
+and :func:`validate_world_shardable` is the one gate on which worlds
+can.
 
 The scheme — **full-world replication with machine ownership**:
 
@@ -33,12 +35,14 @@ The scheme — **full-world replication with machine ownership**:
   loopback exactly like the vanilla dispatcher.
 
 Contracts (asserted for the two-tier and Social Network worlds by
-``tests/shard/test_adapter_identity.py``, and for the fan-out world by
-``tests/shard/test_fanout_equivalence.py`` and, at 500 leaves,
+``tests/shard/test_adapter_identity.py``, for every ``repro.apps``
+builder by ``tests/shard/test_plumbing.py``, and for the fan-out world
+by ``tests/shard/test_fanout_equivalence.py`` and, at 500 leaves,
 ``benchmarks/bench_shard.py``):
 
 * ``shards=1`` (or any planner fallback) runs the untouched vanilla
-  path and is bit-identical to it;
+  :func:`~repro.experiments.loadsweep.run_world` and is bit-identical
+  to it;
 * under a draw-free fabric, results are bit-identical across shard
   counts (the adapter's event order does not depend on N);
 * results additionally match the vanilla engine bit-for-bit except
@@ -46,10 +50,14 @@ Contracts (asserted for the two-tier and Social Network worlds by
   the *same* timestamp: vanilla breaks such ties in global
   event-scheduling order, which a shard cannot reconstruct, so the
   adapter breaks them in its own shard-count-invariant order. Under a
-  draw-free fabric at moderate load ties never occur and the match is
-  exact (asserted in the tests); under heavy contention a handful of
-  requests per thousand see their queueing resolved in the other
-  order — same distribution, same conservation, different samples.
+  draw-free fabric at moderate load the match is exact for the
+  two-tier, three-tier, fan-out, Thrift echo, Social Network, single
+  NGINX and single memcached worlds and the Fig 14 fan-out cluster
+  (``TestMeasureAtLoad::test_every_app_builder_shards_or_refuses``
+  pins each at one load). ``synthetic_graph`` at 500 QPS already hits
+  a tie, and under heavy contention a handful of requests per
+  thousand do: their queueing resolves in the other order — same
+  distribution, same conservation, different samples.
   (The fan-in bookkeeping also moves: the adapter ships one
   cross-machine message per parent and enters the child at the
   maximum over parents of leave time plus that parent's hop delay,
@@ -870,7 +878,7 @@ def run_world_sharded(
     journal_path=None,
     client_machine: str = "client",
     **world_kwargs,
-) -> Optional[WorldRun]:
+) -> WorldRun:
     """Run *build_world* under an open-loop client across *shards*
     shards and merge the result into the :class:`WorldRun` record the
     vanilla :func:`~repro.experiments.loadsweep.run_world` returns.
@@ -881,19 +889,31 @@ def run_world_sharded(
     and/or after *max_requests* arrivals; with no horizon the run ends
     when the last request resolves. *seed* is used as-is.
 
-    Returns ``None`` when the planner falls back — loudly, via its
-    ``RuntimeWarning`` — because the fabric has no positive lookahead
-    or there are fewer machines than shards: the caller then runs its
-    own vanilla path, which is bit-identical by construction.
-    *fault_plan* may only carry ``shard_kill``/``shard_hang`` faults,
-    and only on a run that really shards. *audit* runs the merged
-    cross-shard conservation audit; *shard_timeout*, *shard_restarts*
-    and *journal_path* tune the supervision layer (see
+    When the planner falls back — loudly, via its ``RuntimeWarning`` —
+    because the fabric has no positive lookahead or there are fewer
+    machines than shards, the run is the vanilla
+    :func:`~repro.experiments.loadsweep.run_world` itself, bit-identical
+    by construction (its ``shard_sync`` is ``None``). *fault_plan* may
+    only carry ``shard_kill``/``shard_hang`` faults, and only on a run
+    that really shards. *audit* runs the merged cross-shard
+    conservation audit; *shard_timeout*, *shard_restarts* and
+    *journal_path* tune the supervision layer (see
     :func:`repro.shard.worker.run_sharded`).
+
+    Tracing and SLOs need a *duration* horizon: a root shard's SLO
+    monitor stands down when its own shard's queue drains, not the
+    world's, and neither has been shown identical to vanilla on a
+    count-terminated run, so such a run refuses them before building
+    anything.
     """
     if duration is None and max_requests is None:
         raise ShardingError(
             "a sharded run needs a duration horizon and/or max_requests"
+        )
+    if duration is None and (trace or slo is not None):
+        raise ShardingError(
+            f"a sharded run with no duration horizon does not support "
+            f"trace or slo (shards={shards}); run it with shards=1"
         )
     probe = build_world(seed=seed, **world_kwargs)
     validate_world_shardable(probe)
@@ -906,7 +926,12 @@ def run_world_sharded(
                 f"run is not sharded"
                 + (f" ({plan.fallback_reason})" if plan.fallback_reason else "")
             )
-        return None
+        return run_world(
+            build_world, qps, seed, duration=duration, warmup=warmup,
+            max_requests=max_requests, mix=mix, fault_plan=fault_plan,
+            audit=audit, trace=trace, slo=slo,
+            scrape_interval=scrape_interval, **world_kwargs,
+        )
     chaos = _shard_chaos(fault_plan, plan)
     specs, edges = world_shard_specs(
         plan, builder=build_world, world_kwargs=dict(world_kwargs),
@@ -965,23 +990,19 @@ def sharded_load_point(
 ):
     """Measure one load point of *build_world* across *shards* shards.
 
-    :func:`run_world_sharded` over the *duration* horizon — or, when
-    the planner falls back, the untouched vanilla
-    :func:`~repro.experiments.loadsweep.run_world` — folded into a
-    ``SweepPoint`` by :func:`~repro.experiments.loadsweep.sweep_point`.
-    *seed* is the already-derived per-point seed.
+    :func:`run_world_sharded` over the *duration* horizon (the vanilla
+    run on a planner fallback), folded into a ``SweepPoint`` by
+    :func:`~repro.experiments.loadsweep.sweep_point`. *seed* is the
+    already-derived per-point seed.
     """
-    common = dict(
-        duration=duration, warmup=warmup, mix=mix,
-        trace=implied_trace(trace, trace_dir), slo=slo,
-        scrape_interval=scrape_interval, audit=audit,
-        fault_plan=fault_plan, **world_kwargs,
-    )
     run = run_world_sharded(
-        build_world, qps, seed, shards, mode=mode, max_window=max_window,
-        shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-        journal_path=journal_path, client_machine=client_machine, **common,
-    ) or run_world(build_world, qps, seed, **common)
+        build_world, qps, seed, shards, duration=duration, warmup=warmup,
+        mix=mix, trace=implied_trace(trace, trace_dir), slo=slo,
+        scrape_interval=scrape_interval, mode=mode, max_window=max_window,
+        audit=audit, fault_plan=fault_plan, shard_timeout=shard_timeout,
+        shard_restarts=shard_restarts, journal_path=journal_path,
+        client_machine=client_machine, **world_kwargs,
+    )
     return sweep_point(
         run, qps, duration, warmup, seed, trace_dir=trace_dir,
         scrape_interval=scrape_interval,

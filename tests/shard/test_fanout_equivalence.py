@@ -14,6 +14,7 @@ import pytest
 
 from repro.distributions import Deterministic, Exponential, Shifted
 from repro.errors import ShardingError
+from repro.experiments.loadsweep import run_world
 from repro.experiments.tail_at_scale import (
     build_fanout_cluster,
     measure_tail_at_scale,
@@ -135,7 +136,13 @@ class TestStochasticFabric:
 class TestFallback:
     def test_zero_lookahead_falls_back_to_vanilla(self):
         with pytest.warns(RuntimeWarning, match="lookahead"):
-            assert sharded(6, 0.0, shards=2, **CFG) is None
+            run = sharded(6, 0.0, shards=2, **CFG)
+        assert run.shard_sync is None
+        assert run == run_world(
+            build_fanout_cluster, CFG["qps"], CFG["seed"],
+            max_requests=CFG["num_requests"], cluster_size=6,
+            slow_fraction=0.0,
+        )
         reference = measure_tail_at_scale(6, 0.0, **CFG)
         with pytest.warns(RuntimeWarning, match="lookahead"):
             point = measure_tail_at_scale(6, 0.0, shards=2, **CFG)

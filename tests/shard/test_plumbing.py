@@ -4,9 +4,10 @@ loudly where the sharded core cannot honour a knob."""
 
 import pytest
 
+from repro import apps
 from repro.__main__ import main
 from repro.distributions import Deterministic
-from repro.errors import ReproError
+from repro.errors import ReproError, ShardingError
 from repro.experiments import registry
 from repro.experiments.loadsweep import measure_at_load
 from repro.experiments.tail_at_scale import (
@@ -14,6 +15,20 @@ from repro.experiments.tail_at_scale import (
     measure_tail_at_scale,
 )
 from repro.hardware import NetworkFabric
+
+
+#: Every repro.apps builder, at a load its world carries.
+APP_LOADS = {
+    "fanout": 1000.0,
+    "load_balanced": 1000.0,
+    "single_memcached": 5000.0,
+    "single_nginx": 1000.0,
+    "social_network": 1000.0,
+    "synthetic_graph": 500.0,
+    "three_tier": 1000.0,
+    "thrift_echo": 2000.0,
+    "two_tier": 2000.0,
+}
 
 
 def det_fabric():
@@ -25,8 +40,7 @@ class TestRegistry:
         assert registry.get("fig14").supports("shards")
 
     def test_adapter_ported_figures_support_shards(self):
-        # fig5/fig12b run through the generic world adapter since the
-        # sharded_runner hooks landed on their builders.
+        # fig5/fig12b run through the generic world adapter.
         assert registry.get("fig5").supports("shards")
         assert registry.get("fig12b").supports("shards")
 
@@ -117,29 +131,34 @@ class TestMeasureAtLoad:
         )
         assert sharded == vanilla
 
-    def test_builder_without_runner_rejected(self):
-        def bare_builder(seed=0):  # pragma: no cover - never called
-            raise AssertionError
+    @pytest.mark.parametrize("name", sorted(APP_LOADS))
+    @pytest.mark.filterwarnings("ignore:only 2 placeable:RuntimeWarning")
+    def test_every_app_builder_shards_or_refuses(self, name):
+        # The adapter's own validation is the one gate on which worlds
+        # shard: no builder opts in, and load_balanced's multi-instance
+        # tier is refused. Two-machine worlds fall back at 3 shards.
+        build_world = getattr(apps, name)
 
-        with pytest.raises(ReproError, match="no sharded runner"):
-            measure_at_load(bare_builder, qps=10.0, shards=2)
-
-    def test_blocked_knobs_listed(self):
-        def toy_builder(seed=0):  # pragma: no cover - never called
-            raise AssertionError
-
-        def toy_runner(qps, duration, warmup, seed, shards,
-                       journal_path=None):  # pragma: no cover
-            raise AssertionError
-
-        # The runner's signature is its capability set: every option it
-        # lacks is named in one refusal, before anything runs.
-        toy_builder.sharded_runner = lambda: toy_runner
-        with pytest.raises(ReproError, match="slo, scrape_interval"):
-            measure_at_load(
-                toy_builder, qps=10.0, shards=2, slo="p99<5ms",
-                scrape_interval=0.01,
+        def point(shards, **kwargs):
+            return measure_at_load(
+                build_world, APP_LOADS[name], duration=0.05, warmup=0.01,
+                seed=11, shards=shards,
+                network=NetworkFabric(propagation=Deterministic(50e-6)),
+                **kwargs,
             )
+
+        if name == "load_balanced":
+            with pytest.raises(ShardingError, match="instances"):
+                point(2, mode="inline")
+            return
+        sharded = point(2, mode="inline")
+        assert sharded.shard_sync["shards"] == 2
+        assert sharded == point(3, mode="inline")
+        # synthetic_graph breaks a same-instant queue tie in the
+        # adapter's shard-count-invariant order, so it matches vanilla
+        # in distribution only; every other world matches exactly.
+        if name != "synthetic_graph":
+            assert sharded == point(1)
 
     def test_shard_tuning_needs_shards(self):
         with pytest.raises(ReproError, match="shards"):
