@@ -126,7 +126,8 @@ class DistributionError(ReproError):
 
 
 class PartialSweepError(ReproError):
-    """Some sweep items failed after exhausting their retry budget.
+    """Some sweep items failed: raised, crashed their quarantine
+    worker, or timed out.
 
     Raised by :func:`repro.runner.parallel_map` (``failures="collect"``)
     only after every item has had its chance: ``results`` is the full
@@ -155,8 +156,9 @@ class PartialSweepError(ReproError):
 class WorkerCrashError(ReproError):
     """A pool worker died (or hung past its timeout) running one item.
 
-    Raised in fail-fast mode (``failures="raise"``) once the item has
-    exhausted its retry budget; carries the structured
+    Raised in fail-fast mode (``failures="raise"``) once the item's
+    lone quarantine run crashed too, or it timed out — or, once some
+    pool has run, when no new pool can start; carries the structured
     :class:`~repro.runner.ItemFailure` as ``failure`` for attribution.
     """
 

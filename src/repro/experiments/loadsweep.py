@@ -549,8 +549,9 @@ def sweep_point(run: WorldRun, qps: float, duration: float, warmup: float,
         from ..telemetry.scrape import timeline_payload
 
         # Tiers are machine-owned, so per-shard series names are
-        # disjoint (the root alone contributes ``client/*``); the
-        # merged union carries the same names a vanilla run scrapes.
+        # disjoint (the root alone contributes ``client/*``). Registry
+        # scraping is vanilla-only, so the merged union carries a
+        # vanilla run's names minus its ``counter/*`` and ``gauge/*``.
         for result in run.results:
             series.update((result.get("scrape") or {}).get("series", {}))
         shards = run.shard_sync["shards"] if run.shard_sync else 1
@@ -643,7 +644,6 @@ def load_latency_sweep(
     run_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
     experiment: str = "load_latency",
-    retries: int = 0,
     timeout: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
     audit: bool = False,
@@ -670,8 +670,8 @@ def load_latency_sweep(
     journaled points instead of recomputing them, so a killed sweep
     restarted with the same arguments computes exactly the missing
     points — and, because seeds are derived per point, merges into a
-    result byte-identical to an uninterrupted run. *retries*/*timeout*
-    are the self-healing knobs of :func:`~repro.runner.parallel_map`.
+    result byte-identical to an uninterrupted run. *timeout* is the
+    per-point hang budget of :func:`~repro.runner.parallel_map`.
 
     *trace*/*trace_dir* thread through to every point: traces export
     per load into *trace_dir*. Enabling tracing joins the sweep config

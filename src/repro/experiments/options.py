@@ -48,8 +48,7 @@ _QUALIFIES = {"resume": "run_dir", "trace_sample": "trace_dir"}
 
 #: Options a sweep spends itself instead of handing to each point;
 #: ``trace_sample`` reaches points folded into their ``trace`` setting.
-_SWEEP_ONLY = ("jobs", "run_dir", "resume", "retries", "timeout",
-               "trace_sample")
+_SWEEP_ONLY = ("jobs", "run_dir", "resume", "timeout", "trace_sample")
 
 #: How a refusal names an option, when not by its field name.
 _REFUSAL_NAMES = {
@@ -86,8 +85,8 @@ class RunOptions:
 
     ``jobs`` fans points out over worker processes (``0`` = all
     cores); ``run_dir``/``resume`` journal finished points so a killed
-    run resumes, and ``retries``/``timeout`` re-run failing or stuck
-    points. ``audit`` runs the request-conservation check, ``trace_dir``
+    run resumes, and ``timeout`` fails points whose worker hangs.
+    ``audit`` runs the request-conservation check, ``trace_dir``
     exports request traces sampled at ``trace_sample``, ``slo``
     attaches live objectives, ``scrape_interval`` samples sim-time
     timelines, and ``fault_plan`` arms injected faults. ``shards > 1``
@@ -101,7 +100,6 @@ class RunOptions:
     jobs: int = 1
     run_dir: Optional[PathLike] = None
     resume: bool = True
-    retries: int = 0
     timeout: Optional[float] = None
     audit: bool = False
     trace_dir: Optional[PathLike] = None
@@ -215,14 +213,12 @@ class RunOptions:
         :func:`~repro.runner.durable_map`)."""
         if self.run_dir is None:
             return parallel_map(
-                fn, items, jobs=self.jobs, retries=self.retries,
-                timeout=self.timeout,
+                fn, items, jobs=self.jobs, timeout=self.timeout,
             )
         return durable_map(
             fn, items, store=RunStore(self.run_dir, experiment, config=config),
             keys=keys, seeds=seeds, resume=self.resume, jobs=self.jobs,
-            retries=self.retries, timeout=self.timeout,
-            manifest_extra=manifest_extra,
+            timeout=self.timeout, manifest_extra=manifest_extra,
         )
 
 

@@ -221,7 +221,6 @@ def tail_at_scale_sweep(
     run_dir: Optional[Union[str, Path]] = None,
     resume: bool = True,
     experiment: str = "fig14",
-    retries: int = 0,
     timeout: Optional[float] = None,
     audit: bool = False,
     trace_dir: Optional[Union[str, Path]] = None,

@@ -4,9 +4,11 @@ ordering and seeding, plus the durable-run layer.
 ``parallel_map(fn, items, jobs)`` is the one entry point the
 experiment layer uses; :func:`derive_seed` is the seed discipline that
 makes ``jobs=1`` and ``jobs=N`` bit-identical. See
-:mod:`repro.runner.parallel` for the contract — including the
-self-healing knobs (``retries``, ``timeout``, ``failures="collect"``)
-that keep a sweep alive through crashed or hung workers.
+:mod:`repro.runner.parallel` for the contract — including the one
+crash policy (a crashed worker's suspects re-run alone in quarantine,
+so only the crasher fails) and the ``timeout`` and
+``failures="collect"`` knobs that keep a sweep alive through crashed
+or hung workers.
 
 :class:`RunStore` (:mod:`repro.runner.runstore`) journals completed
 sweep points to a run directory so interrupted sweeps resume instead

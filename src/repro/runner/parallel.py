@@ -14,22 +14,25 @@ while keeping the two properties the experiment layer relies on:
   *before* the fan-out (see :mod:`repro.runner.seeding`), so
   ``jobs=1`` and ``jobs=N`` produce identical results bit for bit.
 
-On top of the PR-2 fan-out this runner is **self-healing**: items run
-as individual ``submit()`` futures, so one worker dying (OOM kill,
-segfault, ``os._exit``) no longer aborts the whole sweep with a bare
-``BrokenProcessPool``. The pool is rebuilt, surviving items continue,
-and the items that were in flight at the moment of death are re-run
-one at a time in a *quarantine* pool of a single worker — if the pool
-breaks again there, the guilty item is identified beyond doubt and
-innocent bystanders keep their results. Failed items are retried up to
-a budget with capped backoff; an optional per-item wall-clock timeout
-kills hung workers the same way.
+On top of the fan-out this runner is **self-healing**, under one fixed
+crash policy: items run as individual ``submit()`` futures, so one
+worker dying (OOM kill, segfault, ``os._exit``) never aborts the whole
+sweep with a bare ``BrokenProcessPool``. The pool is rebuilt, and every
+item that was running or staged at the moment of death is re-run alone
+in a *quarantine* pool of a single worker. Only an item that crashes
+its quarantine worker too fails (kind ``crash``); innocent bystanders
+keep their results. An optional per-item wall-clock timeout kills hung
+workers and fails the expired item (kind ``timeout``). An item that
+raises is never re-run: it is seeded, so it would raise again — a
+journaled sweep re-runs it by resuming its run directory.
 
 The callable and items must be picklable (module-level functions,
 :func:`functools.partial` of them, plain-data arguments). ``jobs=1``
 (the default everywhere) never touches multiprocessing, and a pool
 that cannot be created at all — sandboxes without /dev/shm or fork —
 degrades to the same in-process path rather than failing the sweep.
+Once a pool has run, no item ever runs in the parent: a failure to
+start a later pool fails the items still owed (kind ``crash``).
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ from ..errors import PartialSweepError, ReproError, WorkerCrashError
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Backoff between pool rebuilds / item retries: ``BACKOFF_BASE * 2**k``
-#: capped at ``BACKOFF_CAP`` seconds. Real seconds, not simulated ones —
-#: this paces recovery from resource exhaustion (an OOM-killed worker
-#: retried instantly usually dies instantly again).
+#: Backoff between pool rebuilds: ``BACKOFF_BASE * 2**k`` capped at
+#: ``BACKOFF_CAP`` seconds. Real seconds, not simulated ones — this
+#: paces recovery from resource exhaustion (a pool rebuilt instantly
+#: after an OOM kill usually dies instantly again).
 BACKOFF_BASE = 0.05
 BACKOFF_CAP = 2.0
 
@@ -60,7 +63,8 @@ _POLL = 0.05
 
 @dataclass
 class ItemFailure:
-    """One sweep item that exhausted its retry budget.
+    """One sweep item that raised, crashed its quarantine worker, or
+    timed out.
 
     Returned in-place in the result list (``failures="collect"``) so a
     sweep with a few bad points still yields every good one; the
@@ -98,7 +102,11 @@ class _ItemState:
     index: int
     attempts: int = 0
     running_since: Optional[float] = None
-    suspect: bool = False  # was (possibly) running when the pool broke
+    suspect: bool = False  # (possibly) running when a pool broke
+
+
+class _PoolStartError(Exception):
+    """A process pool could not be created or handed its items."""
 
 
 @dataclass
@@ -107,27 +115,32 @@ class _MapRun:
 
     fn: Callable
     items: List[Any]
-    retries: int
     timeout: Optional[float]
     fail_fast: bool
     on_result: Optional[Callable[[int, Any], None]]
     results: List[Any] = field(default_factory=list)
     failures: List[ItemFailure] = field(default_factory=list)
+    pooled: bool = False  # some pool accepted an item
 
     def record(self, index: int, value: Any) -> None:
         self.results[index] = value
         if self.on_result is not None:
             self.on_result(index, value)
 
-    def fail(self, state: _ItemState, exc_repr: str, kind: str) -> None:
+    def fail(self, state: _ItemState, exc: BaseException, kind: str) -> None:
+        """Record *state*'s failure, or raise it now when failing fast:
+        the item's own exception, or a
+        :class:`~repro.errors.WorkerCrashError` for a crash/timeout."""
+        if self.fail_fast and kind == "exception":
+            raise exc
         failure = ItemFailure(
             index=state.index,
             item=self.items[state.index],
-            error=exc_repr,
+            error=repr(exc),
             kind=kind,
             attempts=state.attempts,
         )
-        if self.fail_fast and kind != "exception":
+        if self.fail_fast:
             raise WorkerCrashError(failure)
         self.failures.append(failure)
         self.results[state.index] = failure
@@ -138,7 +151,6 @@ def parallel_map(
     items: Iterable[T],
     jobs: Optional[int] = 1,
     *,
-    retries: int = 0,
     timeout: Optional[float] = None,
     on_result: Optional[Callable[[int, R], None]] = None,
     failures: str = "raise",
@@ -148,20 +160,19 @@ def parallel_map(
     Results keep item order. With ``jobs=1`` (or a single item) the map
     runs in-process — no pool, no pickling, no overhead.
 
-    Robustness knobs (all default to the historical fail-fast
-    behaviour):
+    A worker crash always settles in quarantine: the items that may
+    have been running re-run one at a time in a single-worker pool, and
+    only one that crashes there too fails (kind ``crash``). An item
+    that raises fails at once with its own exception.
 
-    * ``retries`` — per-item retry budget. An item that raises, crashes
-      its worker, or times out is re-run up to this many extra times
-      (with capped exponential backoff between pool rebuilds).
     * ``timeout`` — per-item wall-clock budget in real seconds. A
-      worker that exceeds it is killed and its item counts one attempt.
-      Only enforceable with ``jobs > 1`` (in-process there is no worker
-      to kill); ignored otherwise.
+      worker that exceeds it is killed and its item fails (kind
+      ``timeout``). Only enforceable with ``jobs > 1`` (in-process there
+      is no worker to kill); ignored otherwise.
     * ``on_result`` — ``on_result(index, result)`` called in the parent
       process as each item completes (journaling hook; completion
       order, not item order).
-    * ``failures`` — ``"raise"`` re-raises the first exhausted item's
+    * ``failures`` — ``"raise"`` re-raises the first failed item's
       exception immediately (worker crashes/timeouts raise
       :class:`~repro.errors.WorkerCrashError`); ``"collect"`` leaves an
       :class:`ItemFailure` in that item's result slot, lets every other
@@ -173,14 +184,11 @@ def parallel_map(
         raise ReproError(
             f'failures must be "raise" or "collect", got {failures!r}'
         )
-    if retries < 0:
-        raise ReproError(f"retries must be >= 0, got {retries!r}")
     items = list(items)
     jobs = resolve_jobs(jobs)
     run = _MapRun(
         fn=fn,
         items=items,
-        retries=retries,
         timeout=timeout,
         fail_fast=failures == "raise",
         on_result=on_result,
@@ -191,13 +199,14 @@ def parallel_map(
     else:
         try:
             _map_in_pool(run, jobs)
-        except (OSError, PermissionError) as exc:
-            # Pool infrastructure unavailable (restricted sandbox, no
-            # semaphores): degrade to in-process rather than fail the
-            # experiment. Results are identical by construction.
+        except _PoolStartError as exc:
+            # No pool could start at all (restricted sandbox, no
+            # semaphores or fork): degrade to in-process rather than
+            # fail the experiment. Results are identical by construction.
             warnings.warn(
-                f"process pool unavailable ({exc}); running {len(items)} "
-                f"items in-process", RuntimeWarning, stacklevel=2,
+                f"process pool unavailable ({exc.__cause__}); running "
+                f"{len(items)} items in-process", RuntimeWarning,
+                stacklevel=2,
             )
             _map_in_process(run)
     if run.failures:
@@ -206,32 +215,19 @@ def parallel_map(
 
 
 def _map_in_process(run: _MapRun) -> None:
-    """The serial path: same retry/collect semantics, no pool.
-
-    Worker crashes cannot be healed here (the "worker" is this very
-    process) and timeouts are unenforceable, so only plain exceptions
-    are retried.
-    """
+    """The serial path: same collect semantics, no pool. Worker
+    crashes cannot be healed here (the "worker" is this very process)
+    and timeouts are unenforceable."""
     for index, item in enumerate(run.items):
-        state = _ItemState(index)
-        while True:
-            state.attempts += 1
-            try:
-                run.record(index, run.fn(item))
-                break
-            except Exception as exc:
-                if state.attempts <= run.retries:
-                    time.sleep(_backoff(state.attempts))
-                    continue
-                if run.fail_fast:
-                    raise
-                run.fail(state, repr(exc), "exception")
-                break
+        try:
+            run.record(index, run.fn(item))
+        except Exception as exc:
+            run.fail(_ItemState(index, attempts=1), exc, "exception")
 
 
-def _backoff(attempt: int) -> float:
-    """Capped exponential backoff before retry *attempt*."""
-    return min(BACKOFF_BASE * (2 ** max(0, attempt - 1)), BACKOFF_CAP)
+def _backoff(rebuild: int) -> float:
+    """Capped exponential backoff before pool rebuild *rebuild*."""
+    return min(BACKOFF_BASE * (2 ** max(0, rebuild - 1)), BACKOFF_CAP)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -259,18 +255,29 @@ def _map_in_pool(run: _MapRun, jobs: int) -> None:
     replayed one at a time in a single-worker quarantine pool where
     blame is unambiguous. Unstarted items are resubmitted to a fresh
     main pool without losing an attempt.
+
+    Raises :class:`_PoolStartError` only when no pool ever accepted an
+    item; after that, a pool that cannot start fails every item still
+    owed rather than letting the caller run a crasher in-process.
     """
     pending = [_ItemState(i) for i in range(len(run.items))]
     rebuilds = 0
     while pending:
         suspects = [s for s in pending if s.suspect]
         healthy = [s for s in pending if not s.suspect]
-        if suspects:
-            # Quarantine: one item, one worker, exact attribution.
-            survivors = _drive_pool(run, suspects[:1], max_workers=1)
-            pending = survivors + suspects[1:] + healthy
-        else:
-            pending = _drive_pool(run, healthy, max_workers=jobs)
+        try:
+            if suspects:
+                # Quarantine: one item, one worker, exact attribution.
+                survivors = _drive_pool(run, suspects[:1], max_workers=1)
+                pending = survivors + suspects[1:] + healthy
+            else:
+                pending = _drive_pool(run, healthy, max_workers=jobs)
+        except _PoolStartError as exc:
+            if not run.pooled:
+                raise
+            for state in pending:
+                run.fail(state, exc.__cause__, "crash")
+            return
         if pending:
             rebuilds += 1
             time.sleep(_backoff(rebuilds))
@@ -282,28 +289,34 @@ def _drive_pool(
     """Run *states* in one pool until it finishes, breaks, or an item
     times out. Returns the states still owed a result (requeued and/or
     suspects for quarantine)."""
-    if not states:
-        return []
     workers = min(max_workers, len(states))
-    for state in states:
-        state.running_since = None
-        state.suspect = False
-    pool = ProcessPoolExecutor(max_workers=workers)
+    futures: Dict[Any, _ItemState] = {}
+    unsent: List[_ItemState] = []
+    pool = None
     try:
-        futures: Dict[Any, _ItemState] = {}
-        for state in states:
-            state.attempts += 1
-            futures[pool.submit(run.fn, run.items[state.index])] = state
-        return _reap(run, pool, futures, workers)
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            for position, state in enumerate(states):
+                try:
+                    future = pool.submit(run.fn, run.items[state.index])
+                except BrokenProcessPool:
+                    # A worker died while the rest were being handed
+                    # over: these never left the parent.
+                    unsent = states[position:]
+                    break
+                state.attempts += 1
+                futures[future] = state
+                run.pooled = True
+        except OSError as exc:
+            raise _PoolStartError() from exc
+        return _reap(run, futures, workers) + unsent
     finally:
-        _kill_pool(pool)
+        if pool is not None:
+            _kill_pool(pool)
 
 
 def _reap(
-    run: _MapRun,
-    pool: ProcessPoolExecutor,
-    futures: Dict[Any, _ItemState],
-    workers: int,
+    run: _MapRun, futures: Dict[Any, _ItemState], workers: int
 ) -> List[_ItemState]:
     """Collect futures until the map is done, the pool breaks, or an
     item times out. *futures* is insertion-ordered (submission order),
@@ -313,7 +326,6 @@ def _reap(
         done, _ = wait(futures, timeout=_POLL, return_when=FIRST_COMPLETED)
         now = time.monotonic()
         broken = False
-        resubmit: List[_ItemState] = []
         for future in done:
             exc = future.exception()
             if isinstance(exc, BrokenProcessPool):
@@ -323,22 +335,10 @@ def _reap(
                 broken = True
             elif exc is None:
                 run.record(futures.pop(future).index, future.result())
-            elif _retryable(run, state := futures.pop(future),
-                            exc, "exception"):
-                resubmit.append(state)
+            else:
+                run.fail(futures.pop(future), exc, "exception")
         if broken:
             return _after_break(run, futures, workers)
-        for state in resubmit:
-            state.running_since = None
-            state.attempts += 1
-            try:
-                futures[pool.submit(run.fn, run.items[state.index])] = state
-            except BrokenProcessPool:
-                # Pool died between the poll and the resubmit: the item
-                # provably was not running, so it keeps its refund.
-                state.attempts -= 1
-                survivors = _after_break(run, futures, workers)
-                return survivors + [state]
         # Timeout accounting: an item's clock starts the first time its
         # future reports running (dispatch to a worker), so time queued
         # behind other items doesn't count against its budget.
@@ -353,20 +353,6 @@ def _reap(
         if expired:
             return _after_timeout(run, futures, workers)
     return []
-
-
-def _retryable(
-    run: _MapRun, state: _ItemState, exc: BaseException, kind: str
-) -> bool:
-    """Retry *state* if budget remains, else record its failure.
-
-    Returns True when the item should be run again."""
-    if state.attempts <= run.retries:
-        return True
-    if kind == "exception" and run.fail_fast:
-        raise exc
-    run.fail(state, repr(exc), kind)
-    return False
 
 
 def _dispatched(
@@ -398,23 +384,24 @@ def _after_break(
 ) -> List[_ItemState]:
     """Classify every unfinished item after the pool died.
 
-    Possible culprits keep the attempt they just spent and go to
-    quarantine (a one-worker pool where a second death is attributed
-    beyond doubt); provably-queued items get their attempt refunded and
-    rejoin the next main pool.
+    Possible culprits go to quarantine (a one-worker pool where a
+    second death is attributed beyond doubt); a suspect that was
+    already alone in quarantine is the culprit and fails.
+    Provably-queued items get their attempt refunded and rejoin the
+    next main pool.
     """
-    suspects = _dispatched(futures, workers)
+    dispatched = _dispatched(futures, workers)
     exc = BrokenProcessPool("a process pool worker died unexpectedly")
     survivors = []
     for state in futures.values():
         state.running_since = None
-        if state.index in suspects:
-            if _retryable(run, state, exc, "crash"):
-                state.suspect = True
-                survivors.append(state)
-        else:
+        if state.index not in dispatched:
             state.attempts -= 1  # never dispatched; refund
-            state.suspect = False
+            survivors.append(state)
+        elif state.suspect:
+            run.fail(state, exc, "crash")
+        else:
+            state.suspect = True
             survivors.append(state)
     return survivors
 
@@ -425,10 +412,10 @@ def _after_timeout(
     """Classify every unfinished item after a per-item timeout.
 
     The caller kills the whole pool (a hung worker cannot be cancelled
-    individually), so expired items count their attempt, other
-    observed-running items go to quarantine with their attempt
-    refunded (their work was collateral damage, not their fault), and
-    queued items simply rejoin.
+    individually), so expired items fail, other observed-running items
+    go to quarantine with their attempt refunded (their work was
+    collateral damage, not their fault), and queued items simply
+    rejoin.
     """
     now = time.monotonic()
     exc = TimeoutError(
@@ -438,12 +425,8 @@ def _after_timeout(
     for state in futures.values():
         started = state.running_since
         state.running_since = None
-        expired = (started is not None
-                   and now - started > (run.timeout or 0.0))
-        if expired:
-            if _retryable(run, state, exc, "timeout"):
-                state.suspect = True  # rerun alone, on a fresh clock
-                survivors.append(state)
+        if started is not None and now - started > run.timeout:
+            run.fail(state, exc, "timeout")
         else:
             state.attempts -= 1  # killed pool took its attempt back
             state.suspect = started is not None

@@ -375,7 +375,6 @@ def durable_map(
     seeds: Optional[Sequence[int]] = None,
     resume: bool = True,
     jobs: Optional[int] = 1,
-    retries: int = 0,
     timeout: Optional[float] = None,
     manifest_extra: Optional[Any] = None,
 ) -> List[Any]:
@@ -384,7 +383,7 @@ def durable_map(
     Points whose *key* already has an ``ok`` journal entry are reused
     (``resume=True``) without touching a worker; the rest run in
     collect mode so one bad point cannot abort the sweep. Every
-    completion and every exhausted failure is journaled as it happens,
+    completion and every failure is journaled as it happens,
     and a manifest is written on the way out — on success, on partial
     failure, and on interrupt alike.
 
@@ -425,7 +424,6 @@ def durable_map(
             fn,
             [items[i] for i in todo],
             jobs=jobs,
-            retries=retries,
             timeout=timeout,
             on_result=journal_ok,
             failures="collect",

@@ -25,7 +25,7 @@ raises :class:`~repro.errors.ShardingError` carrying the full
 per-failure attribution (what died, at which journaled round, why) —
 a flapping worker is a real problem, not something to retry forever.
 This mirrors the sweep-level self-healing contract of
-:mod:`repro.runner.parallel` (retries + timeouts + quarantine), one
+:mod:`repro.runner.parallel` (quarantine + timeouts), one
 layer down.
 """
 

@@ -88,6 +88,24 @@ class TestScrapeUnderShards:
         for data in series.values():
             assert len(data["times"]) == len(data["values"]) > 0
 
+    def test_sharded_names_are_vanilla_minus_registry_series(self):
+        # Registry scraping is vanilla-only: a sharded point scrapes
+        # every tier and client series a vanilla point does, and none
+        # of the ``counter/*``/``gauge/*`` ones.
+        vanilla = measure_vanilla_point(
+            social_network, SN["qps"], SN["duration"], SN["warmup"],
+            SEED, network=det_fabric(), scrape_interval=0.01,
+        ).timeline["series"]
+        shard = sharded(
+            social_network, SN, 2, scrape_interval=0.01,
+        ).timeline["series"]
+        assert set(shard) <= set(vanilla)
+        missing = set(vanilla) - set(shard)
+        assert missing and missing == {
+            name for name in vanilla
+            if name.startswith(("counter/", "gauge/"))
+        }
+
     def test_scrape_on_outcome_matches_scrape_off(self):
         off = sharded(social_network, SN, 2)
         on = sharded(social_network, SN, 2, scrape_interval=0.01)

@@ -148,12 +148,13 @@ class TestExecutionOptionsTable:
         header, *rows = _markdown_table(doc, "experiment")
         names = [cell.strip("`") for cell in header[1:]]
         assert names == [f.name for f in fields(RunOptions)]
-        documented = {
-            row[0].strip("`"): {n for n, c in zip(names, row[1:]) if c}
-            for row in rows
-        }
-        actual = {
-            spec.exp_id: {n for n in names if spec.supports(n)}
-            for spec in registry.all_experiments()
-        }
-        assert documented == actual
+        assert [row[0].strip("`") for row in rows] == [
+            spec.exp_id for spec in registry.all_experiments()
+        ]
+        for row in rows:
+            spec = registry.get(row[0].strip("`"))
+            assert len(row) == len(header), spec.exp_id
+            for name, cell in zip(names, row[1:]):
+                assert cell in ("", "✓"), (spec.exp_id, name, cell)
+                assert (cell == "✓") == spec.supports(name), (
+                    spec.exp_id, name)
