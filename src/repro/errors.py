@@ -157,9 +157,9 @@ class WorkerCrashError(ReproError):
     """A pool worker died (or hung past its timeout) running one item.
 
     Raised in fail-fast mode (``failures="raise"``) once the item's
-    lone quarantine run crashed too, or it timed out — or, once some
-    pool has run, when no new pool can start; carries the structured
-    :class:`~repro.runner.ItemFailure` as ``failure`` for attribution.
+    lone quarantine run crashed too, or it timed out; carries the
+    structured :class:`~repro.runner.ItemFailure` as ``failure`` for
+    attribution.
     """
 
     def __init__(self, failure) -> None:

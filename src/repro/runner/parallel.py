@@ -32,7 +32,9 @@ The callable and items must be picklable (module-level functions,
 that cannot be created at all — sandboxes without /dev/shm or fork —
 degrades to the same in-process path rather than failing the sweep.
 Once a pool has run, no item ever runs in the parent: a failure to
-start a later pool fails the items still owed (kind ``crash``).
+start a later pool fails the items still owed (kind ``no_pool``), and
+in fail-fast mode raises a :class:`~repro.errors.ReproError` that
+blames no item.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class ItemFailure:
     index: int  #: position in the item list
     item: Any  #: the work item itself (repr'd in messages)
     error: str  #: repr of the final exception
-    kind: str  #: "exception" | "crash" | "timeout"
+    kind: str  #: "exception" | "crash" | "timeout" | "no_pool"
     attempts: int  #: how many times the item was tried
     seed: Optional[int] = None  #: derived seed, when the caller knows it
 
@@ -258,7 +260,9 @@ def _map_in_pool(run: _MapRun, jobs: int) -> None:
 
     Raises :class:`_PoolStartError` only when no pool ever accepted an
     item; after that, a pool that cannot start fails every item still
-    owed rather than letting the caller run a crasher in-process.
+    owed (kind ``no_pool``; fail-fast mode raises a ``ReproError``
+    naming no item) rather than letting the caller run a crasher
+    in-process.
     """
     pending = [_ItemState(i) for i in range(len(run.items))]
     rebuilds = 0
@@ -275,8 +279,14 @@ def _map_in_pool(run: _MapRun, jobs: int) -> None:
         except _PoolStartError as exc:
             if not run.pooled:
                 raise
+            if run.fail_fast:
+                raise ReproError(
+                    f"no process pool could start after an earlier one "
+                    f"ran ({exc.__cause__!r}); {len(pending)} item(s) "
+                    f"still owed"
+                ) from exc.__cause__
             for state in pending:
-                run.fail(state, exc.__cause__, "crash")
+                run.fail(state, exc.__cause__, "no_pool")
             return
         if pending:
             rebuilds += 1

@@ -132,16 +132,16 @@ class Connection:
         return seq
 
     def deliver_in_order(
-        self, direction: str, seq: int, deliver: Callable[[], None]
+        self, direction: str, seq: int, deliver: Callable[..., None], *args
     ) -> None:
-        """Run *deliver* once every earlier message in this direction
-        has been delivered (parking it until then)."""
+        """Run ``deliver(*args)`` once every earlier message in this
+        direction has been delivered (parking it until then)."""
         expected = self._deliver_seq.get(direction, 0) + 1
         if seq != expected:
-            self._parked.setdefault(direction, {})[seq] = deliver
+            self._parked.setdefault(direction, {})[seq] = (deliver, args)
             return
         self._deliver_seq[direction] = seq
-        deliver()
+        deliver(*args)
         parked = self._parked.get(direction)
         while parked:
             nxt = self._deliver_seq[direction] + 1
@@ -149,7 +149,8 @@ class Connection:
             if release is None:
                 break
             self._deliver_seq[direction] = nxt
-            release()
+            deliver, args = release
+            deliver(*args)
 
     def __repr__(self) -> str:
         state = (

@@ -1,13 +1,12 @@
 """Generic shard-side world adapter: any registered topology under
 ``--shards``.
 
-:class:`ShardedDispatcher` runs the real
-:class:`~repro.topology.Dispatcher` / ``Microservice`` wiring behind
-ShardHost mailboxes, so any builder's world shards through
-:func:`run_world_sharded` (or :func:`sharded_load_point` for a load
-point) — no world needs a hand re-expression of its dispatch logic,
-and :func:`validate_world_shardable` is the one gate on which worlds
-can.
+:class:`ShardedDispatcher` is the real
+:class:`~repro.topology.Dispatcher` behind ShardHost mailboxes, so any
+builder's world shards through :func:`run_world_sharded` (or
+:func:`sharded_load_point` for a load point) — no world needs a hand
+re-expression of its dispatch logic, and
+:func:`validate_world_shardable` is the one gate on which worlds can.
 
 The scheme — **full-world replication with machine ownership**:
 
@@ -19,20 +18,24 @@ The scheme — **full-world replication with machine ownership**:
   same values on every replica — placement decides *where* a stream
   is consumed, never *what* it yields.
 * every simulated machine is owned by exactly one shard (the
-  :func:`~repro.shard.partition.plan_shards` assignment). All
-  decisions attached to a machine — instance resolution, pool
-  checkout, sequence stamping, message-size draws, the tx netproc and
-  the wire-delay draw — execute on the owning shard, on per-machine
-  RNG streams (``shard-dispatch/{machine}`` / ``shard-net/{machine}``)
-  so the draw order is shard-count invariant. Delivery-side work —
-  the rx netproc, in-order delivery, fan-in counting, node ops, and
-  the service visit itself — executes on the shard owning the target
-  instance's machine.
-* a node visit crossing machines becomes a ``ShardMessage`` stamped
-  ``now + wire_delay >= now + lookahead`` (the fabric's propagation
-  floor *is* the plan's lookahead, so the conservative guarantee
-  holds by construction). Same-machine hops short-circuit through
-  loopback exactly like the vanilla dispatcher.
+  :func:`~repro.shard.partition.plan_shards` assignment). A node
+  visit is the vanilla dispatcher's two steps around the wire:
+  *route* (instance, pool checkout, sequence stamp, message size),
+  then the tx netproc and the wire-delay draw, all on the sender's
+  shard; *start visit* (in-flight count, job, ``on_enter`` op, span)
+  on the shard owning the instance, after the rx netproc and in-order
+  delivery. Each request runs on vanilla ``_RequestState`` —
+  a replica group on every shard but the root.
+* the dispatcher overrides only the four steps ownership forces:
+  decisions draw from per-machine streams (``shard-dispatch/{machine}``
+  / ``shard-net/{machine}``) so the draw order is shard-count
+  invariant; a message whose receiver another shard owns crosses as a
+  ``ShardMessage`` stamped ``now + wire_delay >= now + lookahead``
+  (the fabric's propagation floor *is* the plan's lookahead, so the
+  conservative guarantee holds by construction); instances resolve
+  statically, since services are single-instance; and the visit
+  starts on arrival, with fan-in counted there. Same-machine hops
+  short-circuit through loopback exactly like the vanilla dispatcher.
 
 Contracts (asserted for the two-tier and Social Network worlds by
 ``tests/shard/test_adapter_identity.py``, for every ``repro.apps``
@@ -70,26 +73,35 @@ by ``tests/shard/test_fanout_equivalence.py`` and, at 500 leaves,
   ``ShardHost`` subclasses.
 
 Telemetry ships home at ``finalize()``: each shard returns the spans
-and events of the requests it touched (only when tracing is on — a
+and events of the replica requests it ran (only when tracing is on — a
 trace-off run never pays the shipping cost), the root shard returns
 the vanilla client payload and SLO summary, and
 :func:`run_world_sharded` merges everything into the same
 :class:`~repro.experiments.loadsweep.WorldRun` the vanilla core
-returns — one point builder per result type serves both.
+returns — one point builder per result type serves both. The merged
+closed spans equal vanilla's, with two departures: a span opens when
+its visit starts, on arrival, so an entry message still in flight at
+the horizon leaves no span where vanilla has an open one; and the
+merge orders a request's spans by ``(enter, attempt, node)``, so
+siblings entered at the same instant sort by node name and span ids
+can differ from vanilla's.
 
 Not everything can run under the adapter; unsupported shapes raise
 :class:`~repro.errors.ShardingError` at build time rather than
 diverging silently: multi-instance services (placement would need a
-cross-shard balancer), resilience policies (retry/hedge timers would
-race the window barrier), ``connection_of`` ops whose target node
-lives on a different machine, and in-simulation fault plans.
+cross-shard balancer), pools other than ``round_robin`` behind a tree
+node (``least_outstanding`` reads counters split across shards), trees
+whose sinks run on more than one machine (the sink count lives on one
+shard), ``connection_of`` ops whose target node lives on a different
+machine, and in-simulation fault plans. Resilience policies
+(retry/hedge timers would race the window barrier) are refused at the
+first submit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..engine import PRIORITY_ARRIVAL
 from ..errors import ShardingError
 from ..experiments.loadsweep import (
     WorldRun,
@@ -99,10 +111,15 @@ from ..experiments.loadsweep import (
     sweep_point,
 )
 from ..experiments.options import implied_trace
-from ..service import Job, Request
-from ..service.job import OUTCOME_OK
-from ..telemetry.tracing import Span, SpanEvent, TraceConfig, trace_requested
-from ..topology.dispatcher import Dispatcher, _RequestGroup
+from ..service import Connection, Request
+from ..telemetry.tracing import (
+    Span,
+    SpanEvent,
+    Trace,
+    TraceConfig,
+    trace_requested,
+)
+from ..topology.dispatcher import Dispatcher, _RequestGroup, _RequestState
 from ..topology.path_tree import PathNode, PathTree
 from ..workload import OpenLoopClient
 from .partition import ShardPlan, plan_shards
@@ -173,6 +190,15 @@ def validate_world_shardable(world) -> Dict[Tuple[str, str], str]:
                     f"balancer would split its rotation state)"
                 )
             node_machine[(tree.name, node.name)] = instances[0].machine_name
+            policy = deployment.pool_policy(node.service)
+            if node.same_instance_as is None and policy != "round_robin":
+                raise ShardingError(
+                    f"node {node.name!r} checks out connections to "
+                    f"{node.service!r} from a {policy!r} pool; only "
+                    f"round_robin checkout is shard-count invariant "
+                    f"(least_outstanding reads counters that are split "
+                    f"across shards)"
+                )
         for node in tree.nodes:
             mine = node_machine[(tree.name, node.name)]
             for op in (node.on_enter, node.on_leave):
@@ -186,43 +212,39 @@ def validate_world_shardable(world) -> Dict[Tuple[str, str], str]:
                             f"{mine!r}: cross-machine block/unblock "
                             f"targets are not shardable"
                         )
+        sink_machines = sorted({
+            node_machine[(tree.name, sink.name)] for sink in tree.sinks
+        })
+        if len(sink_machines) > 1:
+            raise ShardingError(
+                f"tree {tree.name!r} has sinks on machines "
+                f"{sink_machines}: a request completes when all its "
+                f"sinks have left, and the adapter counts them on one "
+                f"machine's shard"
+            )
     return node_machine
 
 
-class _AdapterState:
-    """Per-request bookkeeping on one shard (the sharded counterpart
-    of the dispatcher's ``_RequestState``; exposes the ``node_conn`` /
-    ``request`` surface the inherited ``_apply_op`` reads)."""
-
-    __slots__ = (
-        "request", "tree", "node_instance", "node_conn", "node_conn_key",
-        "arrivals", "my_remaining", "used_conns", "spans", "events",
-        "traced",
-    )
-
-    def __init__(self, request: Request, tree: PathTree,
-                 my_remaining: int, traced: bool) -> None:
-        self.request = request
-        self.tree = tree
-        self.node_instance: Dict[str, Any] = {}
-        self.node_conn: Dict[str, Any] = {}
-        self.node_conn_key: Dict[str, Optional[tuple]] = {}
-        self.arrivals: Dict[str, int] = {}
-        self.my_remaining = my_remaining
-        self.used_conns: List[Any] = []
-        self.traced = traced
-        self.spans: Dict[str, Span] = {}
-        self.events: List[tuple] = []
-
-
 class ShardedDispatcher(Dispatcher):
-    """The vanilla dispatcher with cross-machine legs routed through a
-    :class:`~repro.shard.sync.ShardHost` mailbox.
+    """The vanilla dispatcher on one shard of a world whose machines
+    are split across shards.
 
     Constructed *from* an already-built world: it adopts the world's
     registered trees and replaces the world's dispatcher. Requests are
     only ever submitted on the root shard (where the client machine
-    lives); every other shard sees them as inbound ``enter`` messages.
+    lives); other shards hear of a request from its first message and
+    hold a replica group for it. Every step of the node visit is the
+    vanilla code on ``_RequestState`` except the four that machine
+    ownership forces:
+
+    1. :meth:`_streams` — decisions draw from per-machine streams;
+    2. :meth:`_cross` — a message for a machine another shard owns
+       goes through the mailbox;
+    3. :meth:`_resolve_instance` — instances resolve statically;
+    4. :meth:`_enter_node` — the visit starts on arrival
+       (:meth:`_arrive_visit`), with fan-in counted there.
+
+    :meth:`submit` additionally refuses resilience policies.
     """
 
     def __init__(self, host: "WorldShardHost", world, assignments: Dict[str, int],
@@ -236,11 +258,9 @@ class ShardedDispatcher(Dispatcher):
         self._host = host
         self._assignments = dict(assignments)
         self._span_breakdown = span_breakdown
-        self._node_machine = validate_world_shardable(world)
-        #: tree name -> how many of its nodes this shard executes;
-        #: drives per-request state teardown.
+        #: tree name -> how many of its nodes this shard executes.
         self._my_node_count: Dict[str, int] = {}
-        for (tree_name, _node), machine in self._node_machine.items():
+        for (tree_name, _node), machine in validate_world_shardable(world).items():
             if self._assignments[machine] == host.shard_id:
                 self._my_node_count[tree_name] = (
                     self._my_node_count.get(tree_name, 0) + 1
@@ -253,82 +273,82 @@ class ShardedDispatcher(Dispatcher):
         self._instances_by_name = {
             inst.name: inst for inst in world.deployment.all_instances
         }
-        self._states: Dict[int, _AdapterState] = {}
-        self._groups: Dict[int, _RequestGroup] = {}
-        #: request_id -> (spans, events) of completed requests this
-        #: shard touched; shipped home in ``finalize``. Never written
-        #: when tracing is off.
-        self._trace_shadow: Dict[int, Tuple[list, list]] = {}
-        self._machine_rngs: Dict[str, Any] = {}
-        self._machine_nets: Dict[str, Any] = {}
-        #: ``id(pool) -> {id(conn): index}`` so a checked-out
-        #: connection can be named to another shard by a picklable
-        #: ``(pool_upstream, instance, index)`` key.
-        self._conn_indices: Dict[int, Dict[int, int]] = {}
+        #: request id -> this shard's state of a request a mailbox
+        #: message may still name here.
+        self._live: Dict[int, _RequestState] = {}
+        #: Traces of the sampled requests this shard holds replicas
+        #: of; their spans and events ship home in ``finalize``.
+        self._replica_traces: List[Trace] = []
+        self._machine_streams: Dict[str, tuple] = {}
+        self._conn_keys: Dict[Connection, tuple] = {}
+        if host.is_root:
+            self.on_outcome(self._retire_resolved)
 
-    # Per-machine decision contexts ------------------------------------
+    # Ownership overrides ----------------------------------------------
 
-    def _machine_rng(self, machine: str):
-        rng = self._machine_rngs.get(machine)
-        if rng is None:
-            rng = self.sim.random.stream(f"shard-dispatch/{machine}")
-            self._machine_rngs[machine] = rng
-        return rng
-
-    def _machine_net(self, machine: str):
-        net = self._machine_nets.get(machine)
-        if net is None:
-            net = self.network.delay_sampler(
-                self.sim.random.stream(f"shard-net/{machine}")
+    def _streams(self, machine: str) -> tuple:
+        """Override 1: every machine's decisions draw from its own
+        streams (``shard-dispatch/{machine}`` / ``shard-net/{machine}``),
+        so the draw order does not depend on the shard count."""
+        streams = self._machine_streams.get(machine)
+        if streams is None:
+            streams = self._machine_streams[machine] = (
+                self.sim.random.stream(f"shard-dispatch/{machine}"),
+                self.network.delay_sampler(
+                    self.sim.random.stream(f"shard-net/{machine}")
+                ),
             )
-            self._machine_nets[machine] = net
-        return net
+        return streams
 
-    def _shard_of(self, machine: str) -> int:
-        try:
-            return self._assignments[machine]
-        except KeyError:
-            raise ShardingError(
-                f"machine {machine!r} is not in the shard plan "
-                f"(known: {sorted(self._assignments)})"
-            )
+    def _cross(self, delay, dst_machine, size_bytes, request, arrive, args,
+               on_lost) -> None:
+        """Override 2: a message for a machine another shard owns
+        leaves through the mailbox, stamped at its wire arrival; that
+        shard continues it in :meth:`_receive`."""
+        dst_shard = self._shard_of(dst_machine)
+        if dst_shard == self._host.shard_id:
+            super()._cross(delay, dst_machine, size_bytes, request, arrive,
+                           args, on_lost)
+            return
+        kind, fields = self._export(arrive, args)
+        self._host.send(dst_shard, self.sim.now + delay, kind,
+                        (dst_machine, size_bytes, fields))
 
-    # Connection naming ------------------------------------------------
+    def _resolve_instance(self, state: _RequestState, node: PathNode):
+        """Override 3: services are single-instance (checked at build),
+        so every node resolves statically — a ``same_instance_as``
+        target that ran on another shard included."""
+        return self.deployment.instances(node.service)[0]
 
-    def _checkout(self, state: _AdapterState, upstream_key: str, instance):
-        pool = self.deployment.pool_between(upstream_key, instance)
-        if pool.policy != "round_robin":
-            raise ShardingError(
-                f"pool {upstream_key!r}->{instance.name!r} uses policy "
-                f"{pool.policy!r}; only round_robin checkout is "
-                f"shard-count invariant (least_outstanding reads "
-                f"counters that are split across shards)"
-            )
-        conn = pool.checkout()
-        conn.outstanding += 1
-        state.used_conns.append(conn)
-        index = self._conn_index(pool, conn)
-        return conn, (upstream_key, instance.name, index)
+    def _enter_node(self, state: _RequestState, node: PathNode,
+                    src_instance, parent_conn) -> None:
+        """Override 4: every parent routes and sends its own copy of
+        the visit; the fan-in join and the visit start run on arrival,
+        on the shard owning the instance (:meth:`_arrive_visit`)."""
+        if self._host.is_root:
+            # The root hears back about every request it submitted (the
+            # response), so it keeps each until it resolves.
+            self._live.setdefault(state.request.request_id, state)
+        src_machine, instance, conn, size, upstream_key = self._route(
+            state, node, src_instance, parent_conn
+        )
+        self._send(state, src_machine, instance, conn, size,
+                   self._arrive_visit, state, node, instance, conn, size,
+                   upstream_key, self.sim.now)
 
-    def _conn_index(self, pool, conn) -> int:
-        table = self._conn_indices.get(id(pool))
-        if table is None:
-            table = {id(c): i for i, c in enumerate(pool.connections)}
-            self._conn_indices[id(pool)] = table
-        return table[id(conn)]
-
-    def _resolve_conn_key(self, key: Optional[tuple]):
-        """A ``(pool_upstream, instance, index)`` key -> this replica's
-        connection object (pools are created lazily and identically on
-        every replica, so the index is globally meaningful)."""
-        if key is None:
-            return None
-        upstream_key, instance_name, index = key
-        instance = self._instances_by_name[instance_name]
-        pool = self.deployment.pool_between(upstream_key, instance)
-        return pool.connections[index]
-
-    # Submit (root shard only) -----------------------------------------
+    def _arrive_visit(self, state: _RequestState, node: PathNode, instance,
+                      conn, size: float, upstream_key: str,
+                      sent_at: float) -> None:
+        if not self._join(state, node):
+            return  # fan-in not satisfied yet; this arrival only counts
+        job = self._start_visit(state, node, instance, conn, size,
+                                upstream_key, sent_at)
+        if (not self._host.is_root and len(state.entered)
+                == self._my_node_count[state.tree.name]):
+            # Every node this shard runs has started, so no further
+            # message for the request can reach it.
+            del self._live[state.request.request_id]
+        instance.accept(job, node.path_id, node.path_name)
 
     def submit(self, request: Request, on_complete=None,
                client_name: str = "client", client_machine: str = "client",
@@ -339,309 +359,111 @@ class ShardedDispatcher(Dispatcher):
                 "supported under the shard adapter yet — their timers "
                 "would race the conservative window barrier"
             )
-        self.requests_submitted += 1
-        group = _RequestGroup(request, None, on_complete,
-                              client_name, client_machine)
-        if self._tracer is not None:
-            group.trace = self._tracer.start_trace(request)
-            if group.trace is not None:
-                request.metadata["trace"] = group.trace
-        self._groups[request.request_id] = group
-        tree = self._pick_tree(request)
-        request.attempts += 1
-        self.attempts_launched += 1
-        state = self._ensure_state(request.request_id, tree.name,
-                                   request=request,
-                                   traced=group.trace is not None)
-        for root in tree.roots:
-            self._send_enter(state, root, src_machine=client_machine,
-                             upstream_key=client_name,
-                             parent_conn=None, parent_conn_key=None)
+        super().submit(request, on_complete, client_name, client_machine)
 
-    # Decision side: resolve + ship one node entry ---------------------
+    # The mailbox ------------------------------------------------------
 
-    def _send_enter(self, state: _AdapterState, node: PathNode,
-                    src_machine: str, upstream_key: str,
-                    parent_conn, parent_conn_key) -> None:
+    def _shard_of(self, machine: str) -> int:
+        try:
+            return self._assignments[machine]
+        except KeyError:
+            raise ShardingError(
+                f"machine {machine!r} is not in the shard plan "
+                f"(known: {sorted(self._assignments)})"
+            )
+
+    def _export(self, arrive, args) -> Tuple[str, tuple]:
+        """A pending arrival as a picklable ``(kind, fields)`` message
+        body; :meth:`_import` is its inverse on the receiving shard."""
+        if arrive == self._finish_attempt:
+            (state,) = args
+            return "response", (state.request.request_id,)
+        # self._deliver(conn, receiver, seq, self._arrive_visit, visit)
+        conn, _receiver, seq, _accept, visit = args
+        state, node, _instance, _conn, size, upstream_key, sent_at = visit
         request = state.request
-        tree = state.tree
-        if node.same_instance_as is not None:
-            # Single-instance services make the pin statically
-            # resolvable; the connection rides along from the parent
-            # (no checkout), exactly like the vanilla dispatcher.
-            conn, conn_key = parent_conn, parent_conn_key
-        else:
-            conn = conn_key = None  # checked out below, once we know the target
-        instance = self.deployment.instances(node.service)[0]
-        if node.same_instance_as is None:
-            conn, conn_key = self._checkout(state, upstream_key, instance)
-        rng = self._machine_rng(src_machine)
-        size = node.message_bytes(request.size_bytes, rng)
-        seq = conn.next_seq(instance.name) if conn is not None else None
-        payload = (
+        return "visit", (
             request.request_id, request.request_type, request.created_at,
-            request.size_bytes, state.traced, tree.name, node.name,
-            upstream_key, conn_key, seq, size, self.sim.now,
-        )
-        self._ship(request, src_machine, instance.machine_name,
-                   size, "enter", payload)
-
-    def _ship(self, request: Request, src_machine: str, dst_machine: str,
-              size_bytes: float, kind: str, payload: tuple) -> None:
-        """Route one message; the sharded counterpart of ``_hop``.
-
-        Same-machine legs short-circuit through loopback (one
-        transient event, no netprocs — vanilla semantics). Cross-
-        machine legs pass through the sender's netproc, draw the wire
-        delay on the sender machine's stream, and then either schedule
-        locally (receiver co-sharded) or cross the mailbox; the
-        receiver-side netproc runs at delivery in :meth:`_arrive`.
-        """
-        if self.network.is_partitioned(src_machine, dst_machine):
-            raise ShardingError(
-                f"link {src_machine}->{dst_machine} is partitioned: "
-                f"in-simulation network faults are not supported under "
-                f"the shard adapter (run the fault plan with shards=1)"
-            )
-        net = self._machine_net(src_machine)
-        if src_machine == dst_machine:
-            # Loopback: one transient event, no netprocs on either
-            # side (wire=False skips the receiver's netproc too).
-            delay = net.delay(src_machine, dst_machine, size_bytes)
-            self.sim.schedule_transient(
-                delay, self._arrive, kind, payload, False,
-                priority=PRIORITY_ARRIVAL,
-            )
-            return
-
-        def over_wire() -> None:
-            delay = net.delay(src_machine, dst_machine, size_bytes)
-            dst_shard = self._shard_of(dst_machine)
-            if dst_shard == self._host.shard_id:
-                self.sim.schedule_transient(
-                    delay, self._arrive, kind, payload, True,
-                    priority=PRIORITY_ARRIVAL,
-                )
-            else:
-                self._host.send(dst_shard, self.sim.now + delay,
-                                kind, payload)
-
-        tx_proc = self.deployment.netproc(src_machine)
-        if tx_proc is None:
-            over_wire()
-            return
-        tx_job = Job(request, size_bytes=size_bytes)
-        tx_job.on_complete = lambda _j: over_wire()
-        tx_job.on_discard = lambda _j: self._lost(src_machine, dst_machine)
-        tx_proc.accept(tx_job)
-
-    def _lost(self, src_machine: str, dst_machine: str) -> None:
-        raise ShardingError(
-            f"message {src_machine}->{dst_machine} was discarded by a "
-            f"netproc: instance faults are not supported under the "
-            f"shard adapter"
+            request.size_bytes, state.group.trace is not None,
+            state.tree.name, node.name, self._conn_key(conn), seq, size,
+            upstream_key, sent_at,
         )
 
-    # Delivery side ----------------------------------------------------
-
-    def _arrive(self, kind: str, payload: tuple, wire: bool = True) -> None:
-        """Apply one delivered message on the owning shard (called
-        both for loopback/co-sharded legs and, via the host's
-        ``handle``, for mailbox messages). *wire=False* marks a
-        same-machine loopback delivery, which bypasses the receiver's
-        netproc exactly like the vanilla ``_hop``."""
-        if kind == "enter":
-            self._arrive_enter(payload, wire)
-        elif kind == "response":
-            self._arrive_response(payload, wire)
-        else:
-            raise ShardingError(f"unknown shard message kind {kind!r}")
-
-    def _arrive_enter(self, payload: tuple, wire: bool) -> None:
+    def _import(self, kind: str, fields: tuple):
+        """A message body back to ``(request, arrive, args)``."""
+        if kind == "response":
+            (rid,) = fields
+            state = self._live[rid]
+            return state.request, self._finish_attempt, (state,)
         (rid, rtype, created_at, req_size, traced, tree_name, node_name,
-         upstream_key, conn_key, seq, size, sent_at) = payload
-        state = self._ensure_state(
-            rid, tree_name, traced=traced,
-            request_fields=(rtype, created_at, req_size),
+         conn_key, seq, size, upstream_key, sent_at) = fields
+        state = self._live.get(rid)
+        if state is None:
+            state = self._replica(rid, rtype, created_at, req_size, traced,
+                                  tree_name)
+        node = state.tree.node(node_name)
+        instance = self._resolve_instance(state, node)
+        conn = self._conn_of(conn_key)
+        visit = (state, node, instance, conn, size, upstream_key, sent_at)
+        return state.request, self._deliver, (
+            conn, instance.name, seq, self._arrive_visit, visit
         )
-        tree = state.tree
-        node = tree.node(node_name)
-        instance = self.deployment.instances(node.service)[0]
-        conn = self._resolve_conn_key(conn_key)
 
-        def accept() -> None:
-            self._accept_entry(state, node, instance, upstream_key,
-                               conn, conn_key, size, sent_at)
+    def _receive(self, kind: str, payload: tuple) -> None:
+        """Continue a message another shard handed over in
+        :meth:`_cross`: the receiver's netproc, then its arrival."""
+        dst_machine, size_bytes, fields = payload
+        request, arrive, args = self._import(kind, fields)
+        # Only fault plans lose messages, and the adapter refuses them,
+        # so nothing is owed on loss.
+        self._after_wire(dst_machine, size_bytes, request, arrive, args, None)
 
-        def deliver() -> None:
-            if conn is not None:
-                conn.deliver_in_order(instance.name, seq, accept)
-            else:
-                accept()
+    def _conn_key(self, conn) -> Optional[tuple]:
+        """Name *conn* to another shard as ``(upstream, receiver,
+        index)``: every replica creates the same pools, so
+        :meth:`_conn_of` finds the same connection there."""
+        if conn is None:
+            return None
+        key = self._conn_keys.get(conn)
+        if key is None:  # a pool created since the last lookup
+            for (upstream, receiver), pool in self.deployment._pools.items():
+                for index, each in enumerate(pool.connections):
+                    self._conn_keys[each] = (upstream, receiver, index)
+            key = self._conn_keys[conn]
+        return key
 
-        rx_proc = (
-            self.deployment.netproc(instance.machine_name) if wire else None
+    def _conn_of(self, key: Optional[tuple]):
+        if key is None:
+            return None
+        upstream, receiver, index = key
+        pool = self.deployment.pool_between(
+            upstream, self._instances_by_name[receiver]
         )
-        if rx_proc is None:
-            deliver()
-            return
-        rx_job = Job(state.request, size_bytes=size)
-        rx_job.on_complete = lambda _j: deliver()
-        rx_job.on_discard = lambda _j: self._lost(
-            upstream_key, instance.machine_name
-        )
-        rx_proc.accept(rx_job)
+        return pool.connections[index]
 
-    def _accept_entry(self, state: _AdapterState, node: PathNode, instance,
-                      upstream_key: str, conn, conn_key,
-                      size: float, sent_at: float) -> None:
-        arrived = state.arrivals.get(node.name, 0) + 1
-        state.arrivals[node.name] = arrived
-        if arrived < state.tree.fan_in(node.name):
-            return  # fan-in not satisfied yet; this arrival only counts
-        state.node_instance[node.name] = instance
-        state.node_conn[node.name] = conn
-        state.node_conn_key[node.name] = conn_key
-        instance.pending_dispatch += 1
-        job = Job(state.request, size_bytes=size, connection=conn)
-        job.on_complete = lambda j, _n=node: self._leave_node_sharded(
-            state, _n, j
-        )
-        job.on_fail = lambda j: self._lost(upstream_key, instance.machine_name)
-        self._apply_op(node.on_enter, state, job)
-        if state.traced:
-            # ``enter`` is the decision-side send stamp carried in the
-            # payload — the same instant the vanilla tracer records.
-            state.spans[node.name] = Span(
-                node.name, instance.name, node.service, 0, sent_at,
-                upstream=upstream_key,
-            )
-        instance.accept(job, node.path_id, node.path_name)
+    # Request lifecycle ------------------------------------------------
 
-    def _leave_node_sharded(self, state: _AdapterState, node: PathNode,
-                            job: Job) -> None:
-        instance = state.node_instance[node.name]
-        instance.pending_dispatch -= 1
-        self._apply_op(node.on_leave, state, job)
-        if state.traced:
-            span = state.spans.get(node.name)
-            if span is not None:
-                span.finish(self.sim.now, job=job,
-                            breakdown=self._span_breakdown)
-        children = state.tree.children(node.name)
-        if not children:
-            self._complete_sharded(state, node)
-        else:
-            conn = state.node_conn[node.name]
-            conn_key = state.node_conn_key[node.name]
-            for child in children:
-                self._send_enter(
-                    state, child, src_machine=instance.machine_name,
-                    upstream_key=instance.name,
-                    parent_conn=conn, parent_conn_key=conn_key,
-                )
-        state.my_remaining -= 1
-        self._maybe_cleanup(state)
-
-    def _complete_sharded(self, state: _AdapterState, last_node: PathNode) -> None:
-        instance = state.node_instance[last_node.name]
-        group = self._groups.get(state.request.request_id)
-        client_machine = (
-            group.client_machine if group is not None
-            else self._host.client_machine
-        )
-        rng = self._machine_rng(instance.machine_name)
-        response_size = state.tree.response_size(
-            state.request.size_bytes, rng
-        )
-        if state.traced:
-            state.events.append((self.sim.now, "response_sent",
-                                 {"attempt": 0}))
-        self._ship(state.request, instance.machine_name, client_machine,
-                   response_size, "response",
-                   (state.request.request_id, response_size))
-
-    def _arrive_response(self, payload: tuple, wire: bool) -> None:
-        rid, response_size = payload
-        group = self._groups.get(rid)
-        if group is None:
-            raise ShardingError(
-                f"shard {self._host.shard_id} received a response for "
-                f"request {rid} but holds no group: responses must "
-                f"arrive at the root shard"
-            )
-        rx_proc = (
-            self.deployment.netproc(group.client_machine) if wire else None
-        )
-        if rx_proc is None:
-            self._finish_request(rid)
-            return
-        rx_job = Job(group.request, size_bytes=response_size)
-        rx_job.on_complete = lambda _j: self._finish_request(rid)
-        rx_job.on_discard = lambda _j: self._lost(
-            "response", group.client_machine
-        )
-        rx_proc.accept(rx_job)
-
-    def _finish_request(self, rid: int) -> None:
-        group = self._groups.pop(rid)
-        state = self._states.get(rid)
-        if state is not None:
-            for conn in state.used_conns:
-                conn.outstanding -= 1
-            state.used_conns = []
-        # The vanilla resolution path: stamps completed_at/outcome,
-        # bumps counters, finishes the trace, notifies listeners, and
-        # calls the client's on_complete (which records the latency).
-        self._resolve(group, OUTCOME_OK)
-        if state is not None:
-            self._maybe_cleanup(state)
-
-    # Request-state lifecycle ------------------------------------------
-
-    def _ensure_state(self, rid: int, tree_name: str, *, traced: bool,
-                      request: Optional[Request] = None,
-                      request_fields: Optional[tuple] = None) -> _AdapterState:
-        state = self._states.get(rid)
-        if state is not None:
-            return state
-        tree = self._trees_by_tree_name[tree_name]
-        if request is None:
-            rtype, created_at, req_size = request_fields
-            request = Request(created_at, request_type=rtype,
-                              size_bytes=req_size)
-            request.request_id = rid  # replica mirrors the root's id
-            request.attempts = 1
-        state = _AdapterState(
-            request, tree,
-            my_remaining=self._my_node_count.get(tree_name, 0),
-            traced=traced and self._host.trace_active,
-        )
-        self._states[rid] = state
+    def _replica(self, rid: int, rtype: str, created_at: float,
+                 req_size: float, traced: bool,
+                 tree_name: str) -> _RequestState:
+        """This shard's copy of a request it first hears of from a
+        message: a replica group whose one attempt mirrors the root's."""
+        request = Request(created_at, request_type=rtype, size_bytes=req_size)
+        request.request_id = rid
+        request.attempts = 1
+        group = _RequestGroup(request, None, None, "client",
+                              self._host.client_machine)
+        if traced:
+            group.trace = Trace(rid, rtype, created_at,
+                                breakdown=self._span_breakdown)
+            self._replica_traces.append(group.trace)
+        state = _RequestState(group, self._trees_by_tree_name[tree_name])
+        group.states.append(state)
+        self._live[rid] = state
         return state
 
-    def _maybe_cleanup(self, state: _AdapterState) -> None:
-        rid = state.request.request_id
-        if state.my_remaining > 0 or rid in self._groups:
-            return
-        if self._states.pop(rid, None) is None:
-            return
-        for conn in state.used_conns:
-            conn.outstanding -= 1
-        state.used_conns = []
-        if state.traced and (state.spans or state.events):
-            self._trace_shadow[rid] = (
-                list(state.spans.values()), list(state.events)
-            )
-
-    def shadow_remaining(self) -> None:
-        """Sweep still-in-flight requests' spans into the shadow at
-        the end of the run (vanilla leaves their spans open too)."""
-        for rid, state in self._states.items():
-            if state.traced and (state.spans or state.events):
-                self._trace_shadow[rid] = (
-                    list(state.spans.values()), list(state.events)
-                )
+    def _retire_resolved(self, request: Request) -> None:
+        del self._live[request.request_id]
 
 
 class WorldShardHost(ShardHost):
@@ -708,7 +530,7 @@ class WorldShardHost(ShardHost):
             ).start()
 
     def handle(self, message) -> None:
-        self.dispatcher._arrive(message.kind, message.payload)
+        self.dispatcher._receive(message.kind, message.payload)
 
     def finalize(self) -> dict:
         base = super().finalize()
@@ -720,19 +542,19 @@ class WorldShardHost(ShardHost):
                 "series": self._scraper.snapshot(),
             }
         if self.trace_active:
-            dispatcher.shadow_remaining()
             base["trace_spans"] = {
-                rid: (
-                    [_span_tuple(span) for span in spans],
-                    list(events),
+                trace.request_id: (
+                    [_span_tuple(span) for span in trace.spans],
+                    [(e.t, e.name, e.attrs) for e in trace.events],
                 )
-                for rid, (spans, events) in dispatcher._trace_shadow.items()
+                for trace in dispatcher._replica_traces
+                if trace.spans or trace.events
             }
         if not self.is_root:
             return base
         base.update(
             client_payload(self.client, self._warmup, self.end_time),
-            in_flight=len(dispatcher._groups),
+            in_flight=len(dispatcher._live),
         )
         if self._slo_monitor is not None:
             base["slo"] = self._slo_monitor.summary()

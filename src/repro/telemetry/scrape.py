@@ -106,6 +106,10 @@ class Scraper:
         self._last_busy: Dict[str, float] = {}
         self._last_time = 0.0
         self._started = False
+        #: Tick k is due at ``start + k * interval`` — computed, never
+        #: accumulated, so float drift cannot shift the cadence.
+        self._origin = 0.0
+        self._ticks = 0  # ticks scheduled so far
 
     # Series plumbing --------------------------------------------------
 
@@ -124,13 +128,15 @@ class Scraper:
         if self._started:
             raise ReproError("scraper started twice")
         self._started = True
-        self._last_time = self.sim.now
+        self._last_time = self._origin = self.sim.now
         for name, instances in self._tiers.items():
             self._last_busy[name] = self._tier_busy(instances)
-        self.sim.schedule(
-            self.interval, self._sample, priority=PRIORITY_MONITOR
-        )
+        self._tick_at(self._origin + self.interval)
         return self
+
+    def _tick_at(self, t: float) -> None:
+        self._ticks += 1
+        self.sim.schedule_at(t, self._sample, priority=PRIORITY_MONITOR)
 
     def _sample(self) -> None:
         now = self.sim.now
@@ -183,26 +189,21 @@ class Scraper:
                     f"gauge/{_render_key(name, labels)}"
                 ).append(now, gauge.value)
         self._last_time = now
+        due = self._origin + (self._ticks + 1) * self.interval
         if self.stop_at is None:
             # No horizon: keep sampling while anything else is live,
             # but stand down once this tick is the only pending event —
             # a drain-style run must still finish (the SLOMonitor
             # contract).
             if len(self.sim.events) > 0:
-                self.sim.schedule(
-                    self.interval, self._sample, priority=PRIORITY_MONITOR
-                )
-        elif now + self.interval <= self.stop_at:
-            self.sim.schedule(
-                self.interval, self._sample, priority=PRIORITY_MONITOR
-            )
+                self._tick_at(due)
+        elif due <= self.stop_at:
+            self._tick_at(due)
         elif now < self.stop_at:
             # Close out the final partial window instead of dropping it:
             # a stop_at that is not a multiple of the interval would
             # otherwise lose the last slice of the run.
-            self.sim.schedule(
-                self.stop_at - now, self._sample, priority=PRIORITY_MONITOR
-            )
+            self._tick_at(self.stop_at)
 
     # Export -----------------------------------------------------------
 

@@ -150,6 +150,10 @@ class Deployment:
     def netprocs(self) -> Dict[str, Microservice]:
         return dict(self._netproc)
 
+    def pool_policy(self, service: str) -> str:
+        """The checkout policy of the pools fronting *service*."""
+        return self._pool_policies.get(service, "round_robin")
+
     def pool_between(self, upstream_key: str, downstream: Microservice) -> ConnectionPool:
         """The (lazily created) pool carrying upstream -> downstream
         traffic. *upstream_key* is an instance name or a client name."""
@@ -157,9 +161,9 @@ class Deployment:
         pool = self._pools.get(key)
         if pool is None:
             size = self._pool_sizes.get(downstream.tier, DEFAULT_POOL_SIZE)
-            policy = self._pool_policies.get(downstream.tier, "round_robin")
             pool = ConnectionPool(
-                f"{upstream_key}->{downstream.name}", size, policy
+                f"{upstream_key}->{downstream.name}", size,
+                self.pool_policy(downstream.tier),
             )
             self._pools[key] = pool
         return pool

@@ -32,6 +32,7 @@ terminal ``outcome`` (``ok``/``timeout``/``shed``/``failed``).
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -52,6 +53,10 @@ from ..telemetry.tracing import SPAN_CANCELLED, Span, TraceConfig, Tracer
 from .deployment import Deployment
 from .load_balancer import NoHealthyInstance
 from .path_tree import NodeOp, PathNode, PathTree
+
+
+def _noop() -> None:
+    pass
 
 
 class _RequestGroup:
@@ -177,10 +182,13 @@ class Dispatcher:
         self.trace = trace
         self.metrics = metrics
         self._rng = sim.random.stream("dispatcher")
-        # Wire-delay jitter draws, block-buffered on a dedicated stream
-        # (two draws per request hop — a hot path under heavy traffic).
-        self._net_delay = self.network.delay_sampler(
-            sim.random.stream("dispatcher/network")
+        # The streams every machine's decisions draw from (see
+        # _streams); wire-delay jitter is block-buffered on a dedicated
+        # stream (two draws per request hop — a hot path under heavy
+        # traffic).
+        self._own_streams = (
+            self._rng,
+            self.network.delay_sampler(sim.random.stream("dispatcher/network")),
         )
         self._trees: List[Tuple[PathTree, float]] = []
         self._trees_by_type: Dict[str, PathTree] = {}
@@ -626,6 +634,22 @@ class Dispatcher:
         else:
             target.unblock(request_id)
 
+    # A node visit is two named steps around the wire: *route* (breaker,
+    # instance, connection and message size, all decided at the sender)
+    # and *start visit* (in-flight count, job, on_enter op and span).
+    # This dispatcher runs them back to back at the sender; the shard
+    # adapter (repro.shard.adapter) starts the visit on arrival instead.
+    # Arrivals travel as a bound method plus its arguments, never a
+    # closure, so the adapter can name one across a shard mailbox.
+
+    @staticmethod
+    def _join(state: _RequestState, node: PathNode) -> bool:
+        """Count one parent's arrival at *node*; True on the last one
+        its fan-in waits for (the root's single arrival included)."""
+        arrived = state.arrivals.get(node.name, 0) + 1
+        state.arrivals[node.name] = arrived
+        return arrived == state.tree.fan_in(node.name)
+
     def _enter_node(
         self,
         state: _RequestState,
@@ -633,6 +657,31 @@ class Dispatcher:
         src_instance: Optional[Microservice],
         parent_conn: Optional[Connection],
     ) -> None:
+        """Enter *node* once its fan-in is met: route the visit, start
+        it here at the sender, and send its message (the last arriving
+        parent carries the job onward)."""
+        if not self._join(state, node):
+            return
+        route = self._route(state, node, src_instance, parent_conn)
+        if route is None:
+            return
+        src_machine, instance, conn, size, upstream_key = route
+        job = self._start_visit(
+            state, node, instance, conn, size, upstream_key, self.sim.now
+        )
+        self._send(state, src_machine, instance, conn, size,
+                   self._deliver_job, state, node, instance, job)
+
+    def _route(
+        self,
+        state: _RequestState,
+        node: PathNode,
+        src_instance: Optional[Microservice],
+        parent_conn: Optional[Connection],
+    ) -> Optional[tuple]:
+        """Route a visit to *node*: returns ``(src_machine, instance,
+        conn, size, upstream_key)``, or ``None`` when the breaker or an
+        unhealthy tier failed the attempt instead."""
         upstream_key = (
             src_instance.name if src_instance is not None
             else state.group.client_name
@@ -648,23 +697,43 @@ class Dispatcher:
                         service=node.service,
                     )
                 self._attempt_failed(state, OUTCOME_FAILED)
-                return
+                return None
         try:
             instance = self._resolve_instance(state, node)
         except NoHealthyInstance:
             if breaker is not None:
                 breaker.record_failure(self.sim.now)
             self._attempt_failed(state, OUTCOME_FAILED)
-            return
-        instance.pending_dispatch += 1
-        state.entered[node.name] = True
+            return None
         conn = self._resolve_connection(
             state, node, instance, src_instance, parent_conn
         )
+        src_machine = (
+            src_instance.machine_name
+            if src_instance is not None
+            else state.group.client_machine
+        )
+        rng = self._streams(src_machine)[0]
+        size = node.message_bytes(state.request.size_bytes, rng)
+        return src_machine, instance, conn, size, upstream_key
+
+    def _start_visit(
+        self,
+        state: _RequestState,
+        node: PathNode,
+        instance: Microservice,
+        conn: Optional[Connection],
+        size: float,
+        upstream_key: str,
+        sent_at: float,
+    ) -> Job:
+        """Start the visit: count it in flight on *instance*, make its
+        job, apply the on_enter op, and open its span, entered at
+        *sent_at* (when the visit's message was sent)."""
+        instance.pending_dispatch += 1
+        state.entered[node.name] = True
         state.node_instance[node.name] = instance
         state.node_conn[node.name] = conn
-
-        size = node.message_bytes(state.request.size_bytes, self._rng)
         job = Job(state.request, size_bytes=size, connection=conn)
         state.node_job[node.name] = job
         job.on_complete = lambda j, _s=state, _n=node: self._leave_node(_s, _n, j)
@@ -674,55 +743,62 @@ class Dispatcher:
         if trace is not None:
             state.spans[node.name] = trace.start_span(
                 node.name, instance.name, node.service,
-                state.attempt, self.sim.now, upstream=upstream_key,
+                state.attempt, sent_at, upstream=upstream_key,
             )
         if self.metrics is not None:
             self.metrics.counter(
                 "edge_requests_total",
                 upstream=upstream_key, service=node.service,
             ).inc()
+        return job
 
-        src_machine = (
-            src_instance.machine_name
-            if src_instance is not None
-            else state.group.client_machine
-        )
-        accept = lambda: self._deliver_job(state, node, instance, job)
+    def _send(
+        self,
+        state: _RequestState,
+        src_machine: str,
+        instance: Microservice,
+        conn: Optional[Connection],
+        size: float,
+        accept: Callable[..., None],
+        *args,
+    ) -> None:
+        """Send a visit's message from *src_machine* to *instance*; on
+        arrival ``accept(*args)`` runs, in the connection's send order."""
+        dst_machine = instance.machine_name
+        seq = on_lost = None
         if conn is not None:
             # Same-connection messages towards the same receiver are
             # delivered in send order (TCP semantics) even if the
             # simulated network completes their hops out of order.
             seq = conn.next_seq(instance.name)
-            if self.network.is_partitioned(src_machine, instance.machine_name):
-                # The message is lost, but its sequence slot must still
-                # be consumed or every later message on this connection
-                # towards the receiver would park forever.
-                self.messages_dropped += 1
-                conn.deliver_in_order(instance.name, seq, lambda: None)
-                return
-            deliver = lambda: conn.deliver_in_order(instance.name, seq, accept)
-            # If the message dies en route (mid-flight partition, or a
-            # down/crashing netproc relay), its sequence slot must still
-            # be consumed — otherwise every later message on this
+            # A message lost at the partition check or en route (a
+            # down/crashing netproc relay) must still consume its
+            # sequence slot — otherwise every later message on this
             # connection towards the receiver parks forever, wedging
             # the connection past the instance's own recovery.
-            on_lost = lambda: conn.deliver_in_order(
-                instance.name, seq, lambda: None
-            )
-        else:
-            if self.network.is_partitioned(src_machine, instance.machine_name):
-                self.messages_dropped += 1
-                return
-            deliver = accept
-            on_lost = None
+            on_lost = partial(conn.deliver_in_order, instance.name, seq, _noop)
+        if self.network.is_partitioned(src_machine, dst_machine):
+            self._lost(on_lost)
+            return
         self._hop(
-            src_machine,
-            instance.machine_name,
-            size,
-            state.request,
-            deliver,
-            on_lost,
+            src_machine, dst_machine, size, state.request,
+            self._deliver, (conn, instance.name, seq, accept, args), on_lost,
         )
+
+    @staticmethod
+    def _deliver(
+        conn: Optional[Connection],
+        receiver: str,
+        seq: Optional[int],
+        accept: Callable[..., None],
+        args: tuple,
+    ) -> None:
+        """A visit's message arrived: ``accept(*args)``, in send order
+        on its connection."""
+        if conn is None:
+            accept(*args)
+        else:
+            conn.deliver_in_order(receiver, seq, accept, *args)
 
     def _deliver_job(
         self,
@@ -762,38 +838,20 @@ class Dispatcher:
         for child in children:
             if state.cancelled or state.group.resolved:
                 break  # a sibling hop tripped a breaker / failed fast
-            arrived = state.arrivals.get(child.name, 0) + 1
-            state.arrivals[child.name] = arrived
-            if arrived == state.tree.fan_in(child.name):
-                # Fan-in satisfied: the last arriving parent carries the
-                # job onward (fan-out makes one copy per child).
-                self._enter_node(
-                    state,
-                    child,
-                    src_instance=instance,
-                    parent_conn=parent_conn,
-                )
+            # Fan-out makes one copy per child.
+            self._enter_node(
+                state,
+                child,
+                src_instance=instance,
+                parent_conn=parent_conn,
+            )
 
     def _complete_request(self, state: _RequestState, last_node: PathNode) -> None:
-        last_instance = state.node_instance[last_node.name]
-        response_size = state.tree.response_size(
-            state.request.size_bytes, self._rng
-        )
-
-        def finish() -> None:
-            if state.cancelled or state.group.resolved:
-                return  # lost the hedge race / timed out at the wire
-            state.finished = True
-            if state.timeout_event is not None:
-                self.sim.cancel(state.timeout_event)
-                state.timeout_event = None
-            for conn in state.used_conns:
-                conn.outstanding -= 1
-            state.used_conns = []
-            self._resolve(state.group, OUTCOME_OK)
-
-        src_machine = last_instance.machine_name
+        src_machine = state.node_instance[last_node.name].machine_name
         dst_machine = state.group.client_machine
+        response_size = state.tree.response_size(
+            state.request.size_bytes, self._streams(src_machine)[0]
+        )
         if self.network.is_partitioned(src_machine, dst_machine):
             self.messages_dropped += 1
             return  # response lost; only a timeout will surface it
@@ -801,9 +859,29 @@ class Dispatcher:
             state.group.trace.add_event(
                 self.sim.now, "response_sent", attempt=state.attempt
             )
-        self._hop(src_machine, dst_machine, response_size, state.request, finish)
+        self._hop(src_machine, dst_machine, response_size, state.request,
+                  self._finish_attempt, (state,))
+
+    def _finish_attempt(self, state: _RequestState) -> None:
+        """The response reached the client: the attempt succeeded."""
+        if state.cancelled or state.group.resolved:
+            return  # lost the hedge race / timed out at the wire
+        state.finished = True
+        if state.timeout_event is not None:
+            self.sim.cancel(state.timeout_event)
+            state.timeout_event = None
+        for conn in state.used_conns:
+            conn.outstanding -= 1
+        state.used_conns = []
+        self._resolve(state.group, OUTCOME_OK)
 
     # Network routing -------------------------------------------------------
+
+    def _streams(self, machine: str) -> tuple:
+        """The ``(rng, wire-delay sampler)`` for decisions made on
+        *machine*: message and response sizes, and the wire delay of
+        messages it sends. Here, the dispatcher's own streams."""
+        return self._own_streams
 
     def _hop(
         self,
@@ -811,65 +889,83 @@ class Dispatcher:
         dst_machine: str,
         size_bytes: float,
         request: Request,
-        deliver: Callable[[], None],
+        arrive: Callable[..., None],
+        args: tuple,
         on_lost: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Route one message src -> dst.
+        """Route one message src -> dst; at the receiver
+        ``arrive(*args)`` runs.
 
         Cross-machine messages pass through the sender's and receiver's
         network-processing services (when deployed) around the wire
         delay; same-machine messages short-circuit through loopback.
 
-        Exactly one of *deliver* / *on_lost* eventually runs: *on_lost*
+        Exactly one of *arrive* / *on_lost* eventually runs: *on_lost*
         fires when the message is lost en route (mid-flight partition,
         or a netproc relay that is down or crashes with the message),
         so the sender can reclaim per-message resources such as the
         connection's in-order delivery slot.
         """
-
-        def lost() -> None:
-            self.messages_dropped += 1
-            if on_lost is not None:
-                on_lost()
-
         if src_machine == dst_machine:
-            delay = self._net_delay.delay(src_machine, dst_machine, size_bytes)
+            delay = self._streams(src_machine)[1].delay(
+                src_machine, dst_machine, size_bytes
+            )
             # Wire deliveries are fire-and-forget: cancellation happens
             # via request/attempt state checked at delivery time, never
             # by cancelling the event — so the slab applies.
             self.sim.schedule_transient(
-                delay, deliver, priority=PRIORITY_ARRIVAL
+                delay, arrive, *args, priority=PRIORITY_ARRIVAL
             )
             return
-
-        rx_proc = self.deployment.netproc(dst_machine)
+        wire = (src_machine, dst_machine, size_bytes, request, arrive, args,
+                on_lost)
         tx_proc = self.deployment.netproc(src_machine)
-
-        def after_wire() -> None:
-            if rx_proc is None:
-                deliver()
-                return
-            rx_job = Job(request, size_bytes=size_bytes)
-            rx_job.on_complete = lambda _j: deliver()
-            rx_job.on_discard = lambda _j: lost()
-            rx_proc.accept(rx_job)
-
-        def over_wire() -> None:
-            if self.network.is_partitioned(src_machine, dst_machine):
-                lost()
-                return  # lost on the severed link
-            delay = self._net_delay.delay(src_machine, dst_machine, size_bytes)
-            self.sim.schedule_transient(
-                delay, after_wire, priority=PRIORITY_ARRIVAL
-            )
-
         if tx_proc is None:
-            over_wire()
+            self._over_wire(*wire)
             return
         tx_job = Job(request, size_bytes=size_bytes)
-        tx_job.on_complete = lambda _j: over_wire()
-        tx_job.on_discard = lambda _j: lost()
+        tx_job.on_complete = lambda _j: self._over_wire(*wire)
+        tx_job.on_discard = lambda _j: self._lost(on_lost)
         tx_proc.accept(tx_job)
+
+    def _over_wire(self, src_machine, dst_machine, size_bytes, request,
+                   arrive, args, on_lost) -> None:
+        """The sender's netproc let the message out: draw its wire
+        delay and put it on the wire."""
+        if self.network.is_partitioned(src_machine, dst_machine):
+            self._lost(on_lost)
+            return  # lost on the severed link
+        delay = self._streams(src_machine)[1].delay(
+            src_machine, dst_machine, size_bytes
+        )
+        self._cross(delay, dst_machine, size_bytes, request, arrive, args,
+                    on_lost)
+
+    def _cross(self, delay, dst_machine, size_bytes, request, arrive, args,
+               on_lost) -> None:
+        """The message reaches *dst_machine* after *delay*."""
+        self.sim.schedule_transient(
+            delay, self._after_wire, dst_machine, size_bytes, request,
+            arrive, args, on_lost, priority=PRIORITY_ARRIVAL,
+        )
+
+    def _after_wire(self, dst_machine, size_bytes, request, arrive, args,
+                    on_lost) -> None:
+        """The message came off the wire: through the receiver's
+        netproc, then ``arrive(*args)``."""
+        rx_proc = self.deployment.netproc(dst_machine)
+        if rx_proc is None:
+            arrive(*args)
+            return
+        rx_job = Job(request, size_bytes=size_bytes)
+        rx_job.on_complete = lambda _j: arrive(*args)
+        rx_job.on_discard = lambda _j: self._lost(on_lost)
+        rx_proc.accept(rx_job)
+
+    def _lost(self, on_lost: Optional[Callable[[], None]]) -> None:
+        self.messages_dropped += 1
+        if on_lost is not None:
+            on_lost()
 
     def __repr__(self) -> str:
         return (

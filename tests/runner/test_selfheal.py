@@ -250,15 +250,15 @@ def test_no_pool_at_all_degrades_in_process(monkeypatch):
         assert parallel_map(square, [1, 2, 3], jobs=2) == [1, 4, 9]
 
 
-#: A child process that runs ``crash_on_negative`` over ``[1, 2, 3, -1]``
-#: on two workers with every process pool after the first failing to
-#: start, as a fork failure after an OOM kill would. Run in a child so
-#: a regression that runs the crasher in-process kills the child, not
-#: the test session.
+#: A child process that runs ``crash_on_negative`` over the JSON item
+#: list in ``argv[2]`` on two workers with every process pool after the
+#: first failing to start, as a fork failure after an OOM kill would.
+#: Run in a child so a regression that runs the crasher in-process
+#: kills the child, not the test session.
 _REBUILD_FAILS = textwrap.dedent("""
     import json, sys
     from concurrent.futures import ProcessPoolExecutor
-    from repro.errors import PartialSweepError, WorkerCrashError
+    from repro.errors import PartialSweepError, ReproError
     from repro.runner import ItemFailure, parallel
     from tests.runner.test_selfheal import crash_on_negative
 
@@ -272,7 +272,7 @@ _REBUILD_FAILS = textwrap.dedent("""
 
     parallel.ProcessPoolExecutor = first_pool_only
     seen = []
-    items = [1, 2, 3, -1]
+    items = json.loads(sys.argv[2])
     out = {"pools": 0, "seen": seen}
     try:
         results = parallel.parallel_map(
@@ -280,9 +280,9 @@ _REBUILD_FAILS = textwrap.dedent("""
             on_result=lambda i, r: seen.append(i))
     except PartialSweepError as exc:
         results = exc.results
-    except WorkerCrashError as exc:
+    except ReproError as exc:
         results = None
-        out["raised"] = [exc.failure.item, exc.failure.kind]
+        out["raised"] = [type(exc).__name__, str(exc)]
     if results is not None:
         out["results"] = [
             [r.kind, r.error] if isinstance(r, ItemFailure) else r
@@ -292,13 +292,12 @@ _REBUILD_FAILS = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("failures", ["collect", "raise"])
-def test_failed_pool_rebuild_never_runs_an_item_in_process(failures):
+def _run_rebuild_fails(failures, items):
     root = Path(__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root)]))
     child = subprocess.run(
-        [sys.executable, "-c", _REBUILD_FAILS, failures],
+        [sys.executable, "-c", _REBUILD_FAILS, failures, json.dumps(items)],
         capture_output=True, text=True, env=env, cwd=str(root),
         timeout=120,
     )
@@ -307,13 +306,36 @@ def test_failed_pool_rebuild_never_runs_an_item_in_process(failures):
     assert out["pools"] == 2  # the crash forced a rebuild, which failed
     seen = out["seen"]
     assert len(seen) == len(set(seen))  # on_result once per finished item
-    if failures == "raise":
-        assert out["raised"][1] == "crash"
-        return
+    return out
+
+
+@pytest.mark.parametrize("failures", ["collect", "raise"])
+def test_failed_pool_rebuild_never_runs_an_item_in_process(failures):
     items = [1, 2, 3, -1]
+    out = _run_rebuild_fails(failures, items)
+    seen = out["seen"]
+    if failures == "raise":
+        # No item is to blame for a pool that cannot start.
+        kind, message = out["raised"]
+        assert kind == "ReproError"
+        assert "no process pool could start" in message
+        assert "fork failed" in message
+        return
     for i, result in enumerate(out["results"]):
         if i in seen:
             assert result == items[i] * items[i]
         else:
-            assert result[0] == "crash" and "fork failed" in result[1]
+            assert result[0] == "no_pool" and "fork failed" in result[1]
     assert 3 not in seen
+
+
+def test_pool_start_failure_in_fail_fast_names_no_item():
+    # With more items than the first pool finishes before the crash, the
+    # items still owed when the rebuild fails are innocent bystanders:
+    # fail-fast mode must report the pool, not blame the first of them.
+    out = _run_rebuild_fails("raise", [1, 2, 3, -1, 4, 5, 6])
+    kind, message = out["raised"]
+    assert kind == "ReproError"
+    assert message.startswith("no process pool could start")
+    assert "OSError('fork failed')" in message
+    assert "item[" not in message

@@ -6,7 +6,12 @@ import pytest
 
 from repro import apps
 from repro.__main__ import main
-from repro.distributions import Deterministic
+from repro.apps.base import (
+    add_client_machine,
+    add_one_stage_service,
+    new_world,
+)
+from repro.distributions import Deterministic, Exponential
 from repro.errors import ReproError, ShardingError
 from repro.experiments import registry
 from repro.experiments.loadsweep import measure_at_load
@@ -14,7 +19,9 @@ from repro.experiments.tail_at_scale import (
     build_fanout_cluster,
     measure_tail_at_scale,
 )
-from repro.hardware import NetworkFabric
+from repro.hardware import Machine, NetworkFabric
+from repro.shard.adapter import validate_world_shardable
+from repro.topology import PathNode, PathTree
 
 
 #: Every repro.apps builder, at a load its world carries.
@@ -33,6 +40,54 @@ APP_LOADS = {
 
 def det_fabric():
     return NetworkFabric(propagation=Deterministic(20e-6))
+
+
+def _two_sinks(machines, seed=0, network=None):
+    """One-stage services a, b, c on *machines*; a fans out to the two
+    sinks b and c."""
+    world = new_world(network, seed)
+    add_client_machine(world)
+    for machine in sorted(set(machines)):
+        world.cluster.add_machine(Machine(machine, 4))
+    for tier, machine in zip("abc", machines):
+        add_one_stage_service(world, machine, tier, Exponential(100e-6), 1)
+    tree = PathTree("two_sinks")
+    for tier in "abc":
+        tree.add_node(PathNode(tier, tier))
+    tree.add_edge("a", "b")
+    tree.add_edge("a", "c")
+    world.dispatcher.add_tree(tree)
+    return world
+
+
+def two_sinks_split(seed=0, network=None):
+    return _two_sinks(("a0", "b0", "c0"), seed, network)
+
+
+def two_sinks_colocated(seed=0, network=None):
+    return _two_sinks(("a0", "b0", "b0"), seed, network)
+
+
+def two_tier_least_outstanding(seed=0, network=None):
+    world = apps.two_tier(seed=seed, network=network)
+    world.deployment.set_pool("memcached", 16, "least_outstanding")
+    return world
+
+
+#: Worlds beyond repro.apps that probe the adapter's refusals, with
+#: their builder and load.
+PROBE_WORLDS = {
+    "two_sinks_split": (two_sinks_split, 1000.0),
+    "two_sinks_colocated": (two_sinks_colocated, 1000.0),
+    "two_tier_least_outstanding": (two_tier_least_outstanding, 2000.0),
+}
+
+#: Worlds the adapter refuses at build, with the refusal's wording.
+REFUSED = {
+    "load_balanced": "instances",
+    "two_sinks_split": "sinks on machines",
+    "two_tier_least_outstanding": "round_robin",
+}
 
 
 class TestRegistry:
@@ -131,24 +186,31 @@ class TestMeasureAtLoad:
         )
         assert sharded == vanilla
 
-    @pytest.mark.parametrize("name", sorted(APP_LOADS))
+    @pytest.mark.parametrize("name", sorted(APP_LOADS) + sorted(PROBE_WORLDS))
     @pytest.mark.filterwarnings("ignore:only 2 placeable:RuntimeWarning")
     def test_every_app_builder_shards_or_refuses(self, name):
         # The adapter's own validation is the one gate on which worlds
         # shard: no builder opts in, and load_balanced's multi-instance
-        # tier is refused. Two-machine worlds fall back at 3 shards.
-        build_world = getattr(apps, name)
+        # tier, sinks split across machines and a least_outstanding
+        # pool are refused before any world runs. Two-machine worlds
+        # fall back at 3 shards.
+        if name in PROBE_WORLDS:
+            build_world, load = PROBE_WORLDS[name]
+        else:
+            build_world, load = getattr(apps, name), APP_LOADS[name]
 
         def point(shards, **kwargs):
             return measure_at_load(
-                build_world, APP_LOADS[name], duration=0.05, warmup=0.01,
+                build_world, load, duration=0.05, warmup=0.01,
                 seed=11, shards=shards,
                 network=NetworkFabric(propagation=Deterministic(50e-6)),
                 **kwargs,
             )
 
-        if name == "load_balanced":
-            with pytest.raises(ShardingError, match="instances"):
+        if name in REFUSED:
+            with pytest.raises(ShardingError, match=REFUSED[name]):
+                validate_world_shardable(build_world(seed=11))
+            with pytest.raises(ShardingError, match=REFUSED[name]):
                 point(2, mode="inline")
             return
         sharded = point(2, mode="inline")

@@ -61,6 +61,14 @@ class TestScraperLifecycle:
             [0.025, 0.05, 0.075, 0.09]
         )
 
+    def test_tick_cadence_does_not_drift(self):
+        # Tick k lands at exactly k * interval: accumulating the
+        # interval put the 10th tick at 0.19999999999999998 and added
+        # an 11th over a 2.8e-17 s window.
+        assert _counter_tick_times(0.02, 0.2) == [
+            k * 0.02 for k in range(1, 11)
+        ]
+
     def test_registry_series_are_cumulative(self):
         sim = Simulator()
         reg = MetricsRegistry()
