@@ -343,7 +343,7 @@ class ShardedDispatcher(Dispatcher):
             return  # fan-in not satisfied yet; this arrival only counts
         job = self._start_visit(state, node, instance, conn, size,
                                 upstream_key, sent_at)
-        if (not self._host.is_root and len(state.entered)
+        if (not self._host.is_root and len(state.visits)
                 == self._my_node_count[state.tree.name]):
             # Every node this shard runs has started, so no further
             # message for the request can reach it.

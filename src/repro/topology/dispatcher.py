@@ -105,6 +105,28 @@ class _RequestGroup:
         return [s for s in self.states if not s.cancelled and not s.finished]
 
 
+class _Visit:
+    """One attempt's visit to one path node: the instance it runs on,
+    its incoming connection, its job, the upstream that sent it, whether
+    it has left, and its span (traced requests only)."""
+
+    __slots__ = ("instance", "conn", "job", "upstream", "left", "span")
+
+    def __init__(
+        self,
+        instance: Microservice,
+        conn: Optional[Connection],
+        job: Job,
+        upstream: str,
+    ) -> None:
+        self.instance = instance
+        self.conn = conn
+        self.job = job
+        self.upstream = upstream
+        self.left = False
+        self.span: Optional[Span] = None
+
+
 class _RequestState:
     """Book-keeping for one in-flight traversal (attempt) of the tree."""
 
@@ -112,19 +134,13 @@ class _RequestState:
         "group",
         "tree",
         "attempt",
-        "node_instance",
-        "node_conn",
-        "node_job",
-        "node_upstream",
-        "entered",
-        "left",
+        "visits",
         "arrivals",
         "pending_sinks",
         "used_conns",
         "cancelled",
         "finished",
         "timeout_event",
-        "spans",
     )
 
     def __init__(self, group: _RequestGroup, tree: PathTree) -> None:
@@ -134,20 +150,16 @@ class _RequestState:
         # are keyed (attempt, node) so re-visits never clobber earlier
         # attempts' timestamps.
         self.attempt = len(group.states)
-        self.node_instance: Dict[str, Microservice] = {}
-        self.node_conn: Dict[str, Optional[Connection]] = {}
-        self.node_job: Dict[str, Job] = {}
-        self.node_upstream: Dict[str, str] = {}
-        self.entered: Dict[str, bool] = {}
-        self.left: Dict[str, bool] = {}
+        # Started visits by node name, in start order: a node has been
+        # entered once it has an entry here.
+        self.visits: Dict[str, _Visit] = {}
+        # Parents arrived per node; counted before any visit exists.
         self.arrivals: Dict[str, int] = {}
         self.pending_sinks = len(tree.sinks)
         self.used_conns: List[Connection] = []
         self.cancelled = False
         self.finished = False
         self.timeout_event = None
-        # This attempt's open/closed spans by node name (traced only).
-        self.spans: Dict[str, Span] = {} if group.trace is not None else None
 
     @property
     def request(self) -> Request:
@@ -465,6 +477,7 @@ class Dispatcher:
         if state.timeout_event is not None:
             self.sim.cancel(state.timeout_event)
             state.timeout_event = None
+        visits = state.visits.values()
         trace = state.group.trace
         if trace is not None:
             # Close this attempt's open spans with ITS timestamps — a
@@ -472,25 +485,33 @@ class Dispatcher:
             trace.add_event(
                 self.sim.now, "attempt_cancelled", attempt=state.attempt
             )
-            for span in state.spans.values():
-                if not span.closed:
-                    span.finish(
+            for visit in visits:
+                if not visit.span.closed:
+                    visit.span.finish(
                         self.sim.now,
-                        job=state.node_job.get(span.node),
+                        job=visit.job,
                         status=SPAN_CANCELLED,
                         breakdown=trace.breakdown,
                     )
-        request_id = state.request.request_id
-        for name, job in state.node_job.items():
+        for visit in visits:
+            job = visit.job
             job.cancelled = True
             if job.service is not None:
                 job.service.cancel_job(job)
-        for name, instance in state.node_instance.items():
-            if state.entered.get(name) and not state.left.get(name):
-                instance.pending_dispatch -= 1
-                state.left[name] = True
-        seen = set()
-        for conn in state.node_conn.values():
+        for visit in visits:
+            if not visit.left:
+                visit.instance.pending_dispatch -= 1
+                visit.left = True
+        # Blocks are per request, not per attempt: a connection a live
+        # sibling attempt (a hedge) still visits keeps the block it uses.
+        seen = {
+            id(sibling_visit.conn)
+            for sibling in state.group.live_states()
+            for sibling_visit in sibling.visits.values()
+        }
+        request_id = state.request.request_id
+        for visit in visits:
+            conn = visit.conn
             if conn is None or id(conn) in seen:
                 continue
             seen.add(id(conn))
@@ -504,7 +525,9 @@ class Dispatcher:
         group = state.group
         if group.resolved or state.cancelled or state.finished:
             return
-        breaker = self._breaker_for(state, node)
+        breaker = self._breaker_for(
+            state, node, state.visits[node.name].upstream
+        )
         if breaker is not None:
             breaker.record_failure(self.sim.now)
         self._attempt_failed(state, OUTCOME_FAILED)
@@ -513,20 +536,21 @@ class Dispatcher:
         """Attribute a timeout to every node entered but never left."""
         if state.group.policy is None or state.group.policy.breaker is None:
             return
-        for name in state.node_instance:
-            if state.entered.get(name) and not state.left.get(name):
+        for name, visit in state.visits.items():
+            if not visit.left:
                 node = state.tree.node(name)
-                breaker = self._breaker_for(state, node)
+                breaker = self._breaker_for(state, node, visit.upstream)
                 if breaker is not None:
                     breaker.record_failure(self.sim.now)
 
     def _breaker_for(
-        self, state: _RequestState, node: PathNode
+        self, state: _RequestState, node: PathNode, upstream: str
     ) -> Optional[CircuitBreaker]:
+        """The breaker guarding the (*upstream*, node's service) edge,
+        made on first use; ``None`` without a breaker policy."""
         policy = state.group.policy
         if policy is None or policy.breaker is None:
             return None
-        upstream = state.node_upstream.get(node.name, state.group.client_name)
         key = (upstream, node.service)
         breaker = self._breakers.get(key)
         if breaker is None:
@@ -581,13 +605,8 @@ class Dispatcher:
         self, state: _RequestState, node: PathNode
     ) -> Microservice:
         if node.same_instance_as is not None:
-            instance = state.node_instance.get(node.same_instance_as)
-            if instance is None:
-                raise TopologyError(
-                    f"node {node.name!r}: same_instance_as "
-                    f"{node.same_instance_as!r} has not been visited yet"
-                )
-            return instance
+            # An ancestor (checked at build), so visited before this node.
+            return state.visits[node.same_instance_as].instance
         replicas = self.deployment.instances(node.service)
         return self.deployment.balancer(node.service).pick(replicas, self._rng)
 
@@ -619,7 +638,8 @@ class Dispatcher:
         if op is None:
             return
         if op.connection_of is not None:
-            target = state.node_conn.get(op.connection_of)
+            # This node or an ancestor (checked at build): visited.
+            target = state.visits[op.connection_of].conn
         else:
             target = job.connection
         if target is None:
@@ -686,8 +706,7 @@ class Dispatcher:
             src_instance.name if src_instance is not None
             else state.group.client_name
         )
-        state.node_upstream[node.name] = upstream_key
-        breaker = self._breaker_for(state, node)
+        breaker = self._breaker_for(state, node, upstream_key)
         if breaker is not None and node.same_instance_as is None:
             if not breaker.allow(self.sim.now):
                 if state.group.trace is not None:
@@ -731,17 +750,16 @@ class Dispatcher:
         job, apply the on_enter op, and open its span, entered at
         *sent_at* (when the visit's message was sent)."""
         instance.pending_dispatch += 1
-        state.entered[node.name] = True
-        state.node_instance[node.name] = instance
-        state.node_conn[node.name] = conn
         job = Job(state.request, size_bytes=size, connection=conn)
-        state.node_job[node.name] = job
-        job.on_complete = lambda j, _s=state, _n=node: self._leave_node(_s, _n, j)
-        job.on_fail = lambda j, _s=state, _n=node: self._on_job_fail(_s, _n, j)
+        job.on_complete = partial(self._leave_node, state, node)
+        job.on_fail = partial(self._on_job_fail, state, node)
+        visit = state.visits[node.name] = _Visit(
+            instance, conn, job, upstream_key
+        )
         self._apply_op(node.on_enter, state, job)
         trace = state.group.trace
         if trace is not None:
-            state.spans[node.name] = trace.start_span(
+            visit.span = trace.start_span(
                 node.name, instance.name, node.service,
                 state.attempt, sent_at, upstream=upstream_key,
             )
@@ -816,25 +834,22 @@ class Dispatcher:
     def _leave_node(self, state: _RequestState, node: PathNode, job: Job) -> None:
         if state.cancelled or state.group.resolved:
             return  # resources were reclaimed at cancellation
-        state.node_instance[node.name].pending_dispatch -= 1
-        state.left[node.name] = True
-        breaker = self._breaker_for(state, node)
+        visit = state.visits[node.name]
+        visit.instance.pending_dispatch -= 1
+        visit.left = True
+        breaker = self._breaker_for(state, node, visit.upstream)
         if breaker is not None:
             breaker.record_success()
         self._apply_op(node.on_leave, state, job)
         trace = state.group.trace
         if trace is not None:
-            span = state.spans.get(node.name)
-            if span is not None:
-                span.finish(self.sim.now, job=job, breakdown=trace.breakdown)
+            visit.span.finish(self.sim.now, job=job, breakdown=trace.breakdown)
         children = state.tree.children(node.name)
         if not children:
             state.pending_sinks -= 1
             if state.pending_sinks == 0:
-                self._complete_request(state, node)
+                self._complete_request(state, visit.instance)
             return
-        instance = state.node_instance[node.name]
-        parent_conn = state.node_conn[node.name]
         for child in children:
             if state.cancelled or state.group.resolved:
                 break  # a sibling hop tripped a breaker / failed fast
@@ -842,12 +857,15 @@ class Dispatcher:
             self._enter_node(
                 state,
                 child,
-                src_instance=instance,
-                parent_conn=parent_conn,
+                src_instance=visit.instance,
+                parent_conn=visit.conn,
             )
 
-    def _complete_request(self, state: _RequestState, last_node: PathNode) -> None:
-        src_machine = state.node_instance[last_node.name].machine_name
+    def _complete_request(
+        self, state: _RequestState, sink_instance: Microservice
+    ) -> None:
+        """The last sink left *sink_instance*: send the response."""
+        src_machine = sink_instance.machine_name
         dst_machine = state.group.client_machine
         response_size = state.tree.response_size(
             state.request.size_bytes, self._streams(src_machine)[0]

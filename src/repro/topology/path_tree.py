@@ -22,7 +22,7 @@ the request.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Union
 
 from ..distributions import Distribution
 from ..errors import TopologyError
@@ -202,7 +202,8 @@ class PathTree:
 
     def validate(self) -> None:
         """Check the DAG is non-empty, rooted, acyclic, and that
-        ``same_instance_as``/op references point at real nodes."""
+        ``same_instance_as`` names a proper ancestor and an op's
+        ``connection_of`` names the node itself or an ancestor."""
         if not self._nodes:
             raise TopologyError(f"path tree {self.name!r} has no nodes")
         if not self.roots:
@@ -220,20 +221,50 @@ class PathTree:
                     frontier.append(child)
         if visited != len(self._nodes):
             raise TopologyError(f"path tree {self.name!r} contains a cycle")
+        # A node may name only nodes every request has visited before
+        # it: its ancestors (and, for a connection, itself). A forward
+        # or sibling reference would depend on traversal order.
         for node in self._nodes.values():
+            targets = [op.connection_of for op in (node.on_enter, node.on_leave)
+                       if op is not None and op.connection_of is not None]
+            if node.same_instance_as is None and not targets:
+                continue
+            ancestors = self._ancestors(node.name)
             if node.same_instance_as is not None:
                 if node.same_instance_as not in self._nodes:
                     raise TopologyError(
                         f"node {node.name!r}: same_instance_as references "
                         f"unknown node {node.same_instance_as!r}"
                     )
-            for op in (node.on_enter, node.on_leave):
-                if op is not None and op.connection_of is not None:
-                    if op.connection_of not in self._nodes:
-                        raise TopologyError(
-                            f"node {node.name!r}: op references unknown "
-                            f"node {op.connection_of!r}"
-                        )
+                if node.same_instance_as not in ancestors:
+                    raise TopologyError(
+                        f"node {node.name!r}: same_instance_as "
+                        f"{node.same_instance_as!r} is not an ancestor; a "
+                        f"node may share only an instance visited before it"
+                    )
+            for target in targets:
+                if target not in self._nodes:
+                    raise TopologyError(
+                        f"node {node.name!r}: op references unknown "
+                        f"node {target!r}"
+                    )
+                if target != node.name and target not in ancestors:
+                    raise TopologyError(
+                        f"node {node.name!r}: op targets the connection of "
+                        f"{target!r}, which is neither this node nor an "
+                        f"ancestor"
+                    )
+
+    def _ancestors(self, name: str) -> Set[str]:
+        """Every node with a path to *name*, *name* itself excluded."""
+        seen: Set[str] = set()
+        stack = list(self._parents[name])
+        while stack:
+            parent = stack.pop()
+            if parent not in seen:
+                seen.add(parent)
+                stack.extend(self._parents[parent])
+        return seen
 
     def __len__(self) -> int:
         return len(self._nodes)

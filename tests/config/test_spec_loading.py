@@ -99,6 +99,16 @@ class TestPathParsing:
         with pytest.raises(ConfigError):
             parse_tree(spec)
 
+    def test_forward_reference_rejected_via_validate(self):
+        # The cache node may not name the response node that follows it.
+        spec = json.loads(json.dumps(PATHS["trees"][0]))
+        spec["nodes"][1]["on_leave"] = {"action": "unblock",
+                                        "connection_of": "frontend_resp"}
+        from repro.errors import TopologyError
+
+        with pytest.raises(TopologyError, match="nor an ancestor"):
+            parse_tree(spec)
+
     def test_cycle_rejected_via_validate(self):
         spec = json.loads(json.dumps(PATHS["trees"][0]))
         spec["edges"].append(["frontend_resp", "frontend"])

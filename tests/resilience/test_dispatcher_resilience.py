@@ -159,6 +159,37 @@ class TestCancellationConservesResources:
         assert dispatcher.hedges_issued > 0
         assert_quiescent(deployment)
 
+    def test_timed_out_primary_keeps_live_hedges_block(self, sim, network):
+        # Blocks are per request: when the primary times out at 3ms, the
+        # hedge launched at 1ms still rides the one blocked connection,
+        # so the block must stay with the request until the hedge ends.
+        cluster, deployment, dispatcher = build_world(sim, network)
+        deployment.add_instance(
+            build_instance(sim, cluster, "web0", "node0",
+                           service_time=5e-3, tier="web")
+        )
+        deployment.set_pool("web", 1)
+        dispatcher.add_tree(PathTree().chain(
+            PathNode("web", "web",
+                     on_enter=NodeOp.block(), on_leave=NodeOp.unblock()),
+        ))
+        policy = ResiliencePolicy(
+            timeout=3e-3, hedge=HedgePolicy(delay=1e-3)
+        )
+        req = Request(created_at=0.0)
+        sim.schedule_at(0.0, dispatcher.submit, req, None,
+                        "client", "client", policy)
+        sim.run(until=2.9e-3)
+        (pool,) = deployment.pools
+        (conn,) = pool.connections
+        assert conn.holder == req.request_id
+        sim.run(until=3.1e-3)
+        assert req.attempts == 2 and req.outcome is None
+        assert conn.holder == req.request_id
+        sim.run()
+        assert req.outcome == "timeout"
+        assert_quiescent(deployment)
+
 
 class TestRetry:
     def two_replica_world(self, sim, network, slow=50e-3, fast=1e-3):
@@ -303,6 +334,33 @@ class TestCircuitBreaker:
         sim.run()
         assert done[0].outcome == "failed"
         assert web.jobs_completed == 0
+
+
+    def test_timeout_blames_only_the_edge_left_unanswered(self, sim, network):
+        # web answers in 1ms and db never within the 5ms deadline: each
+        # timeout counts against web0 -> db, while client -> web saw
+        # web leave and stays clean.
+        cluster, deployment, dispatcher = build_world(sim, network)
+        deployment.add_instance(
+            build_instance(sim, cluster, "web0", "node0",
+                           service_time=1e-3, tier="web")
+        )
+        deployment.add_instance(
+            build_instance(sim, cluster, "db0", "node1",
+                           service_time=20e-3, tier="db")
+        )
+        dispatcher.add_tree(
+            PathTree().chain(PathNode("web", "web"), PathNode("db", "db"))
+        )
+        policy = ResiliencePolicy(
+            timeout=5e-3,
+            breaker=BreakerPolicy(failure_threshold=5, reset_timeout=1.0),
+        )
+        done = submit_with(dispatcher, sim, policy, n=2, spacing=30e-3)
+        sim.run()
+        assert [r.outcome for r in done] == ["timeout"] * 2
+        assert dispatcher.breaker("web0", "db").consecutive_failures == 2
+        assert dispatcher.breaker("client", "web").consecutive_failures == 0
 
 
 class TestAdmission:

@@ -164,10 +164,8 @@ class TestAffinity:
         deployment.add_instance(build_instance(sim, cluster, "web0", "node0", tier="web"))
         tree = PathTree()
         tree.add_node(PathNode("root", "web", same_instance_as="root"))
-        dispatcher.add_tree(tree)
-        req = Request(0.0)
-        with pytest.raises(TopologyError):
-            dispatcher.submit(req)
+        with pytest.raises(TopologyError, match="not an ancestor"):
+            dispatcher.add_tree(tree)
 
 
 class TestBlockingOps:
@@ -209,6 +207,36 @@ class TestBlockingOps:
         # connection, so it finishes ~1ms (one service time) later.
         latencies = sorted(r.latency for r in done)
         assert latencies[1] == pytest.approx(latencies[0] + 1e-3)
+
+
+    @pytest.mark.parametrize("blocking", [True, False])
+    def test_block_held_across_a_hop(self, sim, network, blocking):
+        # web blocks its incoming connection; the response node, back on
+        # the same instance two hops later, unblocks it by name.
+        cluster, deployment, dispatcher = build_world(sim, network)
+        deployment.add_instance(build_instance(
+            sim, cluster, "web0", "node0", service_time=1e-3, cores=2,
+            tier="web",
+        ))
+        deployment.add_instance(build_instance(
+            sim, cluster, "db0", "node1", service_time=2e-3, cores=2,
+            tier="db",
+        ))
+        deployment.set_pool("web", 1)
+        dispatcher.add_tree(PathTree().chain(
+            PathNode("web", "web",
+                     on_enter=NodeOp.block() if blocking else None),
+            PathNode("db", "db"),
+            PathNode("web_resp", "web", same_instance_as="web",
+                     on_leave=NodeOp.unblock("web") if blocking else None),
+        ))
+        done = submit(dispatcher, sim, n=2)
+        sim.run()
+        # Four 10us hops and 4ms of service. With the block, the second
+        # request, already at web0, waits there until the first one's
+        # web_resp leaves at 4.03ms, then takes its own 4.03ms to finish.
+        expected = [4.04e-3, 8.06e-3] if blocking else [4.04e-3, 4.04e-3]
+        assert sorted(r.latency for r in done) == pytest.approx(expected)
 
 
 class TestNetprocRouting:

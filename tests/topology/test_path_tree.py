@@ -102,6 +102,46 @@ class TestValidation:
         with pytest.raises(TopologyError):
             tree.validate()
 
+    @staticmethod
+    def fork(**refs):
+        """root -> (left, right) -> join, with *refs* set on ``left``."""
+        tree = PathTree()
+        tree.add_node(node("root"))
+        tree.add_node(node("left", **refs))
+        tree.add_node(node("right"))
+        tree.add_node(node("join"))
+        for parent, child in (("root", "left"), ("root", "right"),
+                              ("left", "join"), ("right", "join")):
+            tree.add_edge(parent, child)
+        return tree
+
+    @pytest.mark.parametrize("target", ["join", "right", "left"],
+                             ids=["forward", "sibling", "self"])
+    def test_affinity_must_name_a_proper_ancestor(self, target):
+        tree = self.fork(same_instance_as=target)
+        with pytest.raises(TopologyError, match="not an ancestor"):
+            tree.validate()
+
+    @pytest.mark.parametrize("target", ["join", "right"],
+                             ids=["forward", "sibling"])
+    @pytest.mark.parametrize("hook", ["on_enter", "on_leave"])
+    def test_op_target_must_be_self_or_ancestor(self, hook, target):
+        tree = self.fork(**{hook: NodeOp.unblock(target)})
+        with pytest.raises(TopologyError, match="nor an ancestor"):
+            tree.validate()
+
+    @pytest.mark.parametrize("target", ["root", "left"],
+                             ids=["ancestor", "self"])
+    def test_op_on_self_or_ancestor_accepted(self, target):
+        self.fork(on_leave=NodeOp.unblock(target)).validate()
+
+    def test_affinity_to_distant_ancestor_accepted(self):
+        tree = self.fork()
+        tree.add_node(node("resp", same_instance_as="root",
+                           on_leave=NodeOp.unblock("root")))
+        tree.add_edge("join", "resp")
+        tree.validate()
+
     def test_unknown_node_lookup(self):
         with pytest.raises(TopologyError):
             PathTree().node("nope")
