@@ -39,15 +39,15 @@ class EventQueue:
     def push(self, event: Event) -> Event:
         """Insert *event* and return it (handy for chaining/cancelling).
 
-        Assigns the event's queue-local ``seq`` and precomputes its heap
-        key here — one tuple per push instead of two per comparison.
+        Assigns the event's queue-local ``seq`` and builds its heap key
+        here — one tuple per push instead of two per comparison. Only
+        the heap holds the key, so the event never references itself.
         """
         seq = self._seq
         self._seq = seq + 1
         event.seq = seq
         event._queue = self
-        event._key = key = (event.time, event.priority, seq, event)
-        heappush(self._heap, key)
+        heappush(self._heap, (event.time, event.priority, seq, event))
         self._live += 1
         return event
 
@@ -80,8 +80,7 @@ class EventQueue:
             event.seq = seq + i
             event._queue = self
             event.time = time = times[i]
-            event._key = key = (time, event.priority, seq + i, event)
-            append(key)
+            append((time, event.priority, seq + i, event))
         if n * 4 >= len(heap):
             # Batch is a sizeable fraction of the heap: one O(n)
             # heapify beats n × O(log n) sift-ups.

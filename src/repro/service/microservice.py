@@ -100,9 +100,11 @@ class Microservice:
         self.state = STATE_UP
         # Straggler degradation: all stage costs are multiplied by this.
         self.slow_factor = 1.0
-        # Batches currently on a core, keyed by their completion event,
-        # so a crash can cancel them and reclaim cores/workers.
-        self._running: Dict[object, tuple] = {}
+        # Batches currently on a core, keyed by ``id(batch)`` (the
+        # batch list lives until its completion deletes the entry), with
+        # their completion event, so a crash can cancel them and reclaim
+        # cores/workers.
+        self._running: Dict[int, tuple] = {}
 
         # Telemetry.
         self.jobs_accepted = 0
@@ -179,7 +181,7 @@ class Microservice:
         self.state = STATE_DOWN
         self.crashes += 1
         killed: List[Job] = []
-        for event, (_stage, batch, worker, core) in list(self._running.items()):
+        for event, batch, worker, core in list(self._running.values()):
             self.sim.cancel(event)
             self.model.release_worker(worker)
             if core is not None:
@@ -318,7 +320,7 @@ class Microservice:
             core,
             priority=PRIORITY_COMPLETION,
         )
-        self._running[event] = (stage, batch, worker, core)
+        self._running[id(batch)] = (event, batch, worker, core)
         return True
 
     def _on_cpu_done(
@@ -328,10 +330,7 @@ class Microservice:
         worker: Worker,
         core: CpuCore,
     ) -> None:
-        for event, (_s, running_batch, _w, _c) in self._running.items():
-            if running_batch is batch:
-                del self._running[event]
-                break
+        del self._running[id(batch)]
         if stage.io is not None:
             if self.io_device is None:
                 raise ConfigError(

@@ -457,8 +457,10 @@ class ShardedDispatcher(Dispatcher):
             group.trace = Trace(rid, rtype, created_at,
                                 breakdown=self._span_breakdown)
             self._replica_traces.append(group.trace)
+        # Not listed in ``group.states``: a replica never resolves or
+        # hedges, the only readers of that list, and listing it would
+        # tie the group and its attempt in a reference cycle.
         state = _RequestState(group, self._trees_by_tree_name[tree_name])
-        group.states.append(state)
         self._live[rid] = state
         return state
 

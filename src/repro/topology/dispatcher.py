@@ -108,7 +108,13 @@ class _RequestGroup:
 class _Visit:
     """One attempt's visit to one path node: the instance it runs on,
     its incoming connection, its job, the upstream that sent it, whether
-    it has left, and its span (traced requests only)."""
+    it has left, and its span (traced requests only).
+
+    The job's callbacks hold the attempt's state, which holds this
+    record, so the record lets go of the job once it is spent — when
+    the visit leaves, or when its attempt is cancelled — and ``job`` is
+    ``None`` from then on.
+    """
 
     __slots__ = ("instance", "conn", "job", "upstream", "left", "span")
 
@@ -121,7 +127,7 @@ class _Visit:
     ) -> None:
         self.instance = instance
         self.conn = conn
-        self.job = job
+        self.job: Optional[Job] = job
         self.upstream = upstream
         self.left = False
         self.span: Optional[Span] = None
@@ -495,6 +501,9 @@ class Dispatcher:
                     )
         for visit in visits:
             job = visit.job
+            if job is None:
+                continue  # left: the job completed and was dropped
+            visit.job = None
             job.cancelled = True
             if job.service is not None:
                 job.service.cancel_job(job)
@@ -575,6 +584,8 @@ class Dispatcher:
             group.hedge_event = None
         for state in group.states:
             self._cancel_state(state)
+        # Each attempt holds its group: let go of them once spent.
+        group.states = []
         request = group.request
         request.completed_at = self.sim.now
         request.outcome = outcome
@@ -841,6 +852,7 @@ class Dispatcher:
         if breaker is not None:
             breaker.record_success()
         self._apply_op(node.on_leave, state, job)
+        visit.job = None  # spent: the job's callbacks hold this state
         trace = state.group.trace
         if trace is not None:
             visit.span.finish(self.sim.now, job=job, breakdown=trace.breakdown)

@@ -1,5 +1,7 @@
 """Unit tests for the event heap: ordering, tie-breaking, cancellation."""
 
+import gc
+
 import pytest
 
 from repro.engine import Event, EventQueue
@@ -205,3 +207,35 @@ class TestSeqIsolation:
         q2.push(make(1.0))
         b = q1.push(make(1.0))
         assert (a.seq, b.seq) == (0, 1)
+
+
+class TestNoReferenceCycles:
+    def test_spent_events_are_freed_without_the_collector(self):
+        # The heap key lives only in the heap, so an event that was
+        # popped, purged or compacted away is freed by reference
+        # counting alone.
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            q = EventQueue()
+            events = [q.push(make(float(i % 11), priority=i % 3))
+                      for i in range(200)]
+            batch = [make(float(i % 13)) for i in range(100)]
+            q.push_batch(batch)
+            for e in events[::3] + events[1::3] + batch[::2]:
+                e.cancel()
+            assert len(q._heap) < 300  # dead entries outnumbered: compacted
+            head = [q.pop() for _ in range(40)]
+            for e in batch[1::2]:
+                q.cancel(e)
+            q.peek_time()  # purges the cancelled head
+            assert all(e is not None for e in head)
+            del events, batch, head, e
+            while q.pop() is not None:
+                pass
+            assert len(q) == 0
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()

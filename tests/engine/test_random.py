@@ -1,6 +1,12 @@
 """Tests for seeded random streams: reproducibility and independence."""
 
+import numpy as np
+import pytest
+
 from repro.engine import RandomStreams
+from repro.engine.random import cumulative_weights, weighted_index
+from repro.service.paths import ExecutionPath, PathSelector
+from repro.workload import RequestMix
 
 
 class TestReproducibility:
@@ -55,3 +61,46 @@ class TestFork:
         parent = base.stream("svc").random(4).tolist()
         child = base.fork("rep-1").stream("svc").random(4).tolist()
         assert parent != child
+
+
+WEIGHTS = {
+    "single": [1.0],
+    "uneven": [0.3, 0.5, 0.2],
+    "trailing_zero": [0.25, 0.75, 0.0],
+}
+
+
+class TestWeightedIndex:
+    """A weighted draw must be ``rng.choice(n, p=...)``'s draw: the same
+    index and the same stream state afterwards, so switching to it moves
+    no simulated output."""
+
+    @pytest.mark.parametrize("weights", list(WEIGHTS.values()), ids=list(WEIGHTS))
+    def test_matches_rng_choice(self, weights):
+        p = np.array(weights)
+        ours, numpy_ = np.random.default_rng(5), np.random.default_rng(5)
+        cdf = cumulative_weights(p)
+        drawn = [weighted_index(ours, cdf) for _ in range(5000)]
+        expected = [int(numpy_.choice(len(p), p=p)) for _ in range(5000)]
+        assert drawn == expected
+        assert ours.bit_generator.state == numpy_.bit_generator.state
+        if weights[-1] == 0.0:
+            assert len(p) - 1 not in drawn
+
+    @pytest.mark.parametrize("weights", list(WEIGHTS.values()), ids=list(WEIGHTS))
+    def test_request_mix_and_path_selector_match_rng_choice(self, weights):
+        p = np.array(weights) / sum(weights)
+        mix = RequestMix.from_weights(
+            {f"t{i}": w for i, w in enumerate(weights)}
+        )
+        selector = PathSelector(
+            [ExecutionPath(i, f"p{i}", [0]) for i in range(len(weights))],
+            {i: w for i, w in enumerate(weights)},
+        )
+        ours, numpy_ = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(1000):
+            name, _size = mix.sample(ours)
+            assert name == f"t{int(numpy_.choice(len(p), p=p))}"
+            path = selector.select(ours)
+            assert path.path_id == int(numpy_.choice(len(p), p=p))
+        assert ours.bit_generator.state == numpy_.bit_generator.state
