@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..engine.random import cumulative_weights, weighted_index
 from ..errors import DistributionError
 from .base import Distribution, require_non_negative, require_positive
 
@@ -226,10 +227,10 @@ class Mixture(Distribution):
             raise DistributionError("mixture weights must be non-negative")
         self.components = list(components)
         self.weights = np.asarray(weights, dtype=float)
+        self._cdf = cumulative_weights(self.weights)
 
     def sample(self, rng: np.random.Generator) -> float:
-        idx = int(rng.choice(len(self.components), p=self.weights))
-        return self.components[idx].sample(rng)
+        return self.components[weighted_index(rng, self._cdf)].sample(rng)
 
     def mean(self) -> float:
         return float(

@@ -14,7 +14,7 @@ frequency of a whole core set (one tier) at a time.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ResourceError
 from .dvfs import DvfsLadder
@@ -78,6 +78,10 @@ class CoreSet:
     leave their work queued and subscribe to :meth:`on_release`
     notifications, which the owning microservice uses to re-attempt
     dispatch — the event-driven analogue of a thread stalling for CPU.
+
+    :attr:`free_count` is kept by :meth:`try_acquire` and
+    :meth:`release` alone (a core belongs to exactly one set), so a
+    consumer can tell that no core is free without asking for one.
     """
 
     def __init__(self, name: str, cores: List[CpuCore]) -> None:
@@ -85,32 +89,35 @@ class CoreSet:
             raise ResourceError(f"core set {name!r} needs at least one core")
         self.name = name
         self.cores = list(cores)
-        self._release_callbacks: List[Callable[[], None]] = []
+        self.free_count = sum(1 for c in self.cores if not c.busy)
+        # A tuple, replaced on subscription, so release() can iterate
+        # it while a callback subscribes.
+        self._release_callbacks: Tuple[Callable[[], None], ...] = ()
 
     def __len__(self) -> int:
         return len(self.cores)
 
-    @property
-    def free_count(self) -> int:
-        return sum(1 for c in self.cores if not c.busy)
-
     def try_acquire(self, now: float) -> Optional[CpuCore]:
         """Grab a free core, or ``None`` if all are busy."""
+        if not self.free_count:
+            return None
         for core in self.cores:
             if not core.busy:
                 core.acquire(now)
+                self.free_count -= 1
                 return core
         return None
 
     def release(self, core: CpuCore, now: float) -> None:
         """Return *core* to the set and wake subscribers."""
         core.release(now)
-        for callback in list(self._release_callbacks):
+        self.free_count += 1
+        for callback in self._release_callbacks:
             callback()
 
     def on_release(self, callback: Callable[[], None]) -> None:
         """Subscribe to be called whenever a core frees up."""
-        self._release_callbacks.append(callback)
+        self._release_callbacks += (callback,)
 
     def set_frequency(self, frequency: float) -> float:
         """DVFS the whole set; returns the snapped frequency."""

@@ -31,7 +31,7 @@ class Connection:
         "conn_id",
         "name",
         "outstanding",
-        "_holder",
+        "holder",
         "_waiters",
         "_on_unblock",
         "_send_seq",
@@ -45,7 +45,9 @@ class Connection:
         self.conn_id = next(Connection._id_counter)
         self.name = name or f"conn{self.conn_id}"
         self.outstanding = 0  # requests sent and not yet answered
-        self._holder: Optional[int] = None  # request id holding the block
+        # The request id holding the receive-side block (read on every
+        # queue visibility check, hence a plain slot).
+        self.holder: Optional[int] = None
         self._waiters: List[int] = []  # later requests queued for the block
         self._on_unblock: List[Callable[[], None]] = []
         # TCP in-order delivery, per direction (keyed by receiver):
@@ -56,12 +58,7 @@ class Connection:
 
     @property
     def blocked(self) -> bool:
-        return self._holder is not None
-
-    @property
-    def holder(self) -> Optional[int]:
-        """The request id currently holding the receive-side block."""
-        return self._holder
+        return self.holder is not None
 
     def on_unblock(self, callback: Callable[[], None]) -> None:
         """Subscribe to visibility changes (receiving services kick their
@@ -79,20 +76,20 @@ class Connection:
         connection upon completion of the current request" — the holder
         id plays that role here.
         """
-        if self._holder == request_id or request_id in self._waiters:
+        if self.holder == request_id or request_id in self._waiters:
             raise TopologyError(
                 f"{self.name}: request {request_id} blocked twice"
             )
-        if self._holder is None:
-            self._holder = request_id
+        if self.holder is None:
+            self.holder = request_id
         else:
             self._waiters.append(request_id)
 
     def unblock(self, request_id: int) -> None:
         """Release the block held by *request_id* (no-op otherwise)."""
-        if self._holder != request_id:
+        if self.holder != request_id:
             return  # a different in-flight request holds the block
-        self._holder = self._waiters.pop(0) if self._waiters else None
+        self.holder = self._waiters.pop(0) if self._waiters else None
         # Visibility changed either way: the next holder's job (or, with
         # no waiters, every queued job) becomes eligible.
         for callback in list(self._on_unblock):
@@ -154,7 +151,7 @@ class Connection:
 
     def __repr__(self) -> str:
         state = (
-            f"blocked(by={self._holder}, +{len(self._waiters)} waiting)"
+            f"blocked(by={self.holder}, +{len(self._waiters)} waiting)"
             if self.blocked
             else "open"
         )

@@ -18,6 +18,18 @@ and each dispatch round greedily starts every (worker, core, batch)
 triple it can find, draining later pipeline stages before earlier ones
 so in-flight requests complete before new ones are admitted — the same
 run-to-completion bias real event-driven servers exhibit.
+
+A round looks only at stages whose ``may_be_ready`` flag is set. The
+events that can expose a queued job set it (a push, a connection
+unblock, the cancellation of a queued job); blocking only hides jobs
+and a batch take only removes them, so the flag covers every ready
+stage. A flagged stage is confirmed with the exact ``has_ready()``
+before anything acts on it, and the flag is cleared when the answer is
+no. While the core set has no free core a round starts nothing, but it
+still claims and returns one worker per ready stage, deepest first, up
+to the first refusal: those claims rotate a static thread pool's idle
+list (which moves context-switch charges) and grow a dynamic pool, so
+they are part of the simulated behaviour.
 """
 
 from __future__ import annotations
@@ -220,7 +232,13 @@ class Microservice:
         ``job.cancelled`` instead."""
         if job.path is None or job.stage_pos >= len(job.path.stage_ids):
             return False
-        return self._stages[job.current_stage_id].queue.remove(job)
+        stage = self._stages[job.current_stage_id]
+        if not stage.queue.remove(job):
+            return False
+        # A hidden job at the head of a connection's subqueue may have
+        # been hiding the block holder's job behind it.
+        stage.may_be_ready = True
+        return True
 
     def _fail_job(self, job: Job, notify: bool = True) -> None:
         self.jobs_failed += 1
@@ -254,57 +272,70 @@ class Microservice:
         self.jobs_accepted += 1
         if job.connection is not None and job.connection.conn_id not in self._subscribed_conns:
             self._subscribed_conns.add(job.connection.conn_id)
-            job.connection.on_unblock(self._kick)
+            job.connection.on_unblock(self._on_unblock)
         self._enqueue(job)
         self._kick()
 
     def _enqueue(self, job: Job) -> None:
-        self._stages[job.current_stage_id].queue.push(job)
+        stage = self._stages[job.path.stage_ids[job.stage_pos]]
+        stage.may_be_ready = True
+        stage.queue.push(job)
+
+    def _on_unblock(self) -> None:
+        """A subscribed connection changed holder: its queued jobs may
+        have become visible in any stage."""
+        for stage in self._scan_order:
+            stage.may_be_ready = True
+        self._kick()
 
     # Dispatch loop ------------------------------------------------------
 
     def _kick(self) -> None:
-        """(Re)enter the dispatch loop unless already inside it."""
-        if self._in_dispatch:
+        """Run a dispatch round unless one is already running."""
+        if self._in_dispatch or self.state == STATE_DOWN:
             return
         self._in_dispatch = True
+        cores = self.cores
+        model = self.model
         try:
-            self._dispatch_all()
+            while True:
+                for stage in self._scan_order:
+                    if not stage.may_be_ready:
+                        continue
+                    if not stage.queue.has_ready():
+                        stage.may_be_ready = False
+                        continue
+                    if cores.free_count:
+                        if not self._start_execution(stage):
+                            return  # no worker: no later stage can start
+                        break  # rescan from the deepest stage
+                    # No core is free, so nothing starts; claim and
+                    # return a worker exactly as a start that finds no
+                    # core would.
+                    worker = model.acquire_worker()
+                    if worker is None:
+                        return
+                    model.release_worker(worker)
+                else:
+                    return
         finally:
             self._in_dispatch = False
 
-    def _dispatch_all(self) -> None:
-        if self.state == STATE_DOWN:
-            return
-        progress = True
-        while progress:
-            progress = False
-            for stage in self._scan_order:
-                if not stage.queue.has_ready():
-                    continue
-                if self._start_execution(stage):
-                    progress = True
-                    break  # rescan from the deepest stage
-
     def _start_execution(self, stage: Stage) -> bool:
-        """Try to start one batch on *stage*; True if work began."""
-        worker = self.model.acquire_worker()
+        """Start one batch on *stage*, whose queue has a ready job and
+        whose core set has a free core; False if no worker is free."""
+        model = self.model
+        worker = model.acquire_worker()
         if worker is None:
             return False
-        core = self.cores.try_acquire(self.sim.now)
-        if core is None:
-            self.model.release_worker(worker)
-            return False
+        now = self.sim.now
+        core = self.cores.try_acquire(now)
         batch = stage.queue.next_batch()
-        if not batch:
-            self.cores.release(core, self.sim.now)
-            self.model.release_worker(worker)
-            return False
         for job in batch:
             if job.first_dispatch_at is None:
-                job.first_dispatch_at = self.sim.now
+                job.first_dispatch_at = now
         cost = stage.compute_cost(batch, core.frequency, self._rng)
-        cost += self.model.dispatch_overhead(worker, core)
+        cost += model.dispatch_overhead(worker, core)
         cost *= self.slow_factor
         stage.record(len(batch), cost)
         if self.metrics is not None:
@@ -373,9 +404,15 @@ class Microservice:
                 self._enqueue(job)
             else:
                 self._complete_job(job)
-        if core is not None:
-            self.cores.release(core, self.sim.now)
-        self._kick()
+        if core is None:
+            self._kick()
+            return
+        # The release re-enters dispatch, which runs to a fixed point. A
+        # second round changes nothing unless every core is busy, when
+        # its worker claims rotate the pool again.
+        self.cores.release(core, self.sim.now)
+        if not self.cores.free_count:
+            self._kick()
 
     def _complete_job(self, job: Job) -> None:
         job.completed_at = self.sim.now

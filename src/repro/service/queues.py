@@ -36,9 +36,11 @@ def _is_blocked(job: Job) -> bool:
     """A job is hidden while its connection is blocked by a *different*
     request. The block holder's own jobs stay visible — they must keep
     flowing so the request can complete and lift the block."""
-    if job.connection is None or not job.connection.blocked:
+    connection = job.connection
+    if connection is None:
         return False
-    return job.connection.holder != job.request.request_id
+    holder = connection.holder
+    return holder is not None and holder != job.request.request_id
 
 
 class StageQueue(abc.ABC):
@@ -113,7 +115,10 @@ class SingleQueue(StageQueue):
         return len(self._fifo)
 
     def has_ready(self) -> bool:
-        return any(not _is_blocked(job) for job in self._fifo)
+        for job in self._fifo:
+            if not _is_blocked(job):
+                return True
+        return False
 
     def remove(self, job: Job) -> bool:
         try:
@@ -161,10 +166,10 @@ class _SubqueueMixin:
         return ready
 
     def has_ready(self) -> bool:
-        return any(
-            queue and not _is_blocked(queue[0])
-            for queue in self._subqueues.values()
-        )
+        for queue in self._subqueues.values():
+            if queue and not _is_blocked(queue[0]):
+                return True
+        return False
 
     def _gc(self, key: int) -> None:
         if not self._subqueues[key]:

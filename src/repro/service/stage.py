@@ -81,6 +81,12 @@ class Stage:
         self.per_byte = as_frequency_table(per_byte)
         self.io = io
         self.batching = batching
+        # Dispatch hint kept by the owning microservice: True whenever
+        # the queue may hold a ready job. Set by every event that can
+        # expose one (push, connection unblock, cancellation of a
+        # queued job) and cleared only when has_ready() says no, so it
+        # covers every ready stage and the scan skips the rest.
+        self.may_be_ready = False
         # Block-buffered samplers (attach_samplers): the fast path for
         # the per-batch cost draws. None until a microservice attaches
         # them; compute_cost falls back to scalar draws from the

@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..engine import PRIORITY_ARRIVAL, Simulator
+from ..engine.random import cumulative_weights, weighted_index
 from ..errors import TopologyError
 from ..hardware import NetworkFabric
 from ..resilience import CircuitBreaker, ResiliencePolicy
@@ -209,6 +210,9 @@ class Dispatcher:
             self.network.delay_sampler(sim.random.stream("dispatcher/network")),
         )
         self._trees: List[Tuple[PathTree, float]] = []
+        # Normalised CDF of the weighted trees, derived at the first
+        # pick after add_tree changes them (see _pick_tree).
+        self._tree_cdf: Optional[list] = None
         self._trees_by_type: Dict[str, PathTree] = {}
         self._trees_by_name: Dict[str, PathTree] = {}
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
@@ -278,6 +282,7 @@ class Dispatcher:
             self._trees_by_type[request_type] = tree
         else:
             self._trees.append((tree, 1.0 if probability is None else probability))
+            self._tree_cdf = None
         self._trees_by_name.setdefault(tree.name, tree)
         return tree
 
@@ -301,14 +306,19 @@ class Dispatcher:
             )
         if len(self._trees) == 1:
             return self._trees[0][0]
-        weights = np.array([w for _, w in self._trees], dtype=float)
-        total = weights.sum()
-        if not math.isclose(total, 1.0, rel_tol=1e-9):
-            raise TopologyError(
-                f"tree probabilities must sum to 1, got {total!r}"
-            )
-        idx = int(self._rng.choice(len(self._trees), p=weights))
-        return self._trees[idx][0]
+        cdf = self._tree_cdf
+        if cdf is None:
+            # First pick since add_tree changed the trees (a sharded
+            # dispatcher copies them in after construction, so its CDF
+            # is derived from the copy).
+            weights = np.array([w for _, w in self._trees], dtype=float)
+            total = weights.sum()
+            if not math.isclose(total, 1.0, rel_tol=1e-9):
+                raise TopologyError(
+                    f"tree probabilities must sum to 1, got {total!r}"
+                )
+            cdf = self._tree_cdf = cumulative_weights(weights)
+        return self._trees[weighted_index(self._rng, cdf)][0]
 
     # Outcome listeners ----------------------------------------------------
 

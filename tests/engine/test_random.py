@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.apps import three_tier
+from repro.distributions import Deterministic, Mixture
 from repro.engine import RandomStreams
 from repro.engine.random import cumulative_weights, weighted_index
+from repro.service import Request
 from repro.service.paths import ExecutionPath, PathSelector
 from repro.workload import RequestMix
 
@@ -103,4 +106,29 @@ class TestWeightedIndex:
             assert name == f"t{int(numpy_.choice(len(p), p=p))}"
             path = selector.select(ours)
             assert path.path_id == int(numpy_.choice(len(p), p=p))
+        assert ours.bit_generator.state == numpy_.bit_generator.state
+
+    def test_three_tier_tree_pick_matches_rng_choice(self):
+        # three_tier registers a hit and a miss tree by weight.
+        dispatcher = three_tier(seed=4).dispatcher
+        trees = [tree for tree, _ in dispatcher._trees]
+        p = np.array([w for _, w in dispatcher._trees])
+        assert len(trees) == 2
+        numpy_ = np.random.default_rng()
+        numpy_.bit_generator.state = dispatcher._rng.bit_generator.state
+        request = Request(0.0)
+        for _ in range(5000):
+            picked = dispatcher._pick_tree(request)
+            assert picked is trees[int(numpy_.choice(len(p), p=p))]
+        assert dispatcher._rng.bit_generator.state == numpy_.bit_generator.state
+
+    def test_mixture_matches_rng_choice(self):
+        weights = [0.25, 0.6, 0.0, 0.15]
+        mixture = Mixture([Deterministic(float(i)) for i in range(4)], weights)
+        ours, numpy_ = np.random.default_rng(13), np.random.default_rng(13)
+        drawn = [mixture.sample(ours) for _ in range(5000)]
+        expected = [
+            float(numpy_.choice(4, p=np.array(weights))) for _ in range(5000)
+        ]
+        assert drawn == expected
         assert ours.bit_generator.state == numpy_.bit_generator.state

@@ -174,6 +174,29 @@ class TestConnectionBlockingInService:
         sim.run()
         assert done[0][1] == pytest.approx(0.011)
 
+    def test_cancelling_a_hidden_head_exposes_the_holders_job(self, sim):
+        # A connection subqueue whose head is hidden hides the block
+        # holder's job queued behind it. Withdrawing the head exposes
+        # that job, and the next core release must start it.
+        stage = Stage("epoll", 0, EpollQueue(), base=Deterministic(1e-3))
+        svc = Microservice(
+            "svc", sim, [stage],
+            PathSelector([ExecutionPath(0, "p", [0])]), make_cores(1),
+        )
+        first = send(svc, sim, conn=Connection())
+        conn = Connection()
+        other, holder = Job(Request(0.0), connection=conn), Request(0.0)
+        conn.block(holder.request_id)
+        svc.accept(other)
+        done = []
+        held = Job(holder, connection=conn)
+        held.on_complete = lambda j: done.append(sim.now)
+        svc.accept(held)
+        sim.schedule(0.5e-3, svc.cancel_job, other)
+        sim.run()
+        assert first[0][1] == pytest.approx(1e-3)
+        assert done == [pytest.approx(2e-3)]
+
 
 class TestMultiThreadedService:
     def test_thread_limit_caps_concurrency(self, sim):

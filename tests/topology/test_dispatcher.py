@@ -315,6 +315,18 @@ class TestTreeSelection:
         with pytest.raises(TopologyError):
             dispatcher.submit(Request(0.0))
 
+    def test_tree_weights_rechecked_after_add_tree(self, sim, network):
+        # The weighted draw's CDF is derived once per set of trees; a
+        # tree added after a pick must invalidate it and its check.
+        cluster, deployment, dispatcher = build_world(sim, network)
+        deployment.add_instance(build_instance(sim, cluster, "a0", "node0", tier="a"))
+        dispatcher.add_tree(PathTree("x").chain(PathNode("a", "a")), probability=0.5)
+        dispatcher.add_tree(PathTree("y").chain(PathNode("a2", "a")), probability=0.5)
+        dispatcher.submit(Request(0.0))
+        dispatcher.add_tree(PathTree("z").chain(PathNode("a3", "a")), probability=0.2)
+        with pytest.raises(TopologyError, match="tree probabilities must sum to 1"):
+            dispatcher.submit(Request(0.0))
+
     def test_no_tree_rejected(self, sim, network):
         _, _, dispatcher = build_world(sim, network)
         with pytest.raises(TopologyError):
