@@ -14,8 +14,6 @@ from .event import (
     PRIORITY_ARRIVAL,
     PRIORITY_COMPLETION,
     PRIORITY_MONITOR,
-    acquire_event,
-    release_event,
 )
 from .event_queue import EventQueue
 from .profiler import EngineProfiler, ProfileEntry
@@ -35,6 +33,4 @@ __all__ = [
     "PRIORITY_ARRIVAL",
     "PRIORITY_COMPLETION",
     "PRIORITY_MONITOR",
-    "acquire_event",
-    "release_event",
 ]

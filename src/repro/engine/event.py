@@ -44,17 +44,13 @@ class Event:
     loop discards it when popped, which keeps the heap operations
     O(log n) without requiring heap surgery.
 
-    ``transient`` marks a slab-allocated event from the module free
-    list (see :func:`acquire_event`): the simulator's run loop recycles
-    it the moment its callback returns. The flag is the whole contract
-    — transient events are only created through
-    :meth:`Simulator.schedule_transient
-    <repro.engine.simulator.Simulator.schedule_transient>`, whose
-    callers promise never to cancel or retain the handle.
+    Every schedule, fire-and-forget ones included, makes a fresh event;
+    none is pooled or reused, so a handle stays valid for as long as
+    its holder keeps it.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled",
-                 "transient", "_queue")
+                 "_queue")
 
     def __init__(
         self,
@@ -69,7 +65,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.transient = False
         self._queue = None  # owning EventQueue while pending, else None
 
     def cancel(self) -> None:
@@ -84,10 +79,6 @@ class Event:
             queue.cancel(self)
         else:
             self.cancelled = True
-
-    def fire(self) -> None:
-        """Run the event's callback."""
-        self.fn(*self.args)
 
     # Ordering ---------------------------------------------------------
 
@@ -114,57 +105,3 @@ PRIORITY_ADMIN = -10
 PRIORITY_COMPLETION = 0
 PRIORITY_ARRIVAL = 10
 PRIORITY_MONITOR = 20
-
-
-# Event slab: a bounded free list of recycled Event objects for the
-# hot-path schedules that are fired exactly once and never cancelled
-# (client arrival ticks, wire deliveries). At hundreds of thousands of
-# events per second, re-initialising a pooled object is measurably
-# cheaper than allocating a fresh one and leaves far less garbage for
-# the cyclic collector to crawl. The cap bounds memory when a burst
-# schedules far ahead; beyond it, acquire falls back to plain
-# construction, so the pool can never change behaviour — only
-# allocation traffic.
-_FREE_EVENTS: list = []
-_FREE_CAP = 4096
-
-
-def acquire_event(
-    time: float,
-    fn: Callable[..., Any],
-    args: tuple,
-    priority: int,
-) -> Event:
-    """Take a recycled :class:`Event` (or build one) marked ``transient``.
-
-    Only :meth:`Simulator.schedule_transient
-    <repro.engine.simulator.Simulator.schedule_transient>` should call
-    this; the run loop hands the event back via :func:`release_event`
-    right after it fires.
-    """
-    free = _FREE_EVENTS
-    if free:
-        event = free.pop()
-        event.time = float(time)
-        event.priority = priority
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-    else:
-        event = Event(time, fn, args, priority)
-        event.transient = True
-    return event
-
-
-def release_event(event: Event) -> None:
-    """Return a fired transient event to the free list.
-
-    Clears the payload so the pool retains no references to model
-    objects (jobs, closures) between uses.
-    """
-    event.fn = None
-    event.args = ()
-    event._queue = None
-    free = _FREE_EVENTS
-    if len(free) < _FREE_CAP:
-        free.append(event)

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Iterator, Optional
 
 from .event import Event
 
@@ -29,7 +27,12 @@ _COMPACT_MIN_DEAD = 64
 
 
 class EventQueue:
-    """Min-heap of events ordered by ``(time, priority, seq)``."""
+    """Min-heap of events ordered by ``(time, priority, seq)``.
+
+    :meth:`push` is the only way in, so sequence numbers follow push
+    order for every caller: a batch of events is pushed one by one, in
+    the order its same-instant ties must run.
+    """
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []  # (time, priority, seq, event)
@@ -50,46 +53,6 @@ class EventQueue:
         heappush(self._heap, (event.time, event.priority, seq, event))
         self._live += 1
         return event
-
-    def push_batch(self, events: Sequence[Event]) -> None:
-        """Insert many events at once with vectorised key construction.
-
-        The hot caller is :meth:`repro.shard.sync.ShardHost.advance`,
-        which receives a whole window's worth of inbound mailbox
-        messages in one call.  Times and priorities are normalised
-        through one ``float64`` array pass (``tolist`` round-trips
-        every float bit-exactly, so ordering is identical to repeated
-        :meth:`push` calls), then either heap-pushed individually or —
-        when the batch rivals the existing heap — appended and
-        re-heapified in one O(n) pass.  The single-event :meth:`push`
-        is deliberately untouched: per-event pushes from the simulator
-        core must not pay any array overhead.
-        """
-        n = len(events)
-        if n == 0:
-            return
-        times = np.fromiter(
-            (event.time for event in events), dtype=np.float64, count=n,
-        ).tolist()
-        seq = self._seq
-        self._seq = seq + n
-        heap = self._heap
-        keys = []
-        append = keys.append
-        for i, event in enumerate(events):
-            event.seq = seq + i
-            event._queue = self
-            event.time = time = times[i]
-            append((time, event.priority, seq + i, event))
-        if n * 4 >= len(heap):
-            # Batch is a sizeable fraction of the heap: one O(n)
-            # heapify beats n × O(log n) sift-ups.
-            heap.extend(keys)
-            heapify(heap)
-        else:
-            for key in keys:
-                heappush(heap, key)
-        self._live += n
 
     def _purge_cancelled_head(self) -> None:
         """Drop cancelled entries off the top of the heap.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationAborted, SimulationError
-from .event import Event, acquire_event, release_event
+from .event import Event
 from .event_queue import EventQueue
 from .random import RandomStreams
 
@@ -89,27 +89,10 @@ class Simulator:
             )
         return self.events.push(Event(time, fn, args, priority))
 
-    def schedule_transient(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> None:
-        """Schedule fire-and-forget work on the recycled-event slab.
-
-        Semantically identical to :meth:`schedule` but the event object
-        comes from (and returns to) a module free list: the run loop
-        recycles it the instant its callback returns. The contract in
-        exchange for the cheaper allocation: the caller must **never
-        cancel** the event nor retain a handle to it — which is why
-        nothing is returned. Reserved for the per-event hot paths
-        (client arrival ticks, wire deliveries) that are fired exactly
-        once by construction.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
-        self.events.push(acquire_event(self.now + delay, fn, args, priority))
+    #: Fire-and-forget schedules (client arrival ticks, wire
+    #: deliveries) use this name; it is the same plain push as
+    #: :meth:`schedule`.
+    schedule_transient = schedule
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -223,8 +206,6 @@ class Simulator:
                     event.fn(*event.args)
                 else:
                     profiler.dispatch(event.fn, event.args)
-                if event.transient:
-                    release_event(event)
                 self.events_processed += 1
                 countdown -= 1
             if until is not None and not events:

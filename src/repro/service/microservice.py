@@ -407,12 +407,12 @@ class Microservice:
         if core is None:
             self._kick()
             return
-        # The release re-enters dispatch, which runs to a fixed point. A
-        # second round changes nothing unless every core is busy, when
-        # its worker claims rotate the pool again.
+        # The release re-enters dispatch, which runs to a fixed point.
+        # After it, each busy core's last worker is the one running on
+        # it, so a second round could only rotate idle workers no core
+        # ran last (and a dynamic pool has already spawned its thread):
+        # it would change nothing.
         self.cores.release(core, self.sim.now)
-        if not self.cores.free_count:
-            self._kick()
 
     def _complete_job(self, job: Job) -> None:
         job.completed_at = self.sim.now

@@ -120,7 +120,7 @@ from ..telemetry.tracing import (
     trace_requested,
 )
 from ..topology.dispatcher import Dispatcher, _RequestGroup, _RequestState
-from ..topology.path_tree import PathNode, PathTree
+from ..topology.path_tree import PathNode
 from ..workload import OpenLoopClient
 from .partition import ShardPlan, plan_shards
 from .sync import ShardHost
@@ -158,18 +158,6 @@ def _owned_tiers(deployment, assignments: Dict[str, int],
     return tiers
 
 
-def _iter_trees(dispatcher: Dispatcher) -> List[PathTree]:
-    """Every registered tree, deduped by name."""
-    seen: Dict[str, PathTree] = {}
-    for tree, _weight in dispatcher._trees:
-        seen.setdefault(tree.name, tree)
-    for tree in dispatcher._trees_by_type.values():
-        seen.setdefault(tree.name, tree)
-    for tree in dispatcher._trees_by_name.values():
-        seen.setdefault(tree.name, tree)
-    return list(seen.values())
-
-
 def validate_world_shardable(world) -> Dict[Tuple[str, str], str]:
     """Check *world* fits the adapter's ownership rules.
 
@@ -179,7 +167,7 @@ def validate_world_shardable(world) -> Dict[Tuple[str, str], str]:
     """
     deployment = world.deployment
     node_machine: Dict[Tuple[str, str], str] = {}
-    for tree in _iter_trees(world.dispatcher):
+    for tree in world.dispatcher._trees_by_name.values():
         for node in tree.nodes:
             instances = deployment.instances(node.service)
             if len(instances) != 1:
@@ -265,9 +253,6 @@ class ShardedDispatcher(Dispatcher):
                 self._my_node_count[tree_name] = (
                     self._my_node_count.get(tree_name, 0) + 1
                 )
-        self._trees_by_tree_name = {
-            tree.name: tree for tree in _iter_trees(self)
-        }
         #: The adapter refuses scaling and instance faults, so the
         #: instance set is fixed for the run and names resolve once.
         self._instances_by_name = {
@@ -460,7 +445,7 @@ class ShardedDispatcher(Dispatcher):
         # Not listed in ``group.states``: a replica never resolves or
         # hedges, the only readers of that list, and listing it would
         # tie the group and its attempt in a reference cycle.
-        state = _RequestState(group, self._trees_by_tree_name[tree_name])
+        state = _RequestState(group, self._trees_by_name[tree_name])
         self._live[rid] = state
         return state
 

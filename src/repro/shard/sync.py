@@ -37,7 +37,7 @@ import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine import PRIORITY_ARRIVAL, Event, Simulator
+from ..engine import PRIORITY_ARRIVAL, Simulator
 from ..errors import ShardingError
 from .message import ShardMessage, deterministic_order
 
@@ -184,8 +184,11 @@ class ShardHost:
         for msg in inbound:
             key = str(msg.src_shard)
             received[key] = received.get(key, 0) + 1
+        # Scheduled in sort_key order, so sequence numbers (and with
+        # them same-instant ties) do not depend on the order shards
+        # handed the messages over; each runs after the local events
+        # already queued at its instant and priority.
         now = self.sim.now
-        delivery = []
         for msg in deterministic_order(inbound):
             if msg.time < now:
                 raise ShardingError(
@@ -194,10 +197,8 @@ class ShardHost:
                     f"its clock is already {self.sim.now!r}: the "
                     f"coordinator's window bound was not conservative"
                 )
-            delivery.append(Event(msg.time, self.handle, (msg,), msg.priority))
-        # One vectorised insert for the whole window's mailbox instead
-        # of per-message schedule_at calls (see EventQueue.push_batch).
-        self.sim.events.push_batch(delivery)
+            self.sim.schedule_at(msg.time, self.handle, msg,
+                                 priority=msg.priority)
         limit = until
         if self.end_time is not None:
             limit = min(limit, self.end_time)

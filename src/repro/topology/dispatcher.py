@@ -270,10 +270,17 @@ class Dispatcher:
         With *probability*, untyped requests draw among the weighted
         trees. A single tree registered with neither serves everything.
         Every tree is additionally addressable by its name — admission
-        control's graceful-degradation fallback refers to trees that
-        way.
+        control's graceful-degradation fallback and the shard adapter's
+        mailbox messages refer to trees that way — so a different tree
+        may not reuse a registered name.
         """
         tree.validate()
+        known = self._trees_by_name.get(tree.name)
+        if known is not None and known is not tree:
+            raise TopologyError(
+                f"another tree is already registered as {tree.name!r}; "
+                f"give each tree a unique name"
+            )
         if request_type is not None:
             if request_type in self._trees_by_type:
                 raise TopologyError(
@@ -283,7 +290,7 @@ class Dispatcher:
         else:
             self._trees.append((tree, 1.0 if probability is None else probability))
             self._tree_cdf = None
-        self._trees_by_name.setdefault(tree.name, tree)
+        self._trees_by_name[tree.name] = tree
         return tree
 
     def add_fallback_tree(self, tree: PathTree) -> PathTree:

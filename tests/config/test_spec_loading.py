@@ -165,3 +165,15 @@ class TestSimulationSpec:
         (spec_dir / "graph.json").write_text(json.dumps(graph))
         with pytest.raises(ConfigError):
             SimulationSpec.load(spec_dir).build()
+
+    def test_two_unnamed_trees_rejected(self, spec_dir):
+        # A tree's name defaults to "default", and names must be unique.
+        from repro.errors import TopologyError
+
+        tree = json.loads(json.dumps(PATHS["trees"][0]))
+        del tree["name"]
+        paths = {"trees": [dict(tree, probability=0.5),
+                           dict(tree, probability=0.5)]}
+        (spec_dir / "path.json").write_text(json.dumps(paths))
+        with pytest.raises(TopologyError, match="'default'.*unique name"):
+            SimulationSpec.load(spec_dir).build()

@@ -222,7 +222,8 @@ class TestNoReferenceCycles:
             events = [q.push(make(float(i % 11), priority=i % 3))
                       for i in range(200)]
             batch = [make(float(i % 13)) for i in range(100)]
-            q.push_batch(batch)
+            for e in batch:
+                q.push(e)
             for e in events[::3] + events[1::3] + batch[::2]:
                 e.cancel()
             assert len(q._heap) < 300  # dead entries outnumbered: compacted

@@ -296,3 +296,28 @@ class TestDeterminism:
         sim.cancel(event)
         sim.run()
         assert fired == []
+
+
+class TestScheduleTransient:
+    def test_fires_like_schedule(self):
+        sim = Simulator(seed=0)
+        fired = []
+        sim.schedule_transient(0.5, fired.append, "a")
+        sim.schedule(0.25, fired.append, "b")
+        sim.run()
+        assert fired == ["b", "a"]
+        assert sim.now == 0.5
+
+    def test_interleaves_deterministically_with_regular_events(self):
+        def run_once():
+            sim = Simulator(seed=4)
+            log = []
+            rng = sim.random.stream("transient-test")
+            for i in range(50):
+                t = float(rng.random())
+                sim.schedule_transient(t, log.append, ("t", round(t, 9)))
+                sim.schedule(t, log.append, ("r", round(t, 9)))
+            sim.run()
+            return log
+
+        assert run_once() == run_once()

@@ -128,6 +128,33 @@ class IdleHost(ShardHost):
         raise AssertionError
 
 
+class RecordingHost(ShardHost):
+    def __init__(self):
+        super().__init__(0, Simulator(seed=0), LOOKAHEAD)
+        self.log = []
+
+    def handle(self, message):
+        self.log.append((message.src_shard, message.seq))
+
+
+class TestInboundOrder:
+    def test_equal_stamps_run_in_sort_key_order_after_local_events(self):
+        # Same-instant ties must not depend on the order the shards
+        # handed their messages over: inbound messages run in sort_key
+        # order, after the local events already queued at that instant.
+        host = RecordingHost()
+        t = 2 * LOOKAHEAD
+        host.sim.schedule_at(t, host.log.append, "local",
+                             priority=PRIORITY_ARRIVAL)
+        scrambled = [
+            ShardMessage(time=t, priority=PRIORITY_ARRIVAL, src_shard=src,
+                         seq=seq, kind="x", payload=())
+            for src, seq in ((2, 1), (1, 1), (2, 0), (1, 0))
+        ]
+        host.advance(t, scrambled)
+        assert host.log == ["local", (1, 0), (1, 1), (2, 0), (2, 1)]
+
+
 class TestGuards:
     def test_send_below_lookahead_rejected(self):
         host = IdleHost(0)

@@ -342,6 +342,32 @@ class TestTreeSelection:
             )
 
 
+    def test_second_tree_with_a_registered_name_rejected(self, sim, network):
+        # Trees are addressed by name (fallbacks, shard mailbox
+        # messages), so a name must pick out one tree.
+        cluster, deployment, dispatcher = build_world(sim, network)
+        deployment.add_instance(build_instance(sim, cluster, "a0", "node0", tier="a"))
+        dispatcher.add_tree(PathTree("x").chain(PathNode("a", "a")), probability=0.5)
+        with pytest.raises(TopologyError, match="unique name"):
+            dispatcher.add_tree(
+                PathTree("x").chain(PathNode("a2", "a")), probability=0.5
+            )
+        with pytest.raises(TopologyError, match="unique name"):
+            dispatcher.add_tree(
+                PathTree("x").chain(PathNode("a3", "a")), request_type="r"
+            )
+
+    def test_one_tree_may_serve_several_request_types(self, sim, network):
+        cluster, deployment, dispatcher = build_world(sim, network)
+        deployment.add_instance(build_instance(sim, cluster, "a0", "node0", tier="a"))
+        tree = PathTree("x").chain(PathNode("a", "a"))
+        dispatcher.add_tree(tree, request_type="read")
+        dispatcher.add_tree(tree, request_type="write")
+        done = submit(dispatcher, sim, n=1, request_type="write")
+        sim.run()
+        assert done[0].latency > 0
+
+
 class TestRoundRobinAcrossReplicas:
     def test_load_spreads_evenly(self, sim, network):
         cluster, deployment, dispatcher = build_world(sim, network, machines=2)
