@@ -15,10 +15,6 @@ set of traced requests into the numbers an operator actually needs:
 
 This is the style of per-tier attribution the paper's power manager
 needs (per-tier latency tuples) and the precursor of tools like Seer.
-
-The legacy trace format — a list of ``(node, instance, enter, leave)``
-tuples in ``request.metadata["trace"]`` — is still accepted and
-upgraded to spans on the fly, so existing notebooks keep working.
 """
 
 from __future__ import annotations
@@ -31,17 +27,6 @@ import numpy as np
 from ..errors import ReproError
 from ..service import Request
 from ..telemetry.tracing import SPAN_OK, Span, Trace
-
-
-def _upgrade_legacy(entries: Sequence[tuple]) -> List[Span]:
-    """Turn legacy (node, instance, enter, leave) tuples into spans."""
-    spans = []
-    for node, instance, enter, leave in entries:
-        span = Span(node=node, instance=instance, service="",
-                    attempt=0, enter=enter)
-        span.finish(leave, breakdown=False)
-        spans.append(span)
-    return spans
 
 
 def spans_of(request: Request, include_cancelled: bool = False) -> List[Span]:
@@ -58,9 +43,12 @@ def spans_of(request: Request, include_cancelled: bool = False) -> List[Span]:
             f"request {request.request_id} carries no trace; build the "
             f"Dispatcher with trace=True"
         )
-    if isinstance(trace, Trace):
-        return trace.completed_spans(include_cancelled=include_cancelled)
-    return _upgrade_legacy(trace)
+    if not isinstance(trace, Trace):
+        raise ReproError(
+            f"request {request.request_id} carries a "
+            f"{type(trace).__name__} trace, not a Trace"
+        )
+    return trace.completed_spans(include_cancelled=include_cancelled)
 
 
 def chain_of(spans: Sequence[Span], label: str = "trace") -> List[Span]:

@@ -101,17 +101,6 @@ class FrequencyTable:
             frequency = max(self._table)
         return self.at(frequency).sample(rng)
 
-    def sample_many(
-        self,
-        rng: np.random.Generator,
-        n: int,
-        frequency: Optional[float] = None,
-    ) -> np.ndarray:
-        """Draw *n* processing times at *frequency* in one block."""
-        if frequency is None:
-            frequency = max(self._table)
-        return self.at(frequency).sample_many(rng, n)
-
     def make_sampler(
         self,
         rng: np.random.Generator,

@@ -30,6 +30,9 @@ class CpuCore:
         self.busy = False
         self._busy_since: Optional[float] = None
         self.busy_time = 0.0  # accumulated seconds of occupancy
+        # Worker that last ran here (the thread model's context-switch
+        # charge reads and sets it); None until the first dispatch.
+        self.last_worker_id: Optional[int] = None
 
     def acquire(self, now: float) -> None:
         """Mark the core busy (caller provides the simulation clock)."""

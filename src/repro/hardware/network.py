@@ -90,23 +90,6 @@ class NetworkFabric:
         """True when messages src -> dst are currently being dropped."""
         return (src_machine, dst_machine) in self._partitioned
 
-    def delay(
-        self,
-        src_machine: str,
-        dst_machine: str,
-        message_bytes: float,
-        rng: np.random.Generator,
-    ) -> float:
-        """One-way latency for a *message_bytes* message src -> dst."""
-        if message_bytes < 0:
-            raise ResourceError(f"negative message size: {message_bytes!r}")
-        if src_machine == dst_machine:
-            base = self.loopback.sample(rng)
-        else:
-            base = self.propagation.sample(rng) + message_bytes / self.bandwidth
-        factor = self._link_factors.get((src_machine, dst_machine))
-        return base if factor is None else base * factor
-
     def lookahead(self) -> float:
         """Guaranteed minimum cross-machine delay (conservative lookahead).
 
@@ -128,13 +111,13 @@ class NetworkFabric:
         rng: np.random.Generator,
         block: int = DEFAULT_BLOCK,
     ) -> "BufferedDelaySampler":
-        """A block-buffered view of :meth:`delay` bound to *rng*.
+        """The fabric's wire-delay model, drawing from *rng*.
 
-        Heavy traffic pays the jitter draw on every message hop; the
-        returned sampler serves those draws from numpy blocks. *rng*
-        must be dedicated to it (the buffering determinism contract).
-        Link degradation and partitions apply at serve time, so fault
-        injection is never a buffer-full late.
+        Every message hop pays a jitter draw; the returned sampler
+        serves those draws from numpy blocks. *rng* must be dedicated
+        to it (the buffering determinism contract). Link degradation
+        and partitions apply at serve time, so fault injection is never
+        a buffer-full late.
         """
         return BufferedDelaySampler(self, rng, block)
 
@@ -147,13 +130,14 @@ class NetworkFabric:
 
 
 class BufferedDelaySampler:
-    """Buffered propagation/loopback jitter for one consumer of a fabric.
+    """One consumer's view of a fabric's one-way delay model.
 
-    Mirrors :meth:`NetworkFabric.delay` exactly — same validation, same
-    serialisation and link-factor arithmetic — but the two jitter
-    distributions draw through :class:`~repro.distributions.
-    BufferedSampler` blocks. The fabric's mutable fault state is read
-    per call, never cached.
+    A hop between distinct machines costs a propagation draw plus its
+    serialisation time (bytes / bandwidth); a same-machine hop costs a
+    loopback draw. Both jitter distributions draw through
+    :class:`~repro.distributions.BufferedSampler` blocks. A degraded
+    link multiplies the result by its factor; the fabric's mutable
+    fault state is read per call, never cached.
     """
 
     __slots__ = ("fabric", "_propagation", "_loopback")

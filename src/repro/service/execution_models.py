@@ -162,7 +162,7 @@ class MultiThreadedModel(ExecutionModel):
 
     def dispatch_overhead(self, worker: Worker, core) -> float:
         # Charge a context switch when the core last ran someone else.
-        last = getattr(core, "last_worker_id", None)
+        last = core.last_worker_id
         core.last_worker_id = worker.worker_id
         if last is None or last == worker.worker_id:
             return 0.0

@@ -334,7 +334,7 @@ class Microservice:
         for job in batch:
             if job.first_dispatch_at is None:
                 job.first_dispatch_at = now
-        cost = stage.compute_cost(batch, core.frequency, self._rng)
+        cost = stage.compute_cost(batch, core.frequency)
         cost += model.dispatch_overhead(worker, core)
         cost *= self.slow_factor
         stage.record(len(batch), cost)
@@ -370,7 +370,7 @@ class Microservice:
                 )
             # The core frees during I/O while the worker stays blocked.
             worker.blocked = True
-            io_time = stage.io_cost(batch, self._rng)
+            io_time = stage.io_cost(batch)
             self.cores.release(core, self.sim.now)
             self.io_device.submit(
                 io_time, lambda: self._finish_stage(stage, batch, worker)

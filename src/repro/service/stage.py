@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-import numpy as np
-
 from ..distributions import BufferedSampler, Distribution, FrequencyTable
 from ..errors import ConfigError
 from ..hardware.dvfs import GHZ
@@ -50,6 +48,23 @@ def as_frequency_table(
     if isinstance(cost, Distribution):
         return FrequencyTable.single(cost, nominal)
     raise ConfigError(f"expected Distribution/FrequencyTable, got {cost!r}")
+
+
+class _Unattached:
+    """Stands in for a stage's samplers until attach_samplers binds them."""
+
+    __slots__ = ("stage",)
+
+    def __init__(self, stage: str) -> None:
+        self.stage = stage
+
+    def sample(self, *args) -> float:
+        raise ConfigError(
+            f"stage {self.stage!r} has no sampler for this cost term; "
+            f"its costs draw only through Stage.attach_samplers"
+        )
+
+    take = sample
 
 
 class Stage:
@@ -87,14 +102,13 @@ class Stage:
         # queued job) and cleared only when has_ready() says no, so it
         # covers every ready stage and the scan skips the rest.
         self.may_be_ready = False
-        # Block-buffered samplers (attach_samplers): the fast path for
-        # the per-batch cost draws. None until a microservice attaches
-        # them; compute_cost falls back to scalar draws from the
-        # caller's rng so standalone stages keep working.
-        self._base_sampler = None
-        self._per_job_sampler = None
-        self._per_byte_sampler = None
-        self._io_sampler = None
+        # Block-buffered samplers, bound by attach_samplers (the owning
+        # microservice calls it). Until then every cost draw raises.
+        unattached = _Unattached(name)
+        self._base_sampler = unattached
+        self._per_job_sampler = unattached
+        self._per_byte_sampler = unattached
+        self._io_sampler = unattached
         # Telemetry.
         self.invocations = 0
         self.jobs_processed = 0
@@ -127,53 +141,32 @@ class Stage:
                 self.io, streams.stream(f"{prefix}/io"), block
             )
 
-    def compute_cost(
-        self,
-        batch: List[Job],
-        frequency: float,
-        rng: np.random.Generator,
-    ) -> float:
+    def compute_cost(self, batch: List[Job], frequency: float) -> float:
         """CPU time (seconds) for executing *batch* at *frequency*."""
         if not batch:
             raise ConfigError(f"stage {self.name!r} asked to cost an empty batch")
         cost = 0.0
         if self.base is not None:
-            sampler = self._base_sampler
-            cost += (sampler.sample(frequency) if sampler is not None
-                     else self.base.sample(rng, frequency))
+            cost += self._base_sampler.sample(frequency)
         if self.per_job is not None:
-            sampler = self._per_job_sampler
             n = len(batch)
-            if sampler is not None:
-                cost += sampler.sample(frequency) if n == 1 else sum(
-                    sampler.take(n, frequency)
-                )
-            elif n == 1:
-                cost += self.per_job.sample(rng, frequency)
-            else:
-                # Vectorised block draw; summing the Python floats keeps
-                # the same left-fold as the scalar loop did.
-                cost += sum(self.per_job.sample_many(rng, n, frequency).tolist())
+            sampler = self._per_job_sampler
+            cost += sampler.sample(frequency) if n == 1 else sum(
+                sampler.take(n, frequency)
+            )
         if self.per_byte is not None:
             total_bytes = sum(job.size_bytes for job in batch)
             if total_bytes > 0:
-                sampler = self._per_byte_sampler
-                draw = (sampler.sample(frequency) if sampler is not None
-                        else self.per_byte.sample(rng, frequency))
-                cost += draw * total_bytes
+                cost += self._per_byte_sampler.sample(frequency) * total_bytes
         return cost
 
-    def io_cost(self, batch: List[Job], rng: np.random.Generator) -> float:
+    def io_cost(self, batch: List[Job]) -> float:
         """Device time the batch spends in I/O (0 when the stage has none)."""
         if self.io is None:
             return 0.0
-        sampler = self._io_sampler
         n = len(batch)
-        if sampler is not None:
-            return sampler.sample() if n == 1 else sum(sampler.take(n))
-        if n == 1:
-            return self.io.sample(rng)
-        return sum(self.io.sample_many(rng, n).tolist())
+        sampler = self._io_sampler
+        return sampler.sample() if n == 1 else sum(sampler.take(n))
 
     def mean_cost(
         self,

@@ -407,7 +407,7 @@ class Dispatcher:
             replicas = self.deployment.instances(entry_service)
         except TopologyError:
             return None
-        alive = [r for r in replicas if getattr(r, "healthy", True)]
+        alive = [r for r in replicas if r.healthy]
         if not alive:
             return None  # routing will fail properly downstream
         pending = min(inst.pending_dispatch for inst in alive)
@@ -959,7 +959,7 @@ class Dispatcher:
             )
             # Wire deliveries are fire-and-forget: cancellation happens
             # via request/attempt state checked at delivery time, never
-            # by cancelling the event — so the slab applies.
+            # by cancelling the event.
             self.sim.schedule_transient(
                 delay, arrive, *args, priority=PRIORITY_ARRIVAL
             )

@@ -9,6 +9,7 @@ deployed instances.
 from __future__ import annotations
 
 import abc
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -28,14 +29,12 @@ class NoHealthyInstance(TopologyError):
 def healthy_subset(instances: Sequence[Microservice]) -> Sequence[Microservice]:
     """Filter to replicas currently accepting new work.
 
-    Instances without a lifecycle ``healthy`` attribute (plain stubs in
-    tests) are assumed up. Returns the original sequence when every
-    instance is healthy, so the common fault-free path allocates
-    nothing.
+    Returns the original sequence when every instance is healthy, so
+    the common fault-free path allocates nothing.
     """
-    if all(getattr(inst, "healthy", True) for inst in instances):
+    if all(inst.healthy for inst in instances):
         return instances
-    return [inst for inst in instances if getattr(inst, "healthy", True)]
+    return [inst for inst in instances if inst.healthy]
 
 
 class LoadBalancer(abc.ABC):
@@ -119,9 +118,8 @@ class LeastOutstanding(LoadBalancer):
     (ties broken by deployment order for determinism).
 
     Uses the dispatcher-maintained ``pending_dispatch`` counter, which
-    counts from instance *selection* — the accepted-minus-completed
-    difference lags by the network delay and would let a burst pile
-    onto one replica.
+    counts from instance *selection*, so a burst spreads over the
+    replicas before any of it arrives.
     """
 
     def pick(
@@ -130,14 +128,7 @@ class LeastOutstanding(LoadBalancer):
         rng: np.random.Generator,
     ) -> Microservice:
         alive = self._eligible(instances)
-
-        def load(inst: Microservice) -> int:
-            pending = getattr(inst, "pending_dispatch", None)
-            if pending is not None:
-                return pending
-            return inst.jobs_accepted - inst.jobs_completed
-
-        return self._chose(min(alive, key=load))
+        return self._chose(min(alive, key=attrgetter("pending_dispatch")))
 
 
 POLICIES = {

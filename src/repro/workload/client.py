@@ -20,12 +20,7 @@ from typing import Callable, List, Optional, Union
 from ..engine import PRIORITY_ARRIVAL, Simulator
 from ..errors import WorkloadError
 from ..service import Request
-from ..service.job import (
-    OUTCOME_FAILED,
-    OUTCOME_OK,
-    OUTCOME_SHED,
-    OUTCOME_TIMEOUT,
-)
+from ..service.job import OUTCOME_OK, OUTCOMES
 from ..telemetry import LatencyRecorder
 from ..topology import Dispatcher
 from .arrival import ArrivalProcess, PoissonArrivals
@@ -100,12 +95,7 @@ class OpenLoopClient:
         self.latencies = LatencyRecorder(f"{name}/e2e")
         self.requests_sent = 0
         self.requests_completed = 0
-        self.outcomes = {
-            OUTCOME_OK: 0,
-            OUTCOME_TIMEOUT: 0,
-            OUTCOME_SHED: 0,
-            OUTCOME_FAILED: 0,
-        }
+        self.outcomes = dict.fromkeys(OUTCOMES, 0)
         self.completed_requests: List[Request] = []
 
     # Lifecycle ----------------------------------------------------------
@@ -139,9 +129,8 @@ class OpenLoopClient:
         if self.max_requests is not None and self.requests_sent >= self.max_requests:
             return
         gap = self._next_gap(now)
-        # Arrival ticks are the single hottest schedule in any load
-        # test and are never cancelled (stop_at/max_requests are
-        # checked at fire time), so they qualify for the event slab.
+        # Arrival ticks are never cancelled: stop_at and max_requests
+        # are checked at fire time.
         self.sim.schedule_transient(gap, self._fire, priority=PRIORITY_ARRIVAL)
 
     def _on_complete(self, request: Request) -> None:

@@ -16,6 +16,7 @@ from ..distributions import Deterministic, Distribution
 from ..engine import PRIORITY_ARRIVAL, Simulator
 from ..errors import WorkloadError
 from ..service import Request
+from ..service.job import OUTCOME_OK, OUTCOMES
 from ..telemetry import LatencyRecorder
 from ..topology import Dispatcher
 from .request_mix import RequestMix
@@ -59,6 +60,7 @@ class ClosedLoopClient:
         self.latencies = LatencyRecorder(f"{name}/e2e")
         self.requests_sent = 0
         self.requests_completed = 0
+        self.outcomes = dict.fromkeys(OUTCOMES, 0)
 
     def start(self) -> "ClosedLoopClient":
         if self._started:
@@ -92,8 +94,12 @@ class ClosedLoopClient:
 
     def _on_complete(self, request: Request) -> None:
         self.requests_completed += 1
-        assert request.latency is not None
-        self.latencies.record(request.completed_at, request.latency)
+        outcome = request.outcome or OUTCOME_OK
+        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+        # Only ok resolutions are latency samples, as in OpenLoopClient.
+        if outcome == OUTCOME_OK:
+            assert request.latency is not None
+            self.latencies.record(request.completed_at, request.latency)
         if self._extra_on_complete is not None:
             self._extra_on_complete(request)
         think = self.think_time.sample(self._rng)

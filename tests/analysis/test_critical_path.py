@@ -9,10 +9,19 @@ from repro.telemetry import SPAN_CANCELLED, Trace
 
 
 def traced_request(spans):
-    """Build a request carrying a synthetic trace."""
+    """Build a request carrying a synthetic trace.
+
+    *spans* are (node, instance, enter, leave) visits of one attempt.
+    """
     req = Request(0.0)
+    trace = Trace(req.request_id)
+    for node, instance, enter, leave in spans:
+        trace.start_span(node, instance, "", 0, enter).finish(
+            leave, breakdown=False
+        )
     req.completed_at = max(leave for *_rest, leave in spans)
-    req.metadata["trace"] = spans
+    trace.finish(req.completed_at, "ok")
+    req.metadata["trace"] = trace
     return req
 
 
@@ -26,6 +35,12 @@ class TestSpans:
     def test_untraced_request_rejected(self):
         with pytest.raises(ReproError):
             spans_of(Request(0.0))
+
+    def test_non_trace_value_rejected_by_type(self):
+        req = Request(0.0)
+        req.metadata["trace"] = [("a", "a0", 0.0, 1.0)]
+        with pytest.raises(ReproError, match="list"):
+            spans_of(req)
 
 
 class TestCriticalPath:
@@ -49,8 +64,8 @@ class TestCriticalPath:
 
     def test_empty_trace_rejected(self):
         req = Request(0.0)
-        req.metadata["trace"] = []
-        with pytest.raises(ReproError):
+        req.metadata["trace"] = Trace(req.request_id)
+        with pytest.raises(ReproError, match="empty trace"):
             critical_path(req)
 
 

@@ -84,8 +84,8 @@ class TestNetworkFabric:
         fabric = NetworkFabric(
             propagation=Deterministic(100e-6), loopback=Deterministic(1e-6)
         )
-        rng = np.random.default_rng(0)
-        assert fabric.delay("a", "a", 1000, rng) == pytest.approx(1e-6)
+        delay = fabric.delay_sampler(np.random.default_rng(0)).delay
+        assert delay("a", "a", 1000) == pytest.approx(1e-6)
 
     def test_cross_machine_adds_serialisation(self):
         fabric = NetworkFabric(
@@ -93,14 +93,40 @@ class TestNetworkFabric:
             loopback=Deterministic(1e-6),
             bandwidth_bytes_per_s=1e6,
         )
-        rng = np.random.default_rng(0)
+        delay = fabric.delay_sampler(np.random.default_rng(0)).delay
         # 1000 bytes at 1 MB/s = 1 ms on the wire.
-        assert fabric.delay("a", "b", 1000, rng) == pytest.approx(100e-6 + 1e-3)
+        assert delay("a", "b", 1000) == pytest.approx(100e-6 + 1e-3)
+
+    def test_degraded_link_multiplies_both_directions(self):
+        fabric = NetworkFabric(
+            propagation=Deterministic(100e-6),
+            loopback=Deterministic(1e-6),
+            bandwidth_bytes_per_s=1e6,
+        )
+        delay = fabric.delay_sampler(np.random.default_rng(0)).delay
+        fabric.degrade_link("a", "b", 3.0)
+        assert delay("a", "b", 1000) == pytest.approx(3 * (100e-6 + 1e-3))
+        assert delay("b", "a", 0) == pytest.approx(3 * 100e-6)
+        assert delay("a", "c", 0) == pytest.approx(100e-6)
+        fabric.restore_link("a", "b")
+        assert delay("a", "b", 0) == pytest.approx(100e-6)
+
+    def test_jitter_draws_come_from_the_sampler_stream(self):
+        # Cross-machine hops draw propagation jitter, same-machine hops
+        # loopback jitter, each through its own block buffer.
+        fabric = NetworkFabric(bandwidth_bytes_per_s=1e6)
+        delay = fabric.delay_sampler(np.random.default_rng(5), block=4).delay
+        rng = np.random.default_rng(5)
+        propagation = fabric.propagation.sample_many(rng, 4).tolist()
+        loopback = fabric.loopback.sample_many(rng, 4).tolist()
+        assert delay("a", "b", 500) == propagation[0] + 500 / 1e6
+        assert delay("a", "a", 500) == loopback[0]
+        assert delay("b", "a", 0) == propagation[1]
 
     def test_negative_size_rejected(self):
-        rng = np.random.default_rng(0)
+        sampler = NetworkFabric().delay_sampler(np.random.default_rng(0))
         with pytest.raises(ResourceError):
-            NetworkFabric().delay("a", "b", -1, rng)
+            sampler.delay("a", "b", -1)
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ResourceError):

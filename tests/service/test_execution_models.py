@@ -7,7 +7,10 @@ from repro.service import MultiThreadedModel, SimpleModel
 
 
 class FakeCore:
-    """Minimal stand-in providing the last_worker_id attribute slot."""
+    """Core stand-in carrying the worker that last ran on it."""
+
+    def __init__(self):
+        self.last_worker_id = None
 
 
 class TestSimpleModel:

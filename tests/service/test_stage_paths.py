@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.distributions import Deterministic, FrequencyTable
+from repro.distributions import Deterministic, Exponential, FrequencyTable
+from repro.engine import RandomStreams
 from repro.errors import ConfigError
 from repro.hardware import GHZ
 from repro.service import (
@@ -26,44 +27,50 @@ def jobs(n, size=0.0):
     return [Job(Request(0.0), size_bytes=size) for _ in range(n)]
 
 
-class TestStageCost:
-    def test_base_cost_independent_of_batch(self, rng):
-        stage = Stage("epoll", 0, SingleQueue(), base=Deterministic(10e-6))
-        assert stage.compute_cost(jobs(1), 2.6 * GHZ, rng) == pytest.approx(10e-6)
-        assert stage.compute_cost(jobs(7), 2.6 * GHZ, rng) == pytest.approx(10e-6)
+def attached(stage, seed=0):
+    """*stage* with its cost samplers bound, as a Microservice binds them."""
+    stage.attach_samplers(RandomStreams(seed), "stage")
+    return stage
 
-    def test_per_job_cost_linear_in_batch(self, rng):
-        stage = Stage(
+
+class TestStageCost:
+    def test_base_cost_independent_of_batch(self):
+        stage = attached(Stage("epoll", 0, SingleQueue(), base=Deterministic(10e-6)))
+        assert stage.compute_cost(jobs(1), 2.6 * GHZ) == pytest.approx(10e-6)
+        assert stage.compute_cost(jobs(7), 2.6 * GHZ) == pytest.approx(10e-6)
+
+    def test_per_job_cost_linear_in_batch(self):
+        stage = attached(Stage(
             "epoll", 0, SingleQueue(),
             base=Deterministic(10e-6), per_job=Deterministic(2e-6),
-        )
-        assert stage.compute_cost(jobs(5), 2.6 * GHZ, rng) == pytest.approx(
+        ))
+        assert stage.compute_cost(jobs(5), 2.6 * GHZ) == pytest.approx(
             10e-6 + 5 * 2e-6
         )
 
-    def test_per_byte_cost_proportional_to_bytes(self, rng):
-        stage = Stage(
+    def test_per_byte_cost_proportional_to_bytes(self):
+        stage = attached(Stage(
             "socket_read", 0, SingleQueue(), per_byte=Deterministic(1e-9)
-        )
+        ))
         batch = jobs(2, size=500)
-        assert stage.compute_cost(batch, 2.6 * GHZ, rng) == pytest.approx(1e-6)
+        assert stage.compute_cost(batch, 2.6 * GHZ) == pytest.approx(1e-6)
 
-    def test_frequency_scaling(self, rng):
+    def test_frequency_scaling(self):
         table = FrequencyTable.single(Deterministic(10e-6), 2.6 * GHZ)
-        stage = Stage("proc", 0, SingleQueue(), base=table)
-        slow = stage.compute_cost(jobs(1), 1.3 * GHZ, rng)
+        stage = attached(Stage("proc", 0, SingleQueue(), base=table))
+        slow = stage.compute_cost(jobs(1), 1.3 * GHZ)
         assert slow == pytest.approx(20e-6)
 
-    def test_io_cost_sums_over_batch(self, rng):
-        stage = Stage(
+    def test_io_cost_sums_over_batch(self):
+        stage = attached(Stage(
             "disk", 0, SingleQueue(),
             base=Deterministic(1e-6), io=Deterministic(5e-3),
-        )
-        assert stage.io_cost(jobs(3), rng) == pytest.approx(15e-3)
+        ))
+        assert stage.io_cost(jobs(3)) == pytest.approx(15e-3)
 
-    def test_io_cost_zero_without_io(self, rng):
-        stage = Stage("proc", 0, SingleQueue(), base=Deterministic(1e-6))
-        assert stage.io_cost(jobs(3), rng) == 0.0
+    def test_io_cost_zero_without_io(self):
+        stage = attached(Stage("proc", 0, SingleQueue(), base=Deterministic(1e-6)))
+        assert stage.io_cost(jobs(3)) == 0.0
 
     def test_mean_cost_folds_terms(self):
         stage = Stage(
@@ -75,10 +82,20 @@ class TestStageCost:
         mean = stage.mean_cost(batch_size=4, mean_bytes=1000)
         assert mean == pytest.approx(10e-6 + 4e-6 + 4e-6)
 
-    def test_empty_batch_rejected(self, rng):
-        stage = Stage("s", 0, SingleQueue(), base=Deterministic(1e-6))
+    def test_empty_batch_rejected(self):
+        stage = attached(Stage("s", 0, SingleQueue(), base=Deterministic(1e-6)))
         with pytest.raises(ConfigError):
-            stage.compute_cost([], 2.6 * GHZ, rng)
+            stage.compute_cost([], 2.6 * GHZ)
+
+    def test_never_attached_stage_raises(self):
+        stage = Stage(
+            "s", 0, SingleQueue(),
+            base=Deterministic(1e-6), io=Deterministic(5e-3),
+        )
+        with pytest.raises(ConfigError, match="attach_samplers"):
+            stage.compute_cost(jobs(1), 2.6 * GHZ)
+        with pytest.raises(ConfigError, match="attach_samplers"):
+            stage.io_cost(jobs(2))
 
     def test_stage_without_costs_rejected(self):
         with pytest.raises(ConfigError):
@@ -91,6 +108,55 @@ class TestStageCost:
         assert stage.invocations == 2
         assert stage.jobs_processed == 5
         assert stage.busy_time == pytest.approx(3e-6)
+
+
+class TestStageCostIdentity:
+    """Attached samplers return, draw for draw, what scalar reference
+    draws on twin streams of the same names give."""
+
+    SEED = 7
+
+    def twin(self, term):
+        return RandomStreams(self.SEED).stream(f"stage/{term}")
+
+    def test_per_term_draws_match_scalar_reference(self):
+        base = FrequencyTable.single(
+            Exponential(3e-6), 2.6 * GHZ, compute_fraction=0.8
+        )
+        per_job = FrequencyTable.single(Exponential(1e-6), 2.6 * GHZ)
+        per_byte = FrequencyTable.single(Exponential(2e-9), 2.6 * GHZ)
+        io = Exponential(50e-6)
+        stage = attached(Stage(
+            "s", 0, SingleQueue(),
+            base=base, per_job=per_job, per_byte=per_byte, io=io,
+        ), seed=self.SEED)
+        rng = {t: self.twin(t) for t in ("base", "per_job", "per_byte", "io")}
+        # (batch size, bytes per job, frequency): a batch of 1 and of 5,
+        # a zero-byte batch (no per-byte draw), and DVFS moving off the
+        # profiled frequency and back mid-sequence.
+        steps = [
+            (1, 100.0, 2.6 * GHZ),
+            (5, 40.0, 2.6 * GHZ),
+            (3, 0.0, 2.6 * GHZ),
+            (1, 0.0, 2.0 * GHZ),
+            (5, 10.0, 1.3 * GHZ),
+            (1, 64.0, 2.6 * GHZ),
+        ]
+        for n, size, freq in steps:
+            batch = jobs(n, size=size)
+            expected = base.sample(rng["base"], freq)
+            if n == 1:
+                expected += per_job.sample(rng["per_job"], freq)
+            else:
+                expected += sum(
+                    per_job.sample(rng["per_job"], freq) for _ in range(n)
+                )
+            total_bytes = sum(job.size_bytes for job in batch)
+            if total_bytes > 0:
+                expected += per_byte.sample(rng["per_byte"], freq) * total_bytes
+            assert stage.compute_cost(batch, freq) == expected
+            expected_io = sum(io.sample(rng["io"]) for _ in range(n))
+            assert stage.io_cost(batch) == expected_io
 
 
 class TestExecutionPath:

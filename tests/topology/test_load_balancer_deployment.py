@@ -21,11 +21,13 @@ def rng():
 
 
 class _FakeInstance:
+    """Instance stand-in carrying what the balancers read."""
+
     def __init__(self, name, outstanding=0):
         self.name = name
         self.tier = "svc"
-        self.jobs_accepted = outstanding
-        self.jobs_completed = 0
+        self.healthy = True
+        self.pending_dispatch = outstanding
 
 
 class TestPolicies:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.distributions import Deterministic
 from repro.errors import WorkloadError
+from repro.service.job import OUTCOME_FAILED, OUTCOME_OK
 from repro.topology import PathNode, PathTree
 from repro.workload import ClosedLoopClient
 
@@ -71,6 +72,31 @@ class TestClosedLoop:
         assert client.outstanding == 0
         # ~0.5s / 10ms * min(2 users, 1 core) ~ 50 requests.
         assert client.requests_completed <= 60
+
+    def test_failed_requests_are_tallied_not_timed(self, sim, network):
+        # Every request fails fast on a crashed tier: each resolution is
+        # counted under its outcome, none is a latency sample.
+        cluster, deployment, dispatcher = build_world(sim, network)
+        web = build_instance(sim, cluster, "web0", "node0", tier="web")
+        deployment.add_instance(web)
+        dispatcher.add_tree(PathTree().chain(PathNode("web", "web")))
+        web.crash()
+        client = ClosedLoopClient(sim, dispatcher, concurrency=2, max_requests=10)
+        client.start()
+        sim.run()
+        assert dispatcher.requests_failed == 10
+        assert client.requests_completed == 10
+        assert client.outcomes[OUTCOME_FAILED] == 10
+        assert client.outcomes[OUTCOME_OK] == 0
+        assert len(client.latencies) == 0
+
+    def test_ok_requests_are_timed(self, sim, network):
+        dispatcher = make_world(sim, network)
+        client = ClosedLoopClient(sim, dispatcher, concurrency=2, max_requests=10)
+        client.start()
+        sim.run()
+        assert client.outcomes[OUTCOME_OK] == 10
+        assert len(client.latencies) == 10
 
     def test_validation(self, sim, network):
         dispatcher = make_world(sim, network)
