@@ -66,8 +66,10 @@ by ``tests/shard/test_fanout_equivalence.py`` and, at 500 leaves,
   maximum over parents of leave time plus that parent's hop delay,
   where vanilla counts at the parents and enters at the *last*
   parent's leave time plus its hop delay. The two instants coincide
-  on a draw-free fabric; under a stochastic one a parent that leaves
-  earlier can still arrive later.);
+  on a draw-free fabric when every hop into the node takes the same
+  time; a same-machine parent's loopback hop is shorter than a
+  cross-machine one, and under a stochastic fabric a parent that
+  leaves earlier can still arrive later.);
 * supervision, barrier-replay recovery, and the merged conservation
   audit work unchanged — the hosts here are ordinary
   ``ShardHost`` subclasses.
