@@ -15,7 +15,7 @@ inversely proportional to clock).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -105,14 +105,18 @@ class FrequencyTable:
         self,
         rng: np.random.Generator,
         block: int = DEFAULT_BLOCK,
+        point_rng: Optional[Callable[[float], np.random.Generator]] = None,
     ) -> "FrequencySampler":
-        """A block-buffered sampler over this table bound to *rng*.
+        """A block-buffered sampler over this table.
 
         The sampler buffers draws of the *profiled* distributions and
         applies the frequency-ratio scale factor per serve, so buffered
-        values never go stale across DVFS transitions.
+        values never go stale across DVFS transitions. The nominal
+        (highest) profiled point draws from *rng*; every other profiled
+        point draws from its own generator, ``point_rng(frequency)``,
+        which a table with more than one profiled point needs.
         """
-        return FrequencySampler(self, rng, block)
+        return FrequencySampler(self, rng, block, point_rng)
 
     def mean(self, frequency: Optional[float] = None) -> float:
         """Mean processing time at *frequency* (nominal if omitted)."""
@@ -129,31 +133,37 @@ class FrequencySampler:
     """Block-buffered draws from a :class:`FrequencyTable`.
 
     Keeps one :class:`~repro.distributions.buffered.BufferedSampler`
-    per *profiled* frequency and scales each served value by the
-    table's frequency-ratio factor for the frequency actually
-    requested. Scaling at serve time (instead of buffering the scaled
-    distribution) keeps DVFS transitions exact: a frequency change
-    takes effect on the very next draw, never a buffer-full later.
+    per *profiled* frequency, each on its own generator (*rng* for the
+    nominal point, ``point_rng(frequency)`` for the others), and scales
+    each served value by the table's frequency-ratio factor for the
+    frequency actually requested. Scaling at serve time (instead of
+    buffering the scaled distribution) keeps DVFS transitions exact: a
+    frequency change takes effect on the very next draw, never a
+    buffer-full later.
 
-    Served values are bitwise-identical to what scalar
-    ``table.sample(rng, frequency)`` calls would produce from the same
-    generator: the profiled draw consumes the stream identically and
-    ``x * factor`` commutes with :class:`~repro.distributions.standard.
-    Scaled`'s ``factor * x``.
+    Because no two buffers share a generator, each profiled point's
+    values are bitwise-identical to what scalar
+    ``table.sample(gen, frequency)`` calls on that point's generator
+    ``gen`` would produce, whatever the block size and however
+    frequencies interleave: the profiled draw consumes the stream
+    identically and ``x * factor`` commutes with
+    :class:`~repro.distributions.standard.Scaled`'s ``factor * x``.
     """
 
-    __slots__ = ("table", "_rng", "_block", "_buffers", "_bindings",
-                 "_nominal")
+    __slots__ = ("table", "_rng", "_block", "_point_rng", "_buffers",
+                 "_bindings", "_nominal")
 
     def __init__(
         self,
         table: FrequencyTable,
         rng: np.random.Generator,
         block: int = DEFAULT_BLOCK,
+        point_rng: Optional[Callable[[float], np.random.Generator]] = None,
     ) -> None:
         self.table = table
         self._rng = rng
         self._block = block
+        self._point_rng = point_rng
         self._buffers: Dict[float, BufferedSampler] = {}
         # requested frequency -> (profiled-dist buffer, scale factor);
         # DVFS transitions are rare, so this cache almost always hits.
@@ -165,12 +175,26 @@ class FrequencySampler:
         buffer = self._buffers.get(nearest)
         if buffer is None:
             buffer = BufferedSampler(
-                self.table._table[nearest], self._rng, self._block
+                self.table._table[nearest], self._generator(nearest),
+                self._block,
             )
             self._buffers[nearest] = buffer
         binding = (buffer, self.table.scale_factor(frequency))
         self._bindings[frequency] = binding
         return binding
+
+    def _generator(self, point: float) -> np.random.Generator:
+        """The generator profiled point *point*'s buffer owns."""
+        if point == self._nominal:
+            return self._rng
+        if self._point_rng is None:
+            raise DistributionError(
+                f"{self.table!r}: profiled point {point:g} Hz needs its "
+                f"own generator (pass point_rng); sharing the nominal "
+                f"point's would make served values depend on the block "
+                f"size"
+            )
+        return self._point_rng(point)
 
     def sample(self, frequency: Optional[float] = None) -> float:
         """One processing time at *frequency* (nominal if omitted)."""

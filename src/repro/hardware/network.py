@@ -110,16 +110,21 @@ class NetworkFabric:
         self,
         rng: np.random.Generator,
         block: int = DEFAULT_BLOCK,
+        loopback_rng: Optional[np.random.Generator] = None,
     ) -> "BufferedDelaySampler":
-        """The fabric's wire-delay model, drawing from *rng*.
+        """The fabric's wire-delay model: propagation draws from *rng*,
+        loopback draws from *loopback_rng*.
 
         Every message hop pays a jitter draw; the returned sampler
-        serves those draws from numpy blocks. *rng* must be dedicated
-        to it (the buffering determinism contract). Link degradation
-        and partitions apply at serve time, so fault injection is never
-        a buffer-full late.
+        serves those draws from numpy blocks. Each generator must be
+        dedicated to its buffer (the buffering determinism contract),
+        so a stochastic loopback needs *loopback_rng*; a
+        :class:`~repro.distributions.Deterministic` loopback draws
+        nothing and may go without. Link degradation and partitions
+        apply at serve time, so fault injection is never a buffer-full
+        late.
         """
-        return BufferedDelaySampler(self, rng, block)
+        return BufferedDelaySampler(self, rng, block, loopback_rng)
 
     def __repr__(self) -> str:
         return (
@@ -135,9 +140,11 @@ class BufferedDelaySampler:
     A hop between distinct machines costs a propagation draw plus its
     serialisation time (bytes / bandwidth); a same-machine hop costs a
     loopback draw. Both jitter distributions draw through
-    :class:`~repro.distributions.BufferedSampler` blocks. A degraded
-    link multiplies the result by its factor; the fabric's mutable
-    fault state is read per call, never cached.
+    :class:`~repro.distributions.BufferedSampler` blocks, each on its
+    own generator, so how hops of the two kinds interleave cannot
+    change either sequence, whatever the block size. A degraded link
+    multiplies the result by its factor; the fabric's mutable fault
+    state is read per call, never cached.
     """
 
     __slots__ = ("fabric", "_propagation", "_loopback")
@@ -147,10 +154,20 @@ class BufferedDelaySampler:
         fabric: NetworkFabric,
         rng: np.random.Generator,
         block: int = DEFAULT_BLOCK,
+        loopback_rng: Optional[np.random.Generator] = None,
     ) -> None:
+        if loopback_rng is None:
+            if not isinstance(fabric.loopback, Deterministic):
+                raise ResourceError(
+                    f"loopback {fabric.loopback!r} draws, so it needs its "
+                    f"own generator (pass loopback_rng); sharing the "
+                    f"propagation's would make delays depend on the "
+                    f"block size"
+                )
+            loopback_rng = rng  # a Deterministic loopback draws nothing
         self.fabric = fabric
         self._propagation = BufferedSampler(fabric.propagation, rng, block)
-        self._loopback = BufferedSampler(fabric.loopback, rng, block)
+        self._loopback = BufferedSampler(fabric.loopback, loopback_rng, block)
 
     def delay(
         self,

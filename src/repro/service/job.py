@@ -121,6 +121,8 @@ class Job:
         "on_complete",
         "on_fail",
         "on_discard",
+        "owner",
+        "node",
         "cancelled",
         "created_at",
         "first_dispatch_at",
@@ -151,6 +153,13 @@ class Job:
         # dispatcher frees a lost message's in-order delivery slot
         # here), never application-visible failure handling.
         self.on_discard: Optional[Callable[["Job"], None]] = None
+        # What the callbacks act on, set by whoever made the job and
+        # opaque here: the dispatcher's attempt and path node for a
+        # node visit, or the message a network-processing service
+        # carries. The callbacks themselves are then shared methods
+        # bound once, not a closure made per job.
+        self.owner = None
+        self.node = None
         # Set by request cancellation (timeout / hedge loser): the job
         # may still be executing, but its completion must not propagate.
         self.cancelled = False

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from ..engine import PRIORITY_COMPLETION, Simulator
+from ..engine import PRIORITY_COMPLETION, Event, Simulator
 from ..errors import ConfigError, FaultError
 from ..hardware.core import CoreSet, CpuCore
 from .connections import Connection
@@ -107,16 +107,19 @@ class Microservice:
         self._subscribed_conns: Set[int] = set()
         self._in_dispatch = False
         self.cores.on_release(self._kick)
+        # Bound once: every batch's completion event holds it.
+        self._on_cpu_done = self._on_cpu_done
 
         # Lifecycle (fault injection): up -> draining/down -> up.
         self.state = STATE_UP
         # Straggler degradation: all stage costs are multiplied by this.
         self.slow_factor = 1.0
-        # Batches currently on a core, keyed by ``id(batch)`` (the
-        # batch list lives until its completion deletes the entry), with
-        # their completion event, so a crash can cancel them and reclaim
-        # cores/workers.
-        self._running: Dict[int, tuple] = {}
+        # The completion events of the batches currently on a core,
+        # keyed by ``id(batch)`` (the batch list lives until its
+        # completion deletes the entry), so a crash can cancel them and
+        # reclaim cores/workers: each event's args are
+        # ``(stage, batch, worker, core)``.
+        self._running: Dict[int, Event] = {}
 
         # Telemetry.
         self.jobs_accepted = 0
@@ -193,7 +196,8 @@ class Microservice:
         self.state = STATE_DOWN
         self.crashes += 1
         killed: List[Job] = []
-        for event, batch, worker, core in list(self._running.values()):
+        for event in list(self._running.values()):
+            _stage, batch, worker, core = event.args
             self.sim.cancel(event)
             self.model.release_worker(worker)
             if core is not None:
@@ -351,7 +355,7 @@ class Microservice:
             core,
             priority=PRIORITY_COMPLETION,
         )
-        self._running[id(batch)] = (event, batch, worker, core)
+        self._running[id(batch)] = event
         return True
 
     def _on_cpu_done(

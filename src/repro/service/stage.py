@@ -121,21 +121,24 @@ class Stage:
         each cost term gets its own dedicated stream under *prefix* so
         the buffered draws have sole ownership of their generator (the
         :class:`~repro.distributions.BufferedSampler` determinism
-        contract). Idempotent: re-attaching to the same streams factory
-        reuses the same named streams and therefore the same sequence.
+        contract); a term profiled at several frequencies draws each
+        non-nominal point from ``{term stream}@{frequency!r}``.
+        Idempotent: re-attaching to the same streams factory reuses the
+        same named streams and therefore the same sequence.
         """
+        def sampler(table: FrequencyTable, term: str):
+            name = f"{prefix}/{term}"
+            return table.make_sampler(
+                streams.stream(name), block,
+                point_rng=lambda point: streams.stream(f"{name}@{point!r}"),
+            )
+
         if self.base is not None:
-            self._base_sampler = self.base.make_sampler(
-                streams.stream(f"{prefix}/base"), block
-            )
+            self._base_sampler = sampler(self.base, "base")
         if self.per_job is not None:
-            self._per_job_sampler = self.per_job.make_sampler(
-                streams.stream(f"{prefix}/per_job"), block
-            )
+            self._per_job_sampler = sampler(self.per_job, "per_job")
         if self.per_byte is not None:
-            self._per_byte_sampler = self.per_byte.make_sampler(
-                streams.stream(f"{prefix}/per_byte"), block
-            )
+            self._per_byte_sampler = sampler(self.per_byte, "per_byte")
         if self.io is not None:
             self._io_sampler = BufferedSampler(
                 self.io, streams.stream(f"{prefix}/io"), block

@@ -270,32 +270,40 @@ class ShardedDispatcher(Dispatcher):
         self._conn_keys: Dict[Connection, tuple] = {}
         if host.is_root:
             self.on_outcome(self._retire_resolved)
+        # Bound once, like the vanilla visit handlers: every visit's
+        # message carries it.
+        self._arrive_visit = self._arrive_visit
 
     # Ownership overrides ----------------------------------------------
 
     def _streams(self, machine: str) -> tuple:
         """Override 1: every machine's decisions draw from its own
-        streams (``shard-dispatch/{machine}`` / ``shard-net/{machine}``),
-        so the draw order does not depend on the shard count."""
+        streams (``shard-dispatch/{machine}``, and ``shard-net/{machine}``
+        with its ``/loopback`` twin), so the draw order does not depend
+        on the shard count."""
         streams = self._machine_streams.get(machine)
         if streams is None:
+            random = self.sim.random
             streams = self._machine_streams[machine] = (
-                self.sim.random.stream(f"shard-dispatch/{machine}"),
+                random.stream(f"shard-dispatch/{machine}"),
                 self.network.delay_sampler(
-                    self.sim.random.stream(f"shard-net/{machine}")
+                    random.stream(f"shard-net/{machine}"),
+                    loopback_rng=random.stream(
+                        f"shard-net/{machine}/loopback"
+                    ),
                 ),
             )
         return streams
 
-    def _cross(self, delay, dst_machine, size_bytes, request, arrive, args,
-               on_lost) -> None:
+    def _cross(self, delay, dst_machine, size_bytes, request, arrive,
+               args) -> None:
         """Override 2: a message for a machine another shard owns
         leaves through the mailbox, stamped at its wire arrival; that
         shard continues it in :meth:`_receive`."""
         dst_shard = self._shard_of(dst_machine)
         if dst_shard == self._host.shard_id:
             super()._cross(delay, dst_machine, size_bytes, request, arrive,
-                           args, on_lost)
+                           args)
             return
         kind, fields = self._export(arrive, args)
         self._host.send(dst_shard, self.sim.now + delay, kind,
@@ -401,9 +409,7 @@ class ShardedDispatcher(Dispatcher):
         :meth:`_cross`: the receiver's netproc, then its arrival."""
         dst_machine, size_bytes, fields = payload
         request, arrive, args = self._import(kind, fields)
-        # Only fault plans lose messages, and the adapter refuses them,
-        # so nothing is owed on loss.
-        self._after_wire(dst_machine, size_bytes, request, arrive, args, None)
+        self._after_wire(dst_machine, size_bytes, request, arrive, args)
 
     def _conn_key(self, conn) -> Optional[tuple]:
         """Name *conn* to another shard as ``(upstream, receiver,

@@ -32,7 +32,6 @@ terminal ``outcome`` (``ok``/``timeout``/``shed``/``failed``).
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -111,10 +110,10 @@ class _Visit:
     its incoming connection, its job, the upstream that sent it, whether
     it has left, and its span (traced requests only).
 
-    The job's callbacks hold the attempt's state, which holds this
-    record, so the record lets go of the job once it is spent — when
-    the visit leaves, or when its attempt is cancelled — and ``job`` is
-    ``None`` from then on.
+    The job holds the attempt's state as its ``owner``, and the state
+    holds this record, so the record lets go of the job once it is
+    spent — when the visit leaves, or when its attempt is cancelled —
+    and ``job`` is ``None`` from then on.
     """
 
     __slots__ = ("instance", "conn", "job", "upstream", "left", "span")
@@ -139,7 +138,9 @@ class _RequestState:
 
     __slots__ = (
         "group",
+        "request",
         "tree",
+        "compiled",
         "attempt",
         "visits",
         "arrivals",
@@ -152,7 +153,9 @@ class _RequestState:
 
     def __init__(self, group: _RequestGroup, tree: PathTree) -> None:
         self.group = group
+        self.request = group.request
         self.tree = tree
+        compiled = self.compiled = tree.compile()
         # Attempt id: 0 for the primary, 1.. for retries/hedges. Spans
         # are keyed (attempt, node) so re-visits never clobber earlier
         # attempts' timestamps.
@@ -160,17 +163,14 @@ class _RequestState:
         # Started visits by node name, in start order: a node has been
         # entered once it has an entry here.
         self.visits: Dict[str, _Visit] = {}
-        # Parents arrived per node; counted before any visit exists.
+        # Parents arrived per fan-in node; counted before any visit
+        # exists.
         self.arrivals: Dict[str, int] = {}
-        self.pending_sinks = len(tree.sinks)
+        self.pending_sinks = compiled.sinks
         self.used_conns: List[Connection] = []
         self.cancelled = False
         self.finished = False
         self.timeout_event = None
-
-    @property
-    def request(self) -> Request:
-        return self.group.request
 
 
 class Dispatcher:
@@ -202,12 +202,15 @@ class Dispatcher:
         self.metrics = metrics
         self._rng = sim.random.stream("dispatcher")
         # The streams every machine's decisions draw from (see
-        # _streams); wire-delay jitter is block-buffered on a dedicated
-        # stream (two draws per request hop — a hot path under heavy
-        # traffic).
+        # _streams); wire-delay jitter is block-buffered on dedicated
+        # streams, one for propagation and one for loopback (two draws
+        # per request hop — a hot path under heavy traffic).
         self._own_streams = (
             self._rng,
-            self.network.delay_sampler(sim.random.stream("dispatcher/network")),
+            self.network.delay_sampler(
+                sim.random.stream("dispatcher/network"),
+                loopback_rng=sim.random.stream("dispatcher/network/loopback"),
+            ),
         )
         self._trees: List[Tuple[PathTree, float]] = []
         # Normalised CDF of the weighted trees, derived at the first
@@ -216,6 +219,17 @@ class Dispatcher:
         self._trees_by_type: Dict[str, PathTree] = {}
         self._trees_by_name: Dict[str, PathTree] = {}
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
+        # The handlers every visit, job and message is handed, bound
+        # once: a bound method made per use would be one more young
+        # container for the cycle collector while the visit is in
+        # flight.
+        self._leave_node = self._leave_node
+        self._on_job_fail = self._on_job_fail
+        self._deliver_job = self._deliver_job
+        self._after_wire = self._after_wire
+        self._sent = self._sent
+        self._received = self._received
+        self._discarded = self._discarded
         # Telemetry.
         self.requests_submitted = 0
         self.requests_completed = 0
@@ -394,7 +408,7 @@ class Dispatcher:
             state.timeout_event = self.sim.schedule(
                 policy.timeout, self._on_timeout, state
             )
-        for root in tree.roots:
+        for root in state.compiled.roots:
             if state.cancelled or group.resolved:
                 break
             self._enter_node(state, root, src_instance=None, parent_conn=None)
@@ -402,7 +416,7 @@ class Dispatcher:
     def _admission_decision(self, policy, tree):
         """None = admit; False = shed; a PathTree = degrade onto it."""
         admission = policy.admission
-        entry_service = tree.roots[0].service
+        entry_service = tree.compile().roots[0].service
         try:
             replicas = self.deployment.instances(entry_service)
         except TopologyError:
@@ -546,8 +560,10 @@ class Dispatcher:
             conn.outstanding -= 1
         state.used_conns = []
 
-    def _on_job_fail(self, state: _RequestState, node: PathNode, job: Job) -> None:
+    def _on_job_fail(self, job: Job) -> None:
         """An instance crashed with (or refused) this attempt's job."""
+        state = job.owner
+        node = job.node
         group = state.group
         if group.resolved or state.cancelled or state.finished:
             return
@@ -693,10 +709,15 @@ class Dispatcher:
     @staticmethod
     def _join(state: _RequestState, node: PathNode) -> bool:
         """Count one parent's arrival at *node*; True on the last one
-        its fan-in waits for (the root's single arrival included)."""
-        arrived = state.arrivals.get(node.name, 0) + 1
-        state.arrivals[node.name] = arrived
-        return arrived == state.tree.fan_in(node.name)
+        its fan-in waits for (at once for a node with one parent, and
+        for a root)."""
+        name = node.name
+        wanted = state.compiled.fan_in.get(name)
+        if wanted is None:
+            return True
+        arrived = state.arrivals.get(name, 0) + 1
+        state.arrivals[name] = arrived
+        return arrived == wanted
 
     def _enter_node(
         self,
@@ -718,7 +739,7 @@ class Dispatcher:
             state, node, instance, conn, size, upstream_key, self.sim.now
         )
         self._send(state, src_machine, instance, conn, size,
-                   self._deliver_job, state, node, instance, job)
+                   self._deliver_job, instance, job)
 
     def _route(
         self,
@@ -779,8 +800,10 @@ class Dispatcher:
         *sent_at* (when the visit's message was sent)."""
         instance.pending_dispatch += 1
         job = Job(state.request, size_bytes=size, connection=conn)
-        job.on_complete = partial(self._leave_node, state, node)
-        job.on_fail = partial(self._on_job_fail, state, node)
+        job.owner = state
+        job.node = node
+        job.on_complete = self._leave_node
+        job.on_fail = self._on_job_fail
         visit = state.visits[node.name] = _Visit(
             instance, conn, job, upstream_key
         )
@@ -811,25 +834,17 @@ class Dispatcher:
         """Send a visit's message from *src_machine* to *instance*; on
         arrival ``accept(*args)`` runs, in the connection's send order."""
         dst_machine = instance.machine_name
-        seq = on_lost = None
-        if conn is not None:
-            # Same-connection messages towards the same receiver are
-            # delivered in send order (TCP semantics) even if the
-            # simulated network completes their hops out of order.
-            seq = conn.next_seq(instance.name)
-            # A message lost at the partition check or en route (a
-            # down/crashing netproc relay) must still consume its
-            # sequence slot — otherwise every later message on this
-            # connection towards the receiver parks forever, wedging
-            # the connection past the instance's own recovery.
-            on_lost = partial(conn.deliver_in_order, instance.name, seq, _noop)
+        # Same-connection messages towards the same receiver are
+        # delivered in send order (TCP semantics) even if the simulated
+        # network completes their hops out of order. A lost message
+        # frees its slot from this record (see _lost).
+        seq = None if conn is None else conn.next_seq(instance.name)
+        message = (conn, instance.name, seq, accept, args)
         if self.network.is_partitioned(src_machine, dst_machine):
-            self._lost(on_lost)
+            self._lost(self._deliver, message)
             return
-        self._hop(
-            src_machine, dst_machine, size, state.request,
-            self._deliver, (conn, instance.name, seq, accept, args), on_lost,
-        )
+        self._hop(src_machine, dst_machine, size, state.request,
+                  self._deliver, message)
 
     @staticmethod
     def _deliver(
@@ -846,22 +861,22 @@ class Dispatcher:
         else:
             conn.deliver_in_order(receiver, seq, accept, *args)
 
-    def _deliver_job(
-        self,
-        state: _RequestState,
-        node: PathNode,
-        instance: Microservice,
-        job: Job,
-    ) -> None:
+    def _deliver_job(self, instance: Microservice, job: Job) -> None:
         """Hand the job to the instance — unless the attempt died while
         the message was in flight."""
+        state = job.owner
         if state.cancelled or state.group.resolved:
             return
+        node = job.node
         instance.accept(job, node.path_id, node.path_name)
 
-    def _leave_node(self, state: _RequestState, node: PathNode, job: Job) -> None:
+    def _leave_node(self, job: Job) -> None:
+        """The visit's job completed: leave its node and enter the
+        children."""
+        state = job.owner
         if state.cancelled or state.group.resolved:
             return  # resources were reclaimed at cancellation
+        node = job.node
         visit = state.visits[node.name]
         visit.instance.pending_dispatch -= 1
         visit.left = True
@@ -873,7 +888,7 @@ class Dispatcher:
         trace = state.group.trace
         if trace is not None:
             visit.span.finish(self.sim.now, job=job, breakdown=trace.breakdown)
-        children = state.tree.children(node.name)
+        children = state.compiled.children[node.name]
         if not children:
             state.pending_sinks -= 1
             if state.pending_sinks == 0:
@@ -938,7 +953,6 @@ class Dispatcher:
         request: Request,
         arrive: Callable[..., None],
         args: tuple,
-        on_lost: Optional[Callable[[], None]] = None,
     ) -> None:
         """Route one message src -> dst; at the receiver
         ``arrive(*args)`` runs.
@@ -947,11 +961,9 @@ class Dispatcher:
         network-processing services (when deployed) around the wire
         delay; same-machine messages short-circuit through loopback.
 
-        Exactly one of *arrive* / *on_lost* eventually runs: *on_lost*
-        fires when the message is lost en route (mid-flight partition,
-        or a netproc relay that is down or crashes with the message),
-        so the sender can reclaim per-message resources such as the
-        connection's in-order delivery slot.
+        Exactly one of ``arrive(*args)`` and :meth:`_lost` eventually
+        runs: the message is lost en route at a mid-flight partition,
+        or in a netproc relay that is down or crashes with it.
         """
         if src_machine == dst_machine:
             delay = self._streams(src_machine)[1].delay(
@@ -964,40 +976,43 @@ class Dispatcher:
                 delay, arrive, *args, priority=PRIORITY_ARRIVAL
             )
             return
-        wire = (src_machine, dst_machine, size_bytes, request, arrive, args,
-                on_lost)
         tx_proc = self.deployment.netproc(src_machine)
         if tx_proc is None:
-            self._over_wire(*wire)
+            self._over_wire(src_machine, dst_machine, size_bytes, request,
+                            arrive, args)
             return
         tx_job = Job(request, size_bytes=size_bytes)
-        tx_job.on_complete = lambda _j: self._over_wire(*wire)
-        tx_job.on_discard = lambda _j: self._lost(on_lost)
+        tx_job.owner = (src_machine, dst_machine, size_bytes, request,
+                        arrive, args)
+        tx_job.on_complete = self._sent
+        tx_job.on_discard = self._discarded
         tx_proc.accept(tx_job)
 
+    def _sent(self, tx_job: Job) -> None:
+        """The sender's netproc let the message out."""
+        self._over_wire(*tx_job.owner)
+
     def _over_wire(self, src_machine, dst_machine, size_bytes, request,
-                   arrive, args, on_lost) -> None:
-        """The sender's netproc let the message out: draw its wire
-        delay and put it on the wire."""
+                   arrive, args) -> None:
+        """Draw the message's wire delay and put it on the wire."""
         if self.network.is_partitioned(src_machine, dst_machine):
-            self._lost(on_lost)
+            self._lost(arrive, args)
             return  # lost on the severed link
         delay = self._streams(src_machine)[1].delay(
             src_machine, dst_machine, size_bytes
         )
-        self._cross(delay, dst_machine, size_bytes, request, arrive, args,
-                    on_lost)
+        self._cross(delay, dst_machine, size_bytes, request, arrive, args)
 
-    def _cross(self, delay, dst_machine, size_bytes, request, arrive, args,
-               on_lost) -> None:
+    def _cross(self, delay, dst_machine, size_bytes, request, arrive,
+               args) -> None:
         """The message reaches *dst_machine* after *delay*."""
         self.sim.schedule_transient(
             delay, self._after_wire, dst_machine, size_bytes, request,
-            arrive, args, on_lost, priority=PRIORITY_ARRIVAL,
+            arrive, args, priority=PRIORITY_ARRIVAL,
         )
 
-    def _after_wire(self, dst_machine, size_bytes, request, arrive, args,
-                    on_lost) -> None:
+    def _after_wire(self, dst_machine, size_bytes, request, arrive,
+                    args) -> None:
         """The message came off the wire: through the receiver's
         netproc, then ``arrive(*args)``."""
         rx_proc = self.deployment.netproc(dst_machine)
@@ -1005,14 +1020,34 @@ class Dispatcher:
             arrive(*args)
             return
         rx_job = Job(request, size_bytes=size_bytes)
-        rx_job.on_complete = lambda _j: arrive(*args)
-        rx_job.on_discard = lambda _j: self._lost(on_lost)
+        rx_job.owner = (arrive, args)
+        rx_job.on_complete = self._received
+        rx_job.on_discard = self._discarded
         rx_proc.accept(rx_job)
 
-    def _lost(self, on_lost: Optional[Callable[[], None]]) -> None:
+    def _received(self, rx_job: Job) -> None:
+        """The receiver's netproc handed the message up."""
+        arrive, args = rx_job.owner
+        arrive(*args)
+
+    def _discarded(self, job: Job) -> None:
+        """A netproc lost the message it carried (it was down, or
+        crashed with it): a transmit job's owner is the wire record, a
+        receive job's ``(arrive, args)``; both end in those two."""
+        self._lost(*job.owner[-2:])
+
+    def _lost(self, arrive: Callable[..., None], args: tuple) -> None:
+        """The message ``arrive(*args)`` was lost. A visit's message
+        still consumes its in-order slot on its connection, read from
+        the ``(conn, receiver, seq, ...)`` record it carries: otherwise
+        every later message on that connection towards the receiver
+        parks forever, wedging the connection past the instance's own
+        recovery."""
         self.messages_dropped += 1
-        if on_lost is not None:
-            on_lost()
+        if arrive is self._deliver:
+            conn, receiver, seq = args[:3]
+            if conn is not None:
+                conn.deliver_in_order(receiver, seq, _noop)
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ the request.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..distributions import Distribution
 from ..errors import TopologyError
@@ -108,6 +108,38 @@ class PathNode:
         return f"<PathNode {self.name} -> {self.service}>"
 
 
+class CompiledTree:
+    """A validated tree's traversal tables, built once so a request's
+    walk looks up what it needs instead of rebuilding it per visit.
+
+    Kept on the :class:`PathTree`, never on its nodes: two trees may
+    share a node object, or use distinct nodes of the same name, and
+    each has its own edges.
+    """
+
+    __slots__ = ("roots", "children", "fan_in", "sinks")
+
+    def __init__(self, tree: "PathTree") -> None:
+        nodes = tree._nodes
+        #: Entry nodes, in insertion order.
+        self.roots = tuple(
+            node for name, node in nodes.items() if not tree._parents[name]
+        )
+        #: Node name -> its children, in edge order.
+        self.children: Dict[str, Tuple[PathNode, ...]] = {
+            name: tuple(nodes[child] for child in kids)
+            for name, kids in tree._children.items()
+        }
+        #: Node name -> parents to wait for, for the fan-in nodes only:
+        #: every other node is entered on its one arrival.
+        self.fan_in: Dict[str, int] = {
+            name: len(parents)
+            for name, parents in tree._parents.items() if len(parents) > 1
+        }
+        #: How many sinks a request waits for before it responds.
+        self.sinks = sum(1 for kids in tree._children.values() if not kids)
+
+
 class PathTree:
     """A named DAG of path nodes for one request type.
 
@@ -128,6 +160,9 @@ class PathTree:
         self._nodes: Dict[str, PathNode] = {}
         self._children: Dict[str, List[str]] = {}
         self._parents: Dict[str, List[str]] = {}
+        # Set by validate(); any edit drops it, so a tree changed after
+        # registration is checked and compiled again before its next use.
+        self._compiled: Optional[CompiledTree] = None
 
     def response_size(self, request_size: float, rng) -> float:
         """Resolve the size of the response message to the client."""
@@ -145,6 +180,7 @@ class PathTree:
         self._nodes[node.name] = node
         self._children[node.name] = []
         self._parents[node.name] = []
+        self._compiled = None
         return node
 
     def add_edge(self, parent: str, child: str) -> None:
@@ -155,6 +191,7 @@ class PathTree:
             raise TopologyError(f"duplicate edge {parent!r} -> {child!r}")
         self._children[parent].append(child)
         self._parents[child].append(parent)
+        self._compiled = None
 
     def chain(self, *nodes: PathNode) -> "PathTree":
         """Convenience: add nodes connected in a linear sequence."""
@@ -200,10 +237,20 @@ class PathTree:
         """Terminal nodes; the request completes when all have run."""
         return [n for n in self._nodes.values() if not self._children[n.name]]
 
+    def compile(self) -> CompiledTree:
+        """The tree's traversal tables, validating and compiling it
+        first if it changed since it was last validated."""
+        compiled = self._compiled
+        if compiled is None:
+            self.validate()
+            compiled = self._compiled
+        return compiled
+
     def validate(self) -> None:
         """Check the DAG is non-empty, rooted, acyclic, and that
         ``same_instance_as`` names a proper ancestor and an op's
-        ``connection_of`` names the node itself or an ancestor."""
+        ``connection_of`` names the node itself or an ancestor; then
+        compile it (see :meth:`compile`)."""
         if not self._nodes:
             raise TopologyError(f"path tree {self.name!r} has no nodes")
         if not self.roots:
@@ -254,6 +301,7 @@ class PathTree:
                         f"{target!r}, which is neither this node nor an "
                         f"ancestor"
                     )
+        self._compiled = CompiledTree(self)
 
     def _ancestors(self, name: str) -> Set[str]:
         """Every node with a path to *name*, *name* itself excluded."""

@@ -23,6 +23,7 @@ from repro.distributions import (
     Uniform,
     Weibull,
 )
+from repro.engine import RandomStreams
 from repro.errors import DistributionError
 
 DISTRIBUTIONS = [
@@ -159,3 +160,38 @@ class TestFrequencySampler:
         sampler = self.TABLE.make_sampler(np.random.default_rng(0))
         with pytest.raises(DistributionError):
             sampler.sample(-1.0)
+
+    TWO_POINTS = FrequencyTable(
+        {1.0e9: Exponential(2e-3), 2.0e9: Exponential(1e-3)}
+    )
+
+    def served(self, block, freqs=(2.0e9, 1.0e9, 2.0e9, 1.0e9)):
+        streams = RandomStreams(17)
+        sampler = self.TWO_POINTS.make_sampler(
+            streams.stream("cost"), block,
+            point_rng=lambda point: streams.stream(f"cost@{point!r}"),
+        )
+        return [sampler.sample(f) for f in freqs]
+
+    def test_profiled_points_switching_does_not_depend_on_block(self):
+        # Each profiled point buffers its own generator, so a switch
+        # between points cannot shift the other point's sequence.
+        assert self.served(4) == self.served(8)
+        freqs = [2.0e9, 1.0e9, 1.5e9, 1.0e9, 2.0e9] * 7
+        assert self.served(4, freqs) == self.served(8, freqs)
+
+    def test_each_profiled_point_matches_scalar_draws_on_its_stream(self):
+        streams = RandomStreams(17)
+        nominal = streams.stream("cost")
+        low = streams.stream(f"cost@{1.0e9!r}")
+        scalar = [
+            self.TWO_POINTS.sample(nominal if f == 2.0e9 else low, f)
+            for f in (2.0e9, 1.0e9, 2.0e9, 1.0e9)
+        ]
+        assert self.served(4) == scalar
+
+    def test_second_profiled_point_needs_its_own_stream(self):
+        sampler = self.TWO_POINTS.make_sampler(np.random.default_rng(0))
+        assert sampler.sample(2.0e9) > 0  # the nominal point is fine
+        with pytest.raises(DistributionError, match="point_rng"):
+            sampler.sample(1.0e9)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ResourceError
 from repro.hardware import Cluster, DvfsLadder, GHZ, Machine, NetworkFabric
-from repro.distributions import Deterministic
+from repro.distributions import Deterministic, Exponential
 
 
 class TestMachineAllocation:
@@ -122,6 +122,28 @@ class TestNetworkFabric:
         assert delay("a", "b", 500) == propagation[0] + 500 / 1e6
         assert delay("a", "a", 500) == loopback[0]
         assert delay("b", "a", 0) == propagation[1]
+
+    def test_stochastic_loopback_does_not_depend_on_block(self):
+        # Propagation and loopback buffer separate generators, so the
+        # interleaving of cross- and same-machine hops cannot shift
+        # either sequence.
+        fabric = NetworkFabric(
+            propagation=Exponential(20e-6), loopback=Exponential(5e-6)
+        )
+
+        def delays(block):
+            delay = fabric.delay_sampler(
+                np.random.default_rng(5), block,
+                loopback_rng=np.random.default_rng(6),
+            ).delay
+            return [delay("a", dst, 100) for dst in ("b", "a") * 9]
+
+        assert delays(4) == delays(8)
+
+    def test_stochastic_loopback_needs_its_own_generator(self):
+        fabric = NetworkFabric(loopback=Exponential(5e-6))
+        with pytest.raises(ResourceError, match="loopback_rng"):
+            fabric.delay_sampler(np.random.default_rng(0))
 
     def test_negative_size_rejected(self):
         sampler = NetworkFabric().delay_sampler(np.random.default_rng(0))

@@ -61,6 +61,22 @@ class TestStageCost:
         slow = stage.compute_cost(jobs(1), 1.3 * GHZ)
         assert slow == pytest.approx(20e-6)
 
+    def test_profiled_points_draw_block_independently(self):
+        # Each profiled point of a term draws from its own named stream,
+        # so DVFS switches between them cannot make costs depend on the
+        # sampler block size.
+        table = FrequencyTable(
+            {1.0 * GHZ: Exponential(2e-3), 2.0 * GHZ: Exponential(1e-3)}
+        )
+
+        def costs(block):
+            stage = Stage("proc", 0, SingleQueue(), base=table)
+            stage.attach_samplers(RandomStreams(4), "stage", block=block)
+            return [stage.compute_cost(jobs(1), f * GHZ)
+                    for f in (2.0, 1.0, 2.0, 1.0) * 5]
+
+        assert costs(4) == costs(8)
+
     def test_io_cost_sums_over_batch(self):
         stage = attached(Stage(
             "disk", 0, SingleQueue(),

@@ -73,6 +73,32 @@ class TestFanInOut:
     def test_validate_accepts_dag(self):
         self.make_fanout(4).validate()
 
+    def test_compiled_tables_match_the_tree(self):
+        tree = self.make_fanout(3)
+        compiled = tree.compile()
+        assert compiled.roots == tuple(tree.roots)
+        assert compiled.children["proxy"] == tuple(tree.children("proxy"))
+        assert compiled.children["join"] == ()
+        # Only fan-in nodes carry a count; the rest enter on arrival.
+        assert compiled.fan_in == {"join": 3}
+        assert compiled.sinks == len(tree.sinks) == 1
+        assert tree.compile() is compiled  # compiled once
+
+    def test_an_edit_recompiles_and_revalidates(self):
+        tree = self.make_fanout(2)
+        compiled = tree.compile()
+        tree.add_node(node("audit"))
+        tree.add_edge("proxy", "audit")
+        recompiled = tree.compile()
+        assert recompiled is not compiled
+        assert [n.name for n in recompiled.children["proxy"]] == [
+            "leaf0", "leaf1", "audit",
+        ]
+        assert recompiled.sinks == 2
+        tree.add_edge("audit", "proxy")  # a cycle: compiling refuses it
+        with pytest.raises(TopologyError, match="cycle|root"):
+            tree.compile()
+
 
 class TestValidation:
     def test_empty_tree_rejected(self):
