@@ -28,25 +28,7 @@ Layers (bottom-up):
 * :mod:`repro.experiments` -- figure/table harness and registry
 """
 
-from . import (
-    analysis,
-    apps,
-    bighouse,
-    config,
-    distributions,
-    engine,
-    experiments,
-    faults,
-    hardware,
-    power,
-    resilience,
-    service,
-    telemetry,
-    testbed,
-    topology,
-    workload,
-)
-from .engine import Simulator
+from ._lazy import attach
 from .errors import (
     ConfigError,
     DistributionError,
@@ -63,6 +45,19 @@ from .errors import (
 )
 
 __version__ = "1.0.0"
+
+# The layers load on first use, so importing one layer does not import
+# all of them.
+__getattr__, __dir__ = attach(
+    __name__,
+    {"engine": ["Simulator"]},
+    submodules=(
+        "analysis", "apps", "bighouse", "config", "controlplane",
+        "distributions", "engine", "experiments", "faults", "hardware",
+        "power", "resilience", "runner", "service", "shard", "telemetry",
+        "testbed", "topology", "workload",
+    ),
+)
 
 __all__ = [
     "ConfigError",

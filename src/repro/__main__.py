@@ -45,32 +45,23 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (
-    analyze_traces,
-    format_timeline_report,
-    load_timelines,
-    load_traces,
-)
-from .config import SimulationSpec
-from .engine import EngineProfiler
 from .errors import ReproError
-from .experiments import registry
-from .experiments.loadsweep import drive_world, export_artifacts
-from .experiments.options import RunOptions
-from .faults import load_fault_plan
-from .telemetry import (
-    TraceConfig,
-    format_analytics_report,
-    format_run_manifest,
-    format_table,
-    ms,
-    timeline_payload,
-    write_timeline,
-)
-from .testbed import RealismConfig
+
+# Each subcommand imports what it runs, so `--help` and one subcommand
+# do not load the others.
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .analysis.timeline import format_timeline_report
+    from .analysis.trace_analytics import analyze_traces
+    from .config import SimulationSpec
+    from .engine import EngineProfiler
+    from .experiments.loadsweep import drive_world, export_artifacts
+    from .telemetry.report import format_analytics_report, format_table, ms
+    from .telemetry.scrape import timeline_payload, write_timeline
+    from .telemetry.tracing import TraceConfig
+    from .testbed import RealismConfig
+
     spec = SimulationSpec.load(args.spec_dir)
     realism = RealismConfig() if args.real else None
     world, client = spec.build(seed=args.seed, realism=realism)
@@ -151,6 +142,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from .experiments import registry
+    from .telemetry.report import format_table
+
     if args.action == "list":
         rows = [
             [spec.exp_id, spec.paper_ref, spec.title]
@@ -163,6 +157,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    from .analysis.trace_analytics import analyze_traces, load_traces
+    from .experiments.options import RunOptions
+    from .faults import load_fault_plan
+    from .telemetry.report import format_analytics_report, format_run_manifest
+
     print(f"running {spec.exp_id} ({spec.paper_ref}): {spec.title} ...")
     kwargs = {} if args.seed is None else {"seed": args.seed}
     # The option flags share their RunOptions field names.
@@ -188,6 +187,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis.timeline import format_timeline_report, load_timelines
+    from .analysis.trace_analytics import analyze_traces, load_traces
+    from .telemetry.report import format_analytics_report
+
     percentiles = tuple(float(q) for q in args.percentiles.split(","))
     first = True
     if args.timeline:

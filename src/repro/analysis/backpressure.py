@@ -19,7 +19,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ReproError
-from ..telemetry import Scraper, TimeSeries
+from ..telemetry.scrape import Scraper
+from ..telemetry.timeseries import TimeSeries
 
 
 @dataclass

@@ -8,37 +8,7 @@ or :func:`repro.shard.run_world_sharded` under shards — returning one
 the point. :func:`run_world` drives its world through
 :func:`drive_world`, which ``repro run`` uses for its spec-built world."""
 
-from . import (
-    audit,
-    comparison,
-    orchestration,
-    power_mgmt,
-    registry,
-    resilience,
-    tail_at_scale,
-    validation,
-)
-from .audit import audit_client, audit_sharded_run
-from .orchestration import (
-    NodeFailurePoint,
-    RolloutPoint,
-    build_cluster_world,
-    node_failure_experiment,
-    rollout_experiment,
-)
-from .replication import ReplicatedPoint, replicate_at_load
-from .loadsweep import (
-    SweepPoint,
-    WorldRun,
-    drive_world,
-    find_shard_journal,
-    load_latency_sweep,
-    measure_at_load,
-    measure_vanilla_point,
-    run_world,
-    saturation_load,
-    shard_journal_name,
-)
+from .._lazy import attach
 
 __all__ = [
     "NodeFailurePoint",
@@ -69,3 +39,24 @@ __all__ = [
     "tail_at_scale",
     "validation",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "audit": ["audit_client", "audit_sharded_run"],
+        "loadsweep": [
+            "SweepPoint", "WorldRun", "drive_world", "find_shard_journal",
+            "load_latency_sweep", "measure_at_load", "measure_vanilla_point",
+            "run_world", "saturation_load", "shard_journal_name",
+        ],
+        "orchestration": [
+            "NodeFailurePoint", "RolloutPoint", "build_cluster_world",
+            "node_failure_experiment", "rollout_experiment",
+        ],
+        "replication": ["ReplicatedPoint", "replicate_at_load"],
+    },
+    submodules=(
+        "audit", "comparison", "orchestration", "power_mgmt", "registry",
+        "resilience", "tail_at_scale", "validation",
+    ),
+)

@@ -20,7 +20,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from ..apps.base import World
 from ..errors import ReproError
 from ..faults import FaultInjector, FaultPlan
-from ..runner import derive_seed, point_key, register_result_type
+from ..runner.runstore import point_key, register_result_type
+from ..runner.seeding import derive_seed
 from ..telemetry.export import write_otlp, write_perfetto
 from ..telemetry.slo import SLOMonitor
 from ..telemetry.tracing import TraceConfig

@@ -32,7 +32,6 @@ from typing import (
 
 from ..errors import ReproError
 from ..faults import FaultPlan
-from ..runner import RunStore, durable_map, parallel_map
 from ..telemetry.slo import SLO, parse_slo
 from ..telemetry.tracing import TraceConfig
 
@@ -211,6 +210,11 @@ class RunOptions:
         """``[fn(item) for item in items]`` over ``jobs`` workers,
         journaled to ``run_dir`` under *keys* when one is set (see
         :func:`~repro.runner.durable_map`)."""
+        # The process-pool stack loads here, not with every world that
+        # imports these options.
+        from ..runner.parallel import parallel_map
+        from ..runner.runstore import RunStore, durable_map
+
         if self.run_dir is None:
             return parallel_map(
                 fn, items, jobs=self.jobs, timeout=self.timeout,

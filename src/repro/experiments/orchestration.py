@@ -41,7 +41,8 @@ from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..hardware import Machine
 from ..resilience import ResiliencePolicy, RetryPolicy
-from ..runner import derive_seed, point_key, register_result_type
+from ..runner.runstore import point_key, register_result_type
+from ..runner.seeding import derive_seed
 from ..service import (
     ExecutionPath,
     Microservice,

@@ -15,8 +15,9 @@ import numpy as np
 
 from ..apps import two_tier
 from ..apps.base import World
-from ..telemetry import TimeSeries, WindowedLatency
+from ..telemetry.latency import WindowedLatency
 from ..telemetry.slo import SLO, SLOAlert, SLOMonitor, parse_slo
+from ..telemetry.timeseries import TimeSeries
 from ..testbed import RealismConfig
 from ..power import PowerManager
 from ..workload import DiurnalPattern, OpenLoopClient

@@ -26,7 +26,7 @@ from ..apps.base import (
 from ..distributions import Deterministic, Exponential
 from ..errors import ConfigError
 from ..hardware import Machine, NetworkFabric
-from ..runner import point_key, register_result_type
+from ..runner.runstore import point_key, register_result_type
 from ..telemetry.tracing import TraceConfig
 from ..topology import PathNode, PathTree
 from .loadsweep import (

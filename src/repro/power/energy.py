@@ -19,7 +19,7 @@ from typing import Dict
 import numpy as np
 
 from ..errors import ReproError
-from ..telemetry import TimeSeries
+from ..telemetry.timeseries import TimeSeries
 
 
 @dataclass

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence
 from ..engine import PRIORITY_MONITOR, Simulator
 from ..errors import ConfigError
 from ..service import Microservice
-from ..telemetry import TimeSeries, WindowedLatency
+from ..telemetry.latency import WindowedLatency
+from ..telemetry.timeseries import TimeSeries
 from ..telemetry.slo import LATENCY, SLO
 from .buckets import Bucket, LatencyBuckets, TierTuple
 

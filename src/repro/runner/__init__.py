@@ -16,20 +16,7 @@ of restarting; :func:`durable_map` is the parallel_map wrapper that
 reads and writes it.
 """
 
-from .parallel import (
-    ItemFailure,
-    default_jobs_from_env,
-    parallel_map,
-    resolve_jobs,
-)
-from .runstore import (
-    RunStore,
-    append_jsonl,
-    durable_map,
-    point_key,
-    register_result_type,
-)
-from .seeding import derive_seed
+from .._lazy import attach
 
 __all__ = [
     "ItemFailure",
@@ -43,3 +30,18 @@ __all__ = [
     "point_key",
     "register_result_type",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "parallel": [
+            "ItemFailure", "default_jobs_from_env", "parallel_map",
+            "resolve_jobs",
+        ],
+        "runstore": [
+            "RunStore", "append_jsonl", "durable_map", "point_key",
+            "register_result_type",
+        ],
+        "seeding": ["derive_seed"],
+    },
+)

@@ -50,8 +50,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from .. import __version__
 from ..errors import PartialSweepError, ReproError
-from .parallel import ItemFailure, parallel_map
 
 # -- result codec ----------------------------------------------------------
 
@@ -200,10 +200,8 @@ def write_json_atomic(path: Union[str, Path], payload: dict) -> None:
 
 def environment_info() -> Dict[str, str]:
     """The package/platform versions a manifest records."""
-    import repro  # deferred: repro/__init__ imports this module's package
-
     return {
-        "repro": getattr(repro, "__version__", "unknown"),
+        "repro": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
@@ -393,6 +391,10 @@ def durable_map(
     aggregate verdicts such as SLO summaries. The callable is skipped
     on interrupt, when there is no complete result list to summarise.
     """
+    # The process-pool stack loads here, not with the journal codec
+    # that every result type's module imports.
+    from .parallel import ItemFailure, parallel_map
+
     if len(keys) != len(items):
         raise ReproError(
             f"{len(items)} items but {len(keys)} keys"

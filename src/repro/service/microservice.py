@@ -98,7 +98,12 @@ class Microservice:
             self._stages[sid] for sid in sorted(self._stages, reverse=True)
         ]
 
-        self._rng = sim.random.stream(f"service/{name}")
+        # Only a probabilistic path choice draws, so only such a
+        # service derives the stream (streams are named, not ordered,
+        # so skipping one moves no other draw).
+        self._rng = (
+            sim.random.stream(f"service/{name}") if selector.draws else None
+        )
         # Stage cost draws come from block-buffered samplers on
         # dedicated per-stage streams — the hottest stochastic path in
         # the simulator (one to three draws per executed batch).

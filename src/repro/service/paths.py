@@ -94,6 +94,12 @@ class PathSelector:
     def paths(self) -> list:
         return list(self._by_id.values())
 
+    @property
+    def draws(self) -> bool:
+        """Whether :meth:`select` can draw from its generator: only a
+        selector with path probabilities does."""
+        return self._cdf is not None
+
     def get(self, path_id: int) -> ExecutionPath:
         try:
             return self._by_id[path_id]
@@ -112,11 +118,13 @@ class PathSelector:
 
     def select(
         self,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         path_id: Optional[int] = None,
         path_name: Optional[str] = None,
     ) -> ExecutionPath:
-        """Resolve the path for one job (see class docstring)."""
+        """Resolve the path for one job (see class docstring). *rng*
+        is read only when :attr:`draws` is true, and may be ``None``
+        otherwise."""
         if path_id is not None:
             return self.get(path_id)
         if path_name is not None:

@@ -95,9 +95,12 @@ cross-shard balancer), pools other than ``round_robin`` behind a tree
 node (``least_outstanding`` reads counters split across shards), trees
 whose sinks run on more than one machine (the sink count lives on one
 shard), ``connection_of`` ops whose target node lives on a different
-machine, and in-simulation fault plans. Resilience policies
-(retry/hedge timers would race the window barrier) are refused at the
-first submit.
+machine, ``same_instance_as`` continuations with a parent on the
+instance they pin to (the continuation rides that parent's incoming
+connection towards the same instance, whose in-order sequence the
+upstream's shard also stamps), and in-simulation fault plans.
+Resilience policies (retry/hedge timers would race the window barrier)
+are refused at the first submit.
 """
 
 from __future__ import annotations
@@ -191,6 +194,19 @@ def validate_world_shardable(world) -> Dict[Tuple[str, str], str]:
                 )
         for node in tree.nodes:
             mine = node_machine[(tree.name, node.name)]
+            if node.same_instance_as is not None:
+                pinned = deployment.instances(node.service)[0]
+                for parent in tree.parents(node.name):
+                    if deployment.instances(parent.service)[0] is pinned:
+                        raise ShardingError(
+                            f"node {node.name!r} continues on "
+                            f"{pinned.name!r} after parent "
+                            f"{parent.name!r}, which runs there: the "
+                            f"continuation rides the parent's incoming "
+                            f"connection towards the same instance, so "
+                            f"that direction's in-order sequence would "
+                            f"be stamped on two shards"
+                        )
             for op in (node.on_enter, node.on_leave):
                 if op is not None and op.connection_of is not None:
                     ref = node_machine.get((tree.name, op.connection_of))

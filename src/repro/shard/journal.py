@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ShardingError
-from ..runner import append_jsonl
+from ..runner.runstore import append_jsonl
 from .message import ShardMessage
 
 #: One outbound entry as the host produced it: ``(dst_shard, message)``.

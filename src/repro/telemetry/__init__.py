@@ -1,56 +1,7 @@
 """Telemetry: latency recording, time series, tracing, metrics, and
 report formatting."""
 
-from .availability import AvailabilityMonitor
-from .export import (
-    counters_from_perfetto,
-    from_otlp,
-    read_otlp,
-    to_otlp,
-    to_perfetto,
-    write_otlp,
-    write_perfetto,
-)
-from .latency import LatencyRecorder, WindowedLatency
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .report import (
-    format_analytics_report,
-    format_run_manifest,
-    format_series,
-    format_table,
-    ms,
-    us,
-)
-from .scrape import (
-    TIMELINE_SCHEMA,
-    Scraper,
-    load_timeline,
-    scrape_tiers,
-    series_from_json,
-    series_to_json,
-    timeline_payload,
-    write_timeline,
-)
-from .slo import (
-    ALERT_BREACH,
-    ALERT_RECOVERY,
-    AVAILABILITY,
-    LATENCY,
-    SLO,
-    SLOAlert,
-    SLOMonitor,
-    parse_slo,
-)
-from .timeseries import TimeSeries
-from .tracing import (
-    SPAN_CANCELLED,
-    SPAN_OK,
-    Span,
-    SpanEvent,
-    Trace,
-    TraceConfig,
-    Tracer,
-)
+from .._lazy import attach
 
 __all__ = [
     "ALERT_BREACH",
@@ -98,3 +49,34 @@ __all__ = [
     "write_perfetto",
     "write_timeline",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "availability": ["AvailabilityMonitor"],
+        "export": [
+            "counters_from_perfetto", "from_otlp", "read_otlp", "to_otlp",
+            "to_perfetto", "write_otlp", "write_perfetto",
+        ],
+        "latency": ["LatencyRecorder", "WindowedLatency"],
+        "metrics": ["Counter", "Gauge", "Histogram", "MetricsRegistry"],
+        "report": [
+            "format_analytics_report", "format_run_manifest", "format_series",
+            "format_table", "ms", "us",
+        ],
+        "scrape": [
+            "TIMELINE_SCHEMA", "Scraper", "load_timeline", "scrape_tiers",
+            "series_from_json", "series_to_json", "timeline_payload",
+            "write_timeline",
+        ],
+        "slo": [
+            "ALERT_BREACH", "ALERT_RECOVERY", "AVAILABILITY", "LATENCY", "SLO",
+            "SLOAlert", "SLOMonitor", "parse_slo",
+        ],
+        "timeseries": ["TimeSeries"],
+        "tracing": [
+            "SPAN_CANCELLED", "SPAN_OK", "Span", "SpanEvent", "Trace",
+            "TraceConfig", "Tracer",
+        ],
+    },
+)

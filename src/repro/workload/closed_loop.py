@@ -17,7 +17,7 @@ from ..engine import PRIORITY_ARRIVAL, Simulator
 from ..errors import WorkloadError
 from ..service import Request
 from ..service.job import OUTCOME_OK, OUTCOMES
-from ..telemetry import LatencyRecorder
+from ..telemetry.latency import LatencyRecorder
 from ..topology import Dispatcher
 from .request_mix import RequestMix
 

@@ -315,3 +315,31 @@ class TestValidation:
         send(svc, sim, n=2)
         sim.run()
         assert len(seen) == 2
+
+
+class TestPathStream:
+    """``service/{name}`` is derived only when the path choice draws."""
+
+    def test_single_path_service_derives_no_stream(self, sim):
+        single_stage_service(sim, name="one")
+        assert "service/one" not in sim.random
+        assert "service/one/stage0/base" in sim.random
+
+    def test_probabilistic_selector_keeps_its_path_sequence(self, sim):
+        stages = [Stage("a", 0, SingleQueue(), base=Deterministic(1e-6))]
+        paths = [ExecutionPath(0, "hit", [0]), ExecutionPath(1, "miss", [0])]
+        probabilities = {0: 0.7, 1: 0.3}
+        svc = Microservice(
+            "mc", sim, stages, PathSelector(paths, probabilities),
+            make_cores(1, "mc"),
+        )
+        assert "service/mc" in sim.random
+        jobs = [Job(Request(0.0)) for _ in range(200)]
+        for job in jobs:
+            svc.accept(job)
+        # The same draws from a fresh stream of the same name and seed.
+        rng = Simulator(seed=0).random.stream("service/mc")
+        reference = PathSelector(paths, probabilities)
+        expected = [reference.select(rng).path_id for _ in jobs]
+        assert [job.path.path_id for job in jobs] == expected
+        assert 0 < expected.count(1) < len(expected)

@@ -53,6 +53,7 @@ class TestPublicApiSurface:
         "repro.hardware",
         "repro.power",
         "repro.resilience",
+        "repro.runner",
         "repro.service",
         "repro.telemetry",
         "repro.testbed",
@@ -65,6 +66,7 @@ class TestPublicApiSurface:
         module = importlib.import_module(name)
         for symbol in getattr(module, "__all__", []):
             assert hasattr(module, symbol), f"{name}.{symbol}"
+            assert symbol in dir(module), f"{name}.{symbol}"
 
     @pytest.mark.parametrize("name", PACKAGES)
     def test_package_has_docstring(self, name):
