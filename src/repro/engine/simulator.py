@@ -89,9 +89,9 @@ class Simulator:
             )
         return self.events.push(Event(time, fn, args, priority))
 
-    #: Fire-and-forget schedules (client arrival ticks, wire
-    #: deliveries) use this name; it is the same plain push as
-    #: :meth:`schedule`.
+    #: An alias of :meth:`schedule` that no caller in the package uses;
+    #: it stays only because ``benchmarks/perf/tracer.py`` lists it
+    #: among the methods it patches, and both go together.
     schedule_transient = schedule
 
     def cancel(self, event: Event) -> None:

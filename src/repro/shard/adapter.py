@@ -19,23 +19,25 @@ The scheme — **full-world replication with machine ownership**:
   is consumed, never *what* it yields.
 * every simulated machine is owned by exactly one shard (the
   :func:`~repro.shard.partition.plan_shards` assignment). A node
-  visit is the vanilla dispatcher's two steps around the wire:
-  *route* (instance, pool checkout, sequence stamp, message size),
-  then the tx netproc and the wire-delay draw, all on the sender's
-  shard; *start visit* (in-flight count, job, ``on_enter`` op, span)
-  on the shard owning the instance, after the rx netproc and in-order
-  delivery. Each request runs on vanilla ``_RequestState`` —
-  a replica group on every shard but the root.
+  visit is the vanilla dispatcher's two steps around the wire, both
+  reading the visit's one message record: *route* (instance, pool
+  checkout, message size), then the sequence stamp, the tx netproc
+  and the wire-delay draw, all on the sender's shard; *start visit*
+  (in-flight count, job, ``on_enter`` op, span) on the shard owning
+  the instance, after the rx netproc and in-order delivery. Each
+  request runs on vanilla ``_RequestState`` — a replica group on
+  every shard but the root.
 * the dispatcher overrides only the four steps ownership forces:
   decisions draw from per-machine streams (``shard-dispatch/{machine}``
   / ``shard-net/{machine}``) so the draw order is shard-count
   invariant; a message whose receiver another shard owns crosses as a
-  ``ShardMessage`` stamped ``now + wire_delay >= now + lookahead``
-  (the fabric's propagation floor *is* the plan's lookahead, so the
-  conservative guarantee holds by construction); instances resolve
-  statically, since services are single-instance; and the visit
-  starts on arrival, with fan-in counted there. Same-machine hops
-  short-circuit through loopback exactly like the vanilla dispatcher.
+  ``ShardMessage`` (its record's fields in a plain tuple) stamped
+  ``now + wire_delay >= now + lookahead`` (the fabric's propagation
+  floor *is* the plan's lookahead, so the conservative guarantee
+  holds by construction); instances resolve statically, since
+  services are single-instance; and the visit starts on arrival,
+  with fan-in counted there. Same-machine hops short-circuit through
+  loopback exactly like the vanilla dispatcher.
 
 Contracts (asserted for the two-tier and Social Network worlds by
 ``tests/shard/test_adapter_identity.py``, for every ``repro.apps``
@@ -124,7 +126,12 @@ from ..telemetry.tracing import (
     TraceConfig,
     trace_requested,
 )
-from ..topology.dispatcher import Dispatcher, _RequestGroup, _RequestState
+from ..topology.dispatcher import (
+    Dispatcher,
+    _Message,
+    _RequestGroup,
+    _RequestState,
+)
 from ..topology.path_tree import PathNode
 from ..workload import OpenLoopClient
 from .partition import ShardPlan, plan_shards
@@ -245,10 +252,12 @@ class ShardedDispatcher(Dispatcher):
 
     1. :meth:`_streams` — decisions draw from per-machine streams;
     2. :meth:`_cross` — a message for a machine another shard owns
-       goes through the mailbox;
+       goes through the mailbox, its record read into the body by
+       :meth:`_export` and rebuilt there by :meth:`_import`;
     3. :meth:`_resolve_instance` — instances resolve statically;
-    4. :meth:`_enter_node` — the visit starts on arrival
-       (:meth:`_arrive_visit`), with fan-in counted there.
+    4. :meth:`_enter_node` — the visit's message is handled by
+       :meth:`_arrive_visit`, so the visit starts on arrival, with
+       fan-in counted there.
 
     :meth:`submit` additionally refuses resilience policies.
     """
@@ -311,19 +320,16 @@ class ShardedDispatcher(Dispatcher):
             )
         return streams
 
-    def _cross(self, delay, dst_machine, size_bytes, request, arrive,
-               args) -> None:
+    def _cross(self, delay: float, message: _Message) -> None:
         """Override 2: a message for a machine another shard owns
         leaves through the mailbox, stamped at its wire arrival; that
         shard continues it in :meth:`_receive`."""
-        dst_shard = self._shard_of(dst_machine)
+        dst_shard = self._shard_of(message.dst)
         if dst_shard == self._host.shard_id:
-            super()._cross(delay, dst_machine, size_bytes, request, arrive,
-                           args)
+            super()._cross(delay, message)
             return
-        kind, fields = self._export(arrive, args)
-        self._host.send(dst_shard, self.sim.now + delay, kind,
-                        (dst_machine, size_bytes, fields))
+        kind, body = self._export(message)
+        self._host.send(dst_shard, self.sim.now + delay, kind, body)
 
     def _resolve_instance(self, state: _RequestState, node: PathNode):
         """Override 3: services are single-instance (checked at build),
@@ -340,26 +346,24 @@ class ShardedDispatcher(Dispatcher):
             # The root hears back about every request it submitted (the
             # response), so it keeps each until it resolves.
             self._live.setdefault(state.request.request_id, state)
-        src_machine, instance, conn, size, upstream_key = self._route(
-            state, node, src_instance, parent_conn
-        )
-        self._send(state, src_machine, instance, conn, size,
-                   self._arrive_visit, state, node, instance, conn, size,
-                   upstream_key, self.sim.now)
+        message = self._route(state, node, src_instance, parent_conn)
+        message.handler = self._arrive_visit
+        self._send(message)
 
-    def _arrive_visit(self, state: _RequestState, node: PathNode, instance,
-                      conn, size: float, upstream_key: str,
-                      sent_at: float) -> None:
+    def _arrive_visit(self, message: _Message) -> None:
+        """A visit's message reached its instance: count one parent at
+        the node, and on the last one start the visit here."""
+        state = message.state
+        node = message.node
         if not self._join(state, node):
             return  # fan-in not satisfied yet; this arrival only counts
-        job = self._start_visit(state, node, instance, conn, size,
-                                upstream_key, sent_at)
+        job = self._start_visit(message)
         if (not self._host.is_root and len(state.visits)
                 == self._my_node_count[state.tree.name]):
             # Every node this shard runs has started, so no further
             # message for the request can reach it.
             del self._live[state.request.request_id]
-        instance.accept(job, node.path_id, node.path_name)
+        message.instance.accept(job, node.path_id, node.path_name)
 
     def submit(self, request: Request, on_complete=None,
                client_name: str = "client", client_machine: str = "client",
@@ -383,31 +387,30 @@ class ShardedDispatcher(Dispatcher):
                 f"(known: {sorted(self._assignments)})"
             )
 
-    def _export(self, arrive, args) -> Tuple[str, tuple]:
-        """A pending arrival as a picklable ``(kind, fields)`` message
-        body; :meth:`_import` is its inverse on the receiving shard."""
-        if arrive == self._finish_attempt:
-            (state,) = args
-            return "response", (state.request.request_id,)
-        # self._deliver(conn, receiver, seq, self._arrive_visit, visit)
-        conn, _receiver, seq, _accept, visit = args
-        state, node, _instance, _conn, size, upstream_key, sent_at = visit
+    def _export(self, message: _Message) -> Tuple[str, tuple]:
+        """*message* as a ``(kind, body)`` mailbox entry whose body is a
+        plain picklable tuple; :meth:`_import` is its inverse on the
+        receiving shard. A response (no node) names only its request."""
+        state = message.state
         request = state.request
+        wire = (message.src, message.dst, message.size, message.sent_at)
+        if message.node is None:
+            return "response", (request.request_id,) + wire
         return "visit", (
             request.request_id, request.request_type, request.created_at,
             request.size_bytes, state.group.trace is not None,
-            state.tree.name, node.name, self._conn_key(conn), seq, size,
-            upstream_key, sent_at,
-        )
+            state.tree.name, message.node.name,
+            self._conn_key(message.conn), message.seq, message.upstream,
+        ) + wire
 
-    def _import(self, kind: str, fields: tuple):
-        """A message body back to ``(request, arrive, args)``."""
+    def _import(self, kind: str, body: tuple) -> _Message:
+        """A mailbox body back to the message it was exported from."""
         if kind == "response":
-            (rid,) = fields
-            state = self._live[rid]
-            return state.request, self._finish_attempt, (state,)
+            rid, src, dst, size, sent_at = body
+            return _Message(self._live[rid], None, None, None, None, src,
+                            dst, size, None, sent_at, self._finish_attempt)
         (rid, rtype, created_at, req_size, traced, tree_name, node_name,
-         conn_key, seq, size, upstream_key, sent_at) = fields
+         conn_key, seq, upstream, src, dst, size, sent_at) = body
         state = self._live.get(rid)
         if state is None:
             state = self._replica(rid, rtype, created_at, req_size, traced,
@@ -415,17 +418,13 @@ class ShardedDispatcher(Dispatcher):
         node = state.tree.node(node_name)
         instance = self._resolve_instance(state, node)
         conn = self._conn_of(conn_key)
-        visit = (state, node, instance, conn, size, upstream_key, sent_at)
-        return state.request, self._deliver, (
-            conn, instance.name, seq, self._arrive_visit, visit
-        )
+        return _Message(state, node, instance, conn, seq, src, dst, size,
+                        upstream, sent_at, self._arrive_visit)
 
-    def _receive(self, kind: str, payload: tuple) -> None:
+    def _receive(self, kind: str, body: tuple) -> None:
         """Continue a message another shard handed over in
         :meth:`_cross`: the receiver's netproc, then its arrival."""
-        dst_machine, size_bytes, fields = payload
-        request, arrive, args = self._import(kind, fields)
-        self._after_wire(dst_machine, size_bytes, request, arrive, args)
+        self._after_wire(self._import(kind, body))
 
     def _conn_key(self, conn) -> Optional[tuple]:
         """Name *conn* to another shard as ``(upstream, receiver,

@@ -133,6 +133,40 @@ class _Visit:
         self.span: Optional[Span] = None
 
 
+class _Message:
+    """One message from route to arrival: a visit's message to its node,
+    or an attempt's response (no node, instance or connection).
+
+    ``seq`` is its in-order sequence number on ``conn``, stamped at
+    send, and its arrival runs ``handler(message)``. Netproc jobs carry
+    the record as their ``owner``; the attempt never holds it, so a
+    message in flight ties no cycle. Every message is built
+    positionally: CPython hands a class call's keyword arguments to
+    ``__init__`` through a dict, which triples the cost of a step every
+    message takes.
+    """
+
+    __slots__ = ("state", "node", "instance", "conn", "seq", "src", "dst",
+                 "size", "upstream", "sent_at", "handler")
+
+    def __init__(self, state: "_RequestState", node: Optional[PathNode],
+                 instance: Optional[Microservice],
+                 conn: Optional[Connection], seq: Optional[int], src: str,
+                 dst: str, size: float, upstream: Optional[str],
+                 sent_at: float, handler: Callable) -> None:
+        self.state = state
+        self.node = node
+        self.instance = instance
+        self.conn = conn
+        self.seq = seq
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.upstream = upstream
+        self.sent_at = sent_at
+        self.handler = handler
+
+
 class _RequestState:
     """Book-keeping for one in-flight traversal (attempt) of the tree."""
 
@@ -226,6 +260,8 @@ class Dispatcher:
         self._leave_node = self._leave_node
         self._on_job_fail = self._on_job_fail
         self._deliver_job = self._deliver_job
+        self._finish_attempt = self._finish_attempt
+        self._arrive = self._arrive
         self._after_wire = self._after_wire
         self._sent = self._sent
         self._received = self._received
@@ -703,8 +739,9 @@ class Dispatcher:
     # and *start visit* (in-flight count, job, on_enter op and span).
     # This dispatcher runs them back to back at the sender; the shard
     # adapter (repro.shard.adapter) starts the visit on arrival instead.
-    # Arrivals travel as a bound method plus its arguments, never a
-    # closure, so the adapter can name one across a shard mailbox.
+    # Route makes the visit's _Message, and every later step reads that
+    # one record; its handler is a method bound once, never a closure,
+    # so the adapter can name it across a shard mailbox.
 
     @staticmethod
     def _join(state: _RequestState, node: PathNode) -> bool:
@@ -731,15 +768,11 @@ class Dispatcher:
         parent carries the job onward)."""
         if not self._join(state, node):
             return
-        route = self._route(state, node, src_instance, parent_conn)
-        if route is None:
+        message = self._route(state, node, src_instance, parent_conn)
+        if message is None:
             return
-        src_machine, instance, conn, size, upstream_key = route
-        job = self._start_visit(
-            state, node, instance, conn, size, upstream_key, self.sim.now
-        )
-        self._send(state, src_machine, instance, conn, size,
-                   self._deliver_job, instance, job)
+        self._start_visit(message)
+        self._send(message)
 
     def _route(
         self,
@@ -747,10 +780,10 @@ class Dispatcher:
         node: PathNode,
         src_instance: Optional[Microservice],
         parent_conn: Optional[Connection],
-    ) -> Optional[tuple]:
-        """Route a visit to *node*: returns ``(src_machine, instance,
-        conn, size, upstream_key)``, or ``None`` when the breaker or an
-        unhealthy tier failed the attempt instead."""
+    ) -> Optional[_Message]:
+        """Route a visit to *node*: its message, addressed and sized at
+        the sender, or ``None`` when the breaker or an unhealthy tier
+        failed the attempt instead."""
         upstream_key = (
             src_instance.name if src_instance is not None
             else state.group.client_name
@@ -783,92 +816,78 @@ class Dispatcher:
         )
         rng = self._streams(src_machine)[0]
         size = node.message_bytes(state.request.size_bytes, rng)
-        return src_machine, instance, conn, size, upstream_key
+        return _Message(state, node, instance, conn, None, src_machine,
+                        instance.machine_name, size, upstream_key,
+                        self.sim.now, self._deliver_job)
 
-    def _start_visit(
-        self,
-        state: _RequestState,
-        node: PathNode,
-        instance: Microservice,
-        conn: Optional[Connection],
-        size: float,
-        upstream_key: str,
-        sent_at: float,
-    ) -> Job:
-        """Start the visit: count it in flight on *instance*, make its
-        job, apply the on_enter op, and open its span, entered at
-        *sent_at* (when the visit's message was sent)."""
+    def _start_visit(self, message: _Message) -> Job:
+        """Start *message*'s visit: count it in flight on its instance,
+        make its job, apply the on_enter op, and open its span, entered
+        when the message was sent."""
+        state = message.state
+        node = message.node
+        instance = message.instance
+        upstream = message.upstream
         instance.pending_dispatch += 1
-        job = Job(state.request, size_bytes=size, connection=conn)
+        job = Job(state.request, size_bytes=message.size,
+                  connection=message.conn)
         job.owner = state
         job.node = node
         job.on_complete = self._leave_node
         job.on_fail = self._on_job_fail
         visit = state.visits[node.name] = _Visit(
-            instance, conn, job, upstream_key
+            instance, message.conn, job, upstream
         )
         self._apply_op(node.on_enter, state, job)
         trace = state.group.trace
         if trace is not None:
             visit.span = trace.start_span(
                 node.name, instance.name, node.service,
-                state.attempt, sent_at, upstream=upstream_key,
+                state.attempt, message.sent_at, upstream=upstream,
             )
         if self.metrics is not None:
             self.metrics.counter(
                 "edge_requests_total",
-                upstream=upstream_key, service=node.service,
+                upstream=upstream, service=node.service,
             ).inc()
         return job
 
-    def _send(
-        self,
-        state: _RequestState,
-        src_machine: str,
-        instance: Microservice,
-        conn: Optional[Connection],
-        size: float,
-        accept: Callable[..., None],
-        *args,
-    ) -> None:
-        """Send a visit's message from *src_machine* to *instance*; on
-        arrival ``accept(*args)`` runs, in the connection's send order."""
-        dst_machine = instance.machine_name
-        # Same-connection messages towards the same receiver are
-        # delivered in send order (TCP semantics) even if the simulated
-        # network completes their hops out of order. A lost message
-        # frees its slot from this record (see _lost).
-        seq = None if conn is None else conn.next_seq(instance.name)
-        message = (conn, instance.name, seq, accept, args)
-        if self.network.is_partitioned(src_machine, dst_machine):
-            self._lost(self._deliver, message)
-            return
-        self._hop(src_machine, dst_machine, size, state.request,
-                  self._deliver, message)
+    def _send(self, message: _Message) -> bool:
+        """Send *message*; on arrival its handler runs, in its
+        connection's send order. False when a partition at the sender
+        lost it."""
+        conn = message.conn
+        if conn is not None:
+            # Delivered in send order towards the receiver (TCP
+            # semantics) however the hops complete; see _arrive, _lost.
+            message.seq = conn.next_seq(message.instance.name)
+        if self.network.is_partitioned(message.src, message.dst):
+            self._lost(message)
+            return False
+        self._hop(message)
+        return True
 
-    @staticmethod
-    def _deliver(
-        conn: Optional[Connection],
-        receiver: str,
-        seq: Optional[int],
-        accept: Callable[..., None],
-        args: tuple,
-    ) -> None:
-        """A visit's message arrived: ``accept(*args)``, in send order
-        on its connection."""
+    def _arrive(self, message: _Message) -> None:
+        """*message* reached its receiver: run its handler, in send
+        order on its connection."""
+        conn = message.conn
         if conn is None:
-            accept(*args)
+            message.handler(message)
         else:
-            conn.deliver_in_order(receiver, seq, accept, *args)
+            conn.deliver_in_order(
+                message.instance.name, message.seq, message.handler, message
+            )
 
-    def _deliver_job(self, instance: Microservice, job: Job) -> None:
-        """Hand the job to the instance — unless the attempt died while
-        the message was in flight."""
-        state = job.owner
+    def _deliver_job(self, message: _Message) -> None:
+        """Hand the visit's job to its instance — unless the attempt
+        died while the message was in flight."""
+        state = message.state
         if state.cancelled or state.group.resolved:
             return
-        node = job.node
-        instance.accept(job, node.path_id, node.path_name)
+        node = message.node
+        message.instance.accept(
+            state.visits[node.name].job, node.path_id, node.path_name
+        )
 
     def _leave_node(self, job: Job) -> None:
         """The visit's job completed: leave its node and enter the
@@ -908,24 +927,23 @@ class Dispatcher:
     def _complete_request(
         self, state: _RequestState, sink_instance: Microservice
     ) -> None:
-        """The last sink left *sink_instance*: send the response."""
+        """The last sink left *sink_instance*: send the response. One
+        lost on the way surfaces only as a timeout."""
         src_machine = sink_instance.machine_name
-        dst_machine = state.group.client_machine
-        response_size = state.tree.response_size(
+        size = state.tree.response_size(
             state.request.size_bytes, self._streams(src_machine)[0]
         )
-        if self.network.is_partitioned(src_machine, dst_machine):
-            self.messages_dropped += 1
-            return  # response lost; only a timeout will surface it
-        if state.group.trace is not None:
+        response = _Message(state, None, None, None, None, src_machine,
+                            state.group.client_machine, size, None,
+                            self.sim.now, self._finish_attempt)
+        if self._send(response) and state.group.trace is not None:
             state.group.trace.add_event(
                 self.sim.now, "response_sent", attempt=state.attempt
             )
-        self._hop(src_machine, dst_machine, response_size, state.request,
-                  self._finish_attempt, (state,))
 
-    def _finish_attempt(self, state: _RequestState) -> None:
+    def _finish_attempt(self, response: _Message) -> None:
         """The response reached the client: the attempt succeeded."""
+        state = response.state
         if state.cancelled or state.group.resolved:
             return  # lost the hedge race / timed out at the wire
         state.finished = True
@@ -945,109 +963,89 @@ class Dispatcher:
         messages it sends. Here, the dispatcher's own streams."""
         return self._own_streams
 
-    def _hop(
-        self,
-        src_machine: str,
-        dst_machine: str,
-        size_bytes: float,
-        request: Request,
-        arrive: Callable[..., None],
-        args: tuple,
-    ) -> None:
-        """Route one message src -> dst; at the receiver
-        ``arrive(*args)`` runs.
+    def _hop(self, message: _Message) -> None:
+        """Route *message* from its ``src`` to its ``dst`` machine; at
+        the receiver :meth:`_arrive` runs its handler.
 
         Cross-machine messages pass through the sender's and receiver's
         network-processing services (when deployed) around the wire
-        delay; same-machine messages short-circuit through loopback.
+        delay, each netproc job carrying the message as its ``owner``;
+        same-machine messages short-circuit through loopback.
 
-        Exactly one of ``arrive(*args)`` and :meth:`_lost` eventually
-        runs: the message is lost en route at a mid-flight partition,
-        or in a netproc relay that is down or crashes with it.
+        Exactly one of the handler and :meth:`_lost` eventually runs:
+        the message is lost en route at a mid-flight partition, or in a
+        netproc relay that is down or crashes with it.
         """
-        if src_machine == dst_machine:
-            delay = self._streams(src_machine)[1].delay(
-                src_machine, dst_machine, size_bytes
-            )
+        src, dst = message.src, message.dst
+        if src == dst:
+            delay = self._streams(src)[1].delay(src, dst, message.size)
             # Wire deliveries are fire-and-forget: cancellation happens
             # via request/attempt state checked at delivery time, never
             # by cancelling the event.
-            self.sim.schedule_transient(
-                delay, arrive, *args, priority=PRIORITY_ARRIVAL
+            self.sim.schedule(
+                delay, self._arrive, message, priority=PRIORITY_ARRIVAL
             )
             return
-        tx_proc = self.deployment.netproc(src_machine)
+        tx_proc = self.deployment.netproc(src)
         if tx_proc is None:
-            self._over_wire(src_machine, dst_machine, size_bytes, request,
-                            arrive, args)
+            self._over_wire(message)
             return
-        tx_job = Job(request, size_bytes=size_bytes)
-        tx_job.owner = (src_machine, dst_machine, size_bytes, request,
-                        arrive, args)
+        tx_job = Job(message.state.request, size_bytes=message.size)
+        tx_job.owner = message
         tx_job.on_complete = self._sent
         tx_job.on_discard = self._discarded
         tx_proc.accept(tx_job)
 
     def _sent(self, tx_job: Job) -> None:
         """The sender's netproc let the message out."""
-        self._over_wire(*tx_job.owner)
+        self._over_wire(tx_job.owner)
 
-    def _over_wire(self, src_machine, dst_machine, size_bytes, request,
-                   arrive, args) -> None:
-        """Draw the message's wire delay and put it on the wire."""
-        if self.network.is_partitioned(src_machine, dst_machine):
-            self._lost(arrive, args)
+    def _over_wire(self, message: _Message) -> None:
+        """Draw *message*'s wire delay and put it on the wire."""
+        src, dst = message.src, message.dst
+        if self.network.is_partitioned(src, dst):
+            self._lost(message)
             return  # lost on the severed link
-        delay = self._streams(src_machine)[1].delay(
-            src_machine, dst_machine, size_bytes
-        )
-        self._cross(delay, dst_machine, size_bytes, request, arrive, args)
+        delay = self._streams(src)[1].delay(src, dst, message.size)
+        self._cross(delay, message)
 
-    def _cross(self, delay, dst_machine, size_bytes, request, arrive,
-               args) -> None:
-        """The message reaches *dst_machine* after *delay*."""
-        self.sim.schedule_transient(
-            delay, self._after_wire, dst_machine, size_bytes, request,
-            arrive, args, priority=PRIORITY_ARRIVAL,
+    def _cross(self, delay: float, message: _Message) -> None:
+        """*message* reaches its ``dst`` machine after *delay*."""
+        self.sim.schedule(
+            delay, self._after_wire, message, priority=PRIORITY_ARRIVAL
         )
 
-    def _after_wire(self, dst_machine, size_bytes, request, arrive,
-                    args) -> None:
-        """The message came off the wire: through the receiver's
-        netproc, then ``arrive(*args)``."""
-        rx_proc = self.deployment.netproc(dst_machine)
+    def _after_wire(self, message: _Message) -> None:
+        """*message* came off the wire: through the receiver's netproc,
+        then :meth:`_arrive`."""
+        rx_proc = self.deployment.netproc(message.dst)
         if rx_proc is None:
-            arrive(*args)
+            self._arrive(message)
             return
-        rx_job = Job(request, size_bytes=size_bytes)
-        rx_job.owner = (arrive, args)
+        rx_job = Job(message.state.request, size_bytes=message.size)
+        rx_job.owner = message
         rx_job.on_complete = self._received
         rx_job.on_discard = self._discarded
         rx_proc.accept(rx_job)
 
     def _received(self, rx_job: Job) -> None:
         """The receiver's netproc handed the message up."""
-        arrive, args = rx_job.owner
-        arrive(*args)
+        self._arrive(rx_job.owner)
 
     def _discarded(self, job: Job) -> None:
-        """A netproc lost the message it carried (it was down, or
-        crashed with it): a transmit job's owner is the wire record, a
-        receive job's ``(arrive, args)``; both end in those two."""
-        self._lost(*job.owner[-2:])
+        """A netproc lost the message its job carries as ``owner``: it
+        was down, or crashed with it."""
+        self._lost(job.owner)
 
-    def _lost(self, arrive: Callable[..., None], args: tuple) -> None:
-        """The message ``arrive(*args)`` was lost. A visit's message
-        still consumes its in-order slot on its connection, read from
-        the ``(conn, receiver, seq, ...)`` record it carries: otherwise
-        every later message on that connection towards the receiver
-        parks forever, wedging the connection past the instance's own
-        recovery."""
+    def _lost(self, message: _Message) -> None:
+        """*message* was lost on the way. One on a connection still
+        consumes its in-order slot there: otherwise every later message
+        on that connection towards its receiver parks forever, wedging
+        the connection past the instance's own recovery."""
         self.messages_dropped += 1
-        if arrive is self._deliver:
-            conn, receiver, seq = args[:3]
-            if conn is not None:
-                conn.deliver_in_order(receiver, seq, _noop)
+        conn = message.conn
+        if conn is not None:
+            conn.deliver_in_order(message.instance.name, message.seq, _noop)
 
     def __repr__(self) -> str:
         return (

@@ -131,7 +131,7 @@ class OpenLoopClient:
         gap = self._next_gap(now)
         # Arrival ticks are never cancelled: stop_at and max_requests
         # are checked at fire time.
-        self.sim.schedule_transient(gap, self._fire, priority=PRIORITY_ARRIVAL)
+        self.sim.schedule(gap, self._fire, priority=PRIORITY_ARRIVAL)
 
     def _on_complete(self, request: Request) -> None:
         self.requests_completed += 1

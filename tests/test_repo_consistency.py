@@ -11,6 +11,21 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
 class TestDocsReferenceRealFiles:
     def test_readme_examples_exist(self):
         readme = (REPO / "README.md").read_text()
@@ -30,6 +45,19 @@ class TestDocsReferenceRealFiles:
             "resilience.md",
         ):
             assert (REPO / "docs" / name).exists()
+
+    def test_docs_repro_references_resolve(self):
+        """Every backticked dotted ``repro.…`` path in docs/*.md is a
+        module, or an attribute of the longest module prefix that
+        imports."""
+        unresolved = []
+        for path in sorted((REPO / "docs").glob("*.md")):
+            for ref in re.findall(
+                r"`(repro(?:\.[A-Za-z_]\w*)+)`", path.read_text()
+            ):
+                if not _resolves(ref):
+                    unresolved.append(f"{path.name}: {ref}")
+        assert not unresolved, unresolved
 
     def test_spec_directory_complete(self):
         spec = REPO / "specs" / "two_tier"

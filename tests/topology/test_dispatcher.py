@@ -4,6 +4,7 @@ blocking, netproc routing, tree selection."""
 import pytest
 
 from repro.errors import TopologyError
+from repro.resilience import ResiliencePolicy
 from repro.service import Request
 from repro.topology import NodeOp, PathNode, PathTree
 
@@ -274,6 +275,73 @@ class TestNetprocRouting:
         # Only the client-facing hops cross machines: rx + tx = 2 jobs;
         # the web->db hop is loopback.
         assert irq.jobs_completed == 2
+
+
+NETPROC = 5e-6
+
+# Where each of the five loss sites drops the first request's message,
+# on the web (node0) -> db (node1) chain with a netproc on both
+# machines: the db message is sent at 1.015 ms, leaves node0's netproc
+# at 1.020 ms, sits in node1's netproc from 1.030 to 1.035 ms, and db
+# answers at 2.035 ms. Each fault is undone at 6 ms, after the first
+# request timed out.
+LOSS_SITES = {
+    "partitioned_at_send": (0.5e-3, "partition", ("node0", "node1")),
+    "partitioned_mid_flight": (1.017e-3, "partition", ("node0", "node1")),
+    "tx_netproc_discards": (1.017e-3, "crash", "node0"),
+    "rx_netproc_discards": (1.032e-3, "crash", "node1"),
+    "response_partitioned": (1.5e-3, "partition", ("node1", "client")),
+}
+
+
+class TestLossAccounting:
+    @pytest.mark.parametrize("site", sorted(LOSS_SITES))
+    def test_a_lost_message_is_counted_once_and_frees_its_slot(
+        self, sim, network, site
+    ):
+        cluster, deployment, dispatcher = build_world(sim, network)
+        deployment.add_instance(
+            build_instance(sim, cluster, "web0", "node0", tier="web")
+        )
+        deployment.add_instance(
+            build_instance(sim, cluster, "db0", "node1", tier="db")
+        )
+        # One connection, so the second request's db message rides the
+        # connection the first one's was lost on.
+        deployment.set_pool("db", 1)
+        irq = {}
+        for machine in ("node0", "node1"):
+            irq[machine] = build_instance(
+                sim, cluster, f"netproc_{machine}", machine,
+                service_time=NETPROC, tier="netproc",
+            )
+            deployment.set_netproc(machine, irq[machine])
+        dispatcher.add_tree(
+            PathTree().chain(PathNode("web", "web"), PathNode("db", "db"))
+        )
+        at, fault, target = LOSS_SITES[site]
+        if fault == "partition":
+            sim.schedule_at(at, network.partition, *target)
+            sim.schedule_at(6e-3, network.heal, *target)
+        else:
+            sim.schedule_at(at, irq[target].crash, "drop")
+            sim.schedule_at(6e-3, irq[target].recover)
+        done = []
+        policy = ResiliencePolicy(timeout=5e-3)
+        for created_at in (0.0, 10e-3):
+            request = Request(created_at=created_at)
+            sim.schedule_at(created_at, dispatcher.submit, request,
+                            done.append, "client", "client", policy)
+        sim.run()
+        assert [r.outcome for r in done] == ["timeout", "ok"]
+        assert dispatcher.messages_dropped == 1
+        parked = [
+            conn.name
+            for pool in deployment.pools
+            for conn in pool.connections
+            if any(conn._parked.values())
+        ]
+        assert parked == []
 
 
 class TestTreeSelection:
