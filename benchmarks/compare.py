@@ -13,7 +13,10 @@ edits included.
 
 ``BENCHMARK.json``'s command runs with ``--trace 0 --seconds
 <run_seconds>`` on each side in ``PAIRS`` pairs, alternating which side
-goes first so that a slow stretch of a shared host hits both. One row
+goes first so that a slow stretch of a shared host hits both. Both
+sides' sources are byte-compiled before the first pair, so neither
+side's ``setup_s`` includes compiling modules the other reads from a
+warm cache. One row
 is printed per workload and end-to-end metric: the parent's median, the
 change's median, their ratio, the metric's bound from ``BENCHMARK.json``
 and a verdict. The last line of standard output is one JSON object.
@@ -57,6 +60,17 @@ def last_json(stdout: str) -> Dict[str, Any]:
         return json.loads(lines[-1])
     except (IndexError, ValueError):
         raise GateError("the benchmark printed no JSON line") from None
+
+
+def compile_sources(tree: Path, spec: Dict[str, Any]) -> None:
+    """Byte-compile *tree*'s ``src/`` and ``benchmarks/perf`` with the
+    benchmark's interpreter. ``compileall`` writes the caches even
+    under ``PYTHONDONTWRITEBYTECODE``, which would otherwise leave a
+    fresh checkout compiling every module in every benchmark child."""
+    command = [spec["command"][0], "-m", "compileall", "-q",
+               str(tree / "src"), str(tree / "benchmarks" / "perf")]
+    if subprocess.run(command, stdout=subprocess.DEVNULL).returncode:
+        raise GateError(f"cannot byte-compile the sources in {tree}")
 
 
 def run_side(tree: Path, spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -160,6 +174,8 @@ def measure(base: str, spec: Dict[str, Any]) -> Dict[str, Any]:
         print(f"perf gate: parent {sha[:12]} against {ROOT}, {PAIRS} pairs",
               flush=True)
         sides = {"parent": parent_tree, "change": ROOT}
+        for tree in sides.values():
+            compile_sources(tree, spec)
         runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
         for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")

@@ -120,3 +120,24 @@ def test_bounds_come_from_benchmark_json():
 def test_output_without_a_json_line_cannot_be_judged():
     with pytest.raises(compare.GateError):
         compare.last_json("Traceback (most recent call last):\n")
+
+
+def test_sources_compile_even_when_bytecode_writing_is_off(
+    tmp_path, monkeypatch
+):
+    # A fresh checkout and a long-used tree must both start the pairs
+    # with warm caches, whatever PYTHONDONTWRITEBYTECODE says.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for part in ("src/pkg", "benchmarks/perf"):
+        (tmp_path / part).mkdir(parents=True)
+        (tmp_path / part / "mod.py").write_text("VALUE = 1\n")
+    compare.compile_sources(tmp_path, SPEC)
+    for part in ("src/pkg", "benchmarks/perf"):
+        assert list((tmp_path / part / "__pycache__").glob("mod.*.pyc"))
+
+
+def test_a_tree_that_cannot_compile_cannot_be_measured(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "broken.py").write_text("def (\n")
+    with pytest.raises(compare.GateError):
+        compare.compile_sources(tmp_path, SPEC)

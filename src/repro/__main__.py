@@ -57,6 +57,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .config import SimulationSpec
     from .engine import EngineProfiler
     from .experiments.loadsweep import drive_world, export_artifacts
+    from .experiments.options import RunOptions
     from .telemetry.report import format_analytics_report, format_table, ms
     from .telemetry.scrape import timeline_payload, write_timeline
     from .telemetry.tracing import TraceConfig
@@ -71,11 +72,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tracing = args.trace or args.trace_dir is not None
     if args.profile:
         world.sim.profiler = EngineProfiler()
-    run = drive_world(
-        world, client, duration=args.until,
-        trace=tracing and TraceConfig(sample_rate=args.trace_sample),
+    if tracing:  # exported below, under the run's own names
+        world.dispatcher.trace = TraceConfig(sample_rate=args.trace_sample)
+    run = drive_world(world, client, options=RunOptions(
         slo=args.slo or None, scrape_interval=args.scrape_interval,
-    )
+    ), duration=args.until)
     if client.requests_ok == 0:
         print("no requests completed ok; raise --until or the client's "
               "stop_at/max_requests", file=sys.stderr)

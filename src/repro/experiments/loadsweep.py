@@ -27,12 +27,7 @@ from ..telemetry.slo import SLOMonitor
 from ..telemetry.tracing import TraceConfig
 from ..workload import OpenLoopClient, RequestMix
 from .audit import audit_client
-from .options import (
-    RunOptions,
-    SLOSpec,
-    implied_trace,
-    resolve_slos,
-)
+from .options import RunOptions, SLOSpec, resolve_slos
 
 
 def slo_manifest_summary(results: Sequence[Any]) -> Dict[str, Any]:
@@ -129,28 +124,16 @@ def shard_sync_manifest_summary(results: Sequence[Any]) -> Dict[str, Any]:
     return {"shard_sync": block}
 
 
-def sweep_manifest_extra(
-    options: RunOptions,
-) -> Optional[Callable[[Sequence[Any]], Dict[str, Any]]]:
-    """The manifest blocks a sweep run under *options* records: shard
-    recovery and coordinator counters when sharded, SLO verdicts when
-    objectives were attached; ``None`` when there is nothing to add."""
-    summaries = (
-        [shard_recovery_manifest_summary, shard_sync_manifest_summary]
-        if options.shards > 1 else []
-    )
-    if options.slo:
-        summaries.append(slo_manifest_summary)
-    if not summaries:
-        return None
-
-    def extra(results: Sequence[Any]) -> Dict[str, Any]:
-        merged: Dict[str, Any] = {}
-        for summary in summaries:
-            merged.update(summary(results))
-        return merged
-
-    return extra
+def sweep_manifest_summary(results: Sequence[Any]) -> Dict[str, Any]:
+    """The manifest blocks a sweep's *results* add: shard recovery and
+    coordinator counters from sharded points, SLO verdicts from points
+    that measured objectives. Each block is absent when no point
+    carries what it sums."""
+    return {
+        **shard_recovery_manifest_summary(results),
+        **shard_sync_manifest_summary(results),
+        **slo_manifest_summary(results),
+    }
 
 
 @register_result_type
@@ -216,18 +199,19 @@ def shard_journal_name(derived_seed: int) -> str:
 
 
 def find_shard_journal(
-    shard_journal_dir: Union[str, Path],
+    directory: Union[str, Path],
     derived_seed: int,
     qps: Optional[float] = None,
 ) -> Optional[Path]:
-    """Locate a point's replay journal, old or new naming.
+    """Locate a point's replay journal in *directory*, old or new
+    naming.
 
     Prefers the seed-keyed name; falls back to the legacy
     ``shard_journal_qps{qps:g}.jsonl`` name (journals written before
     the seed keying) when *qps* is given. Returns ``None`` when
     neither exists.
     """
-    base = Path(shard_journal_dir)
+    base = Path(directory)
     path = base / shard_journal_name(derived_seed)
     if path.exists():
         return path
@@ -247,23 +231,16 @@ def measure_at_load(
     seed: int = 1,
     fault_plan: Optional[FaultPlan] = None,
     audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
     trace_dir: Optional[Union[str, Path]] = None,
     slo: Optional[SLOSpec] = None,
     scrape_interval: Optional[float] = None,
     shards: int = 1,
     shard_timeout: Optional[float] = None,
     shard_restarts: Optional[int] = None,
-    shard_journal_dir: Optional[Union[str, Path]] = None,
     **world_kwargs,
 ) -> SweepPoint:
     """Build a fresh world, drive it at *qps* for *duration* seconds,
     and report statistics over the post-warmup window.
-
-    *slo* attaches live :class:`~repro.telemetry.slo.SLOMonitor`
-    objectives (spec strings like ``"p99<5ms"`` or :class:`SLO`
-    objects) to the client; the per-objective verdict summary rides the
-    returned point's ``slo`` field.
 
     The world is rebuilt per point so measurements are independent; the
     seed is derived from the full float load via
@@ -273,46 +250,69 @@ def measure_at_load(
     identical results whether its points run serially or fanned out
     across processes.
 
-    *fault_plan* arms a :class:`~repro.faults.FaultPlan` against the
-    freshly-built world before the clock starts, so sweeps can measure
-    behaviour under injected failures. *audit* runs the request
-    conservation check (:func:`~repro.experiments.audit.audit_client`)
-    after the window.
-
-    *trace* enables dispatcher tracing for the point (``True`` or a
-    :class:`~repro.telemetry.tracing.TraceConfig`); with *trace_dir*
-    set, the sampled traces are exported there as Perfetto and OTLP
-    JSON named after the offered load (setting *trace_dir* alone
-    implies ``trace=True``). Tracing draws from its own named RNG
-    stream, so the measured numbers are identical with or without it.
-
-    ``shards > 1`` measures the point through the shard adapter
-    (:func:`repro.shard.adapter.sharded_load_point`), which refuses a
+    The execution options are :class:`RunOptions` fields. With
+    *trace_dir* set, the point's traces export there as Perfetto and
+    OTLP JSON named after the offered load; tracing draws from its own
+    named RNG stream, so the measured numbers are identical with or
+    without it. *slo* verdicts ride the point's ``slo`` field.
+    ``shards > 1`` measures through the shard adapter, which refuses a
     world it cannot shard with a :class:`~repro.errors.ShardingError`
     and runs the vanilla point when the planner falls back.
     """
+    return _load_point(
+        qps, build_world, duration, warmup, mix, seed,
+        RunOptions.pick(locals()), world_kwargs,
+    )
+
+
+def _load_point(
+    qps: float,
+    build_world: Callable[..., World],
+    duration: float,
+    warmup: float,
+    mix: Optional[RequestMix],
+    seed: int,
+    options: RunOptions,
+    world_kwargs: Dict[str, Any],
+) -> SweepPoint:
+    """Picklable per-point worker of a load sweep: :func:`sweep_point`
+    of one :func:`run_point` at *qps*, from the seed derived from the
+    sweep's *seed* and *qps*."""
     if warmup >= duration:
         raise ReproError(
             f"warmup ({warmup}) must be shorter than duration ({duration})"
         )
-    options = RunOptions.pick(locals())
     derived = derive_seed(seed, float(qps))
-    if shards == 1:
-        return measure_vanilla_point(
-            build_world, qps, duration, warmup, derived, mix=mix,
-            trace=trace, **options.point_options(), **world_kwargs,
-        )
+    run = run_point(build_world, qps, derived, options, duration=duration,
+                    warmup=warmup, mix=mix, **world_kwargs)
+    return sweep_point(run, qps, duration, warmup, derived, options)
+
+
+def run_point(
+    build_world: Callable[..., World],
+    qps: float,
+    seed: int,
+    options: RunOptions,
+    *,
+    journal_name: Optional[str] = None,
+    **run_kwargs,
+) -> "WorldRun":
+    """The one run door of every measured point, and the one place the
+    shard count picks the executor: :func:`run_world` on one shard,
+    :func:`repro.shard.adapter.run_world_sharded` on more (which runs
+    :func:`run_world` itself when its planner falls back). A sharded
+    run under a run directory mirrors its replay journal to
+    *journal_name* there (by default, named by *seed*). *run_kwargs*
+    are the run's horizon, its request *mix* and the builder's
+    keywords."""
+    if options.shards == 1:
+        return run_world(build_world, qps, seed, options, **run_kwargs)
     # Imported late so ``repro.shard`` stays an optional layer of the
     # import graph.
-    from ..shard.adapter import sharded_load_point
+    from ..shard.adapter import run_world_sharded
 
-    journal_path = None
-    if shard_journal_dir is not None:
-        journal_path = Path(shard_journal_dir) / shard_journal_name(derived)
-    return sharded_load_point(
-        build_world, qps, duration, warmup, derived, mix=mix, trace=trace,
-        journal_path=journal_path, **options.point_options(), **world_kwargs,
-    )
+    return run_world_sharded(build_world, qps, seed, options=options,
+                             journal_name=journal_name, **run_kwargs)
 
 
 @dataclass
@@ -348,28 +348,29 @@ class WorldRun:
         return point
 
 
-def arm_faults(world: World, fault_plan: FaultPlan) -> None:
-    """Arm *fault_plan* against *world*'s instances, links and
+def arm_faults(world: World, plan: FaultPlan) -> None:
+    """Arm the fault *plan* against *world*'s instances, links and
     machines before its clock starts."""
     FaultInjector(
-        world.sim, world.deployment, world.cluster.network, fault_plan,
+        world.sim, world.deployment, world.cluster.network, plan,
         cluster=world.cluster,
     ).arm()
 
 
-def start_slo_monitor(client: OpenLoopClient, slo: Optional[SLOSpec],
+def start_slo_monitor(client: OpenLoopClient, spec: Optional[SLOSpec],
                       qps: Optional[float], *,
                       duration: Optional[float] = None,
                       warmup: Optional[float] = None,
                       max_requests: Optional[int] = None,
                       ) -> Optional[SLOMonitor]:
-    """Attach and start an :class:`SLOMonitor` for *slo* on *client*
-    (``None`` when no objective was asked for). A *duration* horizon
-    sets the window from the post-*warmup* span and evaluates every 1%
-    of it until the horizon; a run stopped after *max_requests* at
-    *qps* has no horizon, so the window is sized from the expected span
-    of the run; a run with neither (``repro run`` draining its spec's
-    client) gets a 1 s window evaluated every 10 ms."""
+    """Attach and start an :class:`SLOMonitor` for the objectives of
+    *spec* on *client* (``None`` when no objective was asked for). A
+    *duration* horizon sets the window from the post-*warmup* span and
+    evaluates every 1% of it until the horizon; a run stopped after
+    *max_requests* at *qps* has no horizon, so the window is sized from
+    the expected span of the run; a run with neither (``repro run``
+    draining its spec's client) gets a 1 s window evaluated every
+    10 ms."""
     if duration is not None:
         window = max(0.05, min(1.0, duration - (warmup or 0.0)))
         interval = max(duration / 100.0, 0.005)
@@ -378,7 +379,7 @@ def start_slo_monitor(client: OpenLoopClient, slo: Optional[SLOSpec],
         interval = window / 10.0
     else:
         window, interval = 1.0, 0.01
-    slos = resolve_slos(slo, window=window)
+    slos = resolve_slos(spec, window=window)
     if not slos:
         return None
     monitor = SLOMonitor(client.sim, slos, interval=interval)
@@ -420,13 +421,13 @@ def client_payload(client: OpenLoopClient, warmup: Optional[float] = None,
     return payload
 
 
-def export_artifacts(trace_dir: Union[str, Path], stem: str,
+def export_artifacts(directory: Union[str, Path], stem: str,
                      traces: Sequence[Any], counters: Optional[dict] = None,
                      timeline: Optional[dict] = None) -> None:
     """Write ``{stem}.perfetto.json`` (*traces* plus *counters* tracks)
-    and ``{stem}.otlp.json`` into *trace_dir*, and
+    and ``{stem}.otlp.json`` into *directory*, and
     ``{stem}.timeseries.json`` when there is a *timeline*."""
-    base = Path(trace_dir)
+    base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     write_perfetto(base / f"{stem}.perfetto.json", traces, counters=counters)
     write_otlp(base / f"{stem}.otlp.json", traces)
@@ -440,16 +441,12 @@ def run_world(
     build_world: Callable[..., World],
     qps: float,
     seed: int,
+    options: RunOptions = RunOptions(),
     *,
     duration: Optional[float] = None,
     warmup: Optional[float] = None,
     max_requests: Optional[int] = None,
     mix: Optional[RequestMix] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
-    slo: Optional[SLOSpec] = None,
-    scrape_interval: Optional[float] = None,
     **world_kwargs,
 ) -> WorldRun:
     """Run *build_world* under an open-loop client on one simulator —
@@ -458,7 +455,8 @@ def run_world(
     The client stops at the *duration* horizon (window stats cover the
     post-*warmup* span) and/or after *max_requests* arrivals; with no
     horizon the run ends when the last request resolves. *seed* is
-    used as-is. The run itself is :func:`drive_world`.
+    used as-is. The run itself, under *options*, is
+    :func:`drive_world`.
     """
     if duration is None and max_requests is None:
         raise ReproError("a run needs a duration horizon and/or max_requests")
@@ -467,86 +465,80 @@ def run_world(
         world.sim, world.dispatcher, arrivals=qps, mix=mix,
         max_requests=max_requests, stop_at=duration, realism=world.realism,
     )
-    return drive_world(
-        world, client, qps, duration=duration, warmup=warmup,
-        max_requests=max_requests, fault_plan=fault_plan, audit=audit,
-        trace=trace, slo=slo, scrape_interval=scrape_interval,
-    )
+    return drive_world(world, client, qps, options, duration=duration,
+                       warmup=warmup, max_requests=max_requests)
 
 
 def drive_world(
     world: World,
     client: OpenLoopClient,
     qps: Optional[float] = None,
+    options: RunOptions = RunOptions(),
     *,
     duration: Optional[float] = None,
     warmup: Optional[float] = None,
     max_requests: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
-    slo: Optional[SLOSpec] = None,
-    scrape_interval: Optional[float] = None,
 ) -> WorldRun:
     """Run a built *world* under its not-yet-started *client* until the
     *duration* horizon, or until the queue drains without one: the one
     run core of :func:`run_world` and ``repro run``.
 
-    Tracing, faults, the SLO monitor (cadence from
+    The options' tracing, fault plan, SLO monitor (cadence from
     :func:`start_slo_monitor`) and the scraper attach in that order
-    before the client starts; *audit* checks request conservation after
-    the run. The root payload carries ``slo``, ``scrape`` and
-    ``traces`` when they were on.
+    before the client starts; the audit checks request conservation
+    after the run. The root payload carries ``slo`` and ``scrape`` when
+    they were on, and ``traces`` when the world's dispatcher traces —
+    by the options' ``trace_dir``, or set on the world beforehand.
     """
-    if trace:
-        world.dispatcher.trace = trace
-    if fault_plan is not None:
-        arm_faults(world, fault_plan)
+    dispatcher = world.dispatcher
+    if options.trace:
+        dispatcher.trace = options.trace
+    if options.fault_plan is not None:
+        arm_faults(world, options.fault_plan)
     slo_monitor = start_slo_monitor(
-        client, slo, qps, duration=duration, warmup=warmup,
+        client, options.slo, qps, duration=duration, warmup=warmup,
         max_requests=max_requests,
     )
     scraper = None
-    if scrape_interval is not None:
+    interval = options.scrape_interval
+    if interval is not None:
         from ..telemetry.metrics import MetricsRegistry
         from ..telemetry.scrape import Scraper, scrape_tiers
 
         registry = MetricsRegistry()
         registry.instrument_world(world)
         scraper = Scraper(
-            world.sim, interval=scrape_interval,
+            world.sim, interval=interval,
             tiers=scrape_tiers(world.deployment), client=client,
             registry=registry, stop_at=duration,
         ).start()
     clock_start = world.sim.now
     client.start()
     world.sim.run(until=duration)
-    if audit:
-        audit_client(client, world.sim, dispatcher=world.dispatcher,
+    if options.audit:
+        audit_client(client, world.sim, dispatcher=dispatcher,
                      clock_start=clock_start)
     root = client_payload(client, warmup, duration)
     if slo_monitor is not None:
         root["slo"] = slo_monitor.summary()
     if scraper is not None:
-        root["scrape"] = {"interval": scrape_interval,
-                          "series": scraper.snapshot()}
-    if trace:
-        root["traces"] = list(world.dispatcher.tracer.traces)
+        root["scrape"] = {"interval": interval, "series": scraper.snapshot()}
+    if dispatcher.trace:
+        root["traces"] = list(dispatcher.tracer.traces)
     return WorldRun(root["latencies"], root["completions"], root["outcomes"],
                     shard_sync=None, recovery=None, root=root,
                     results=[root], runtime=None)
 
 
 def sweep_point(run: WorldRun, qps: float, duration: float, warmup: float,
-                seed: int, *, trace_dir: Optional[Union[str, Path]] = None,
-                scrape_interval: Optional[float] = None) -> SweepPoint:
+                seed: int, options: RunOptions = RunOptions()) -> SweepPoint:
     """The :class:`SweepPoint` of a horizon *run* at *qps* from derived
-    *seed*, with its merged scrape timeline when *scrape_interval* is
-    set; with *trace_dir* set, its traces and timeline export there
-    named after the offered load."""
+    *seed*, with its merged scrape timeline when the *options* scrape;
+    with a ``trace_dir`` set, its traces and timeline export there named
+    after the offered load."""
     series: Dict[str, dict] = {}
     timeline = None
-    if scrape_interval is not None:
+    if options.scrape_interval is not None:
         from ..telemetry.scrape import timeline_payload
 
         # Tiers are machine-owned, so per-shard series names are
@@ -557,13 +549,14 @@ def sweep_point(run: WorldRun, qps: float, duration: float, warmup: float,
             series.update((result.get("scrape") or {}).get("series", {}))
         shards = run.shard_sync["shards"] if run.shard_sync else 1
         timeline = timeline_payload(
-            series, interval=scrape_interval, shard_runtime=run.runtime,
+            series, interval=options.scrape_interval,
+            shard_runtime=run.runtime,
             meta={"qps": qps, "duration": duration, "warmup": warmup,
                   "seed": seed, "shards": shards},
         )
-    if trace_dir is not None:
+    if options.trace_dir is not None:
         traces = run.root.get("traces") or []
-        export_artifacts(trace_dir, f"qps{qps:g}", traces,
+        export_artifacts(options.trace_dir, f"qps{qps:g}", traces,
                          counters=series or None, timeline=timeline)
     window = run.root.get("window") or {}
     if window.get("completed"):
@@ -577,37 +570,6 @@ def sweep_point(run: WorldRun, qps: float, duration: float, warmup: float,
         qps, *stats, slo=run.root.get("slo"), shard_recovery=run.recovery,
         timeline=timeline,
     ))
-
-
-def measure_vanilla_point(
-    build_world: Callable[..., World],
-    qps: float,
-    duration: float,
-    warmup: float,
-    derived_seed: int,
-    *,
-    mix: Optional[RequestMix] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
-    trace_dir: Optional[Union[str, Path]] = None,
-    slo: Optional[SLOSpec] = None,
-    scrape_interval: Optional[float] = None,
-    **world_kwargs,
-) -> SweepPoint:
-    """One sweep point on one simulator: :func:`run_world` over the
-    horizon, then :func:`sweep_point` — the same two steps the sharded
-    adapter's planner fallback runs, which is what makes ``shards=1``
-    bit-identical to vanilla. *derived_seed* is used as-is; callers
-    are expected to have done the shard/tuning guard checks."""
-    run = run_world(
-        build_world, qps, derived_seed, duration=duration, warmup=warmup,
-        mix=mix, fault_plan=fault_plan, audit=audit,
-        trace=implied_trace(trace, trace_dir), slo=slo,
-        scrape_interval=scrape_interval, **world_kwargs,
-    )
-    return sweep_point(run, qps, duration, warmup, derived_seed,
-                       trace_dir=trace_dir, scrape_interval=scrape_interval)
 
 
 def _config_token(value: Any) -> Any:
@@ -648,7 +610,6 @@ def load_latency_sweep(
     timeout: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
     audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
     trace_dir: Optional[Union[str, Path]] = None,
     slo: Optional[SLOSpec] = None,
     scrape_interval: Optional[float] = None,
@@ -674,29 +635,55 @@ def load_latency_sweep(
     result byte-identical to an uninterrupted run. *timeout* is the
     per-point hang budget of :func:`~repro.runner.parallel_map`.
 
-    *trace*/*trace_dir* thread through to every point: traces export
-    per load into *trace_dir*. Enabling tracing joins the sweep config
-    (so journaled untraced points are not silently reused without
-    producing trace files), but *trace_dir* itself does not — moving
-    the output directory never invalidates a journal.
+    With *trace_dir* set, every point exports its traces there, named
+    by load. Tracing joins the sweep config (so journaled untraced
+    points are not silently reused without producing trace files), but
+    *trace_dir* itself does not — moving the output directory never
+    invalidates a journal.
+    """
+    return sweep_loads(
+        build_world, loads, duration, warmup, seed, experiment,
+        RunOptions.pick(locals()), mix=mix, trace_key=trace_dir is not None,
+        **world_kwargs,
+    )
+
+
+def sweep_loads(
+    build_world: Callable[..., World],
+    loads: Sequence[float],
+    duration: float,
+    warmup: float,
+    seed: int,
+    experiment: str,
+    options: RunOptions,
+    *,
+    mix: Optional[RequestMix] = None,
+    trace_key: Union[bool, TraceConfig] = False,
+    **world_kwargs,
+) -> List[SweepPoint]:
+    """:func:`load_latency_sweep` under ready *options*: one
+    :func:`sweep_point` per offered load, ascending, mapped and
+    journaled by :meth:`RunOptions.map`.
+
+    *trace_key* is the ``trace`` entry of the journal-key config, kept
+    as each caller always wrote it: ``True`` for a sweep that was only
+    given a trace directory, the sampled :class:`TraceConfig` for a
+    validation figure's.
     """
     loads = sorted(loads)
-    options = RunOptions.pick(locals())
-    trace = implied_trace(trace, trace_dir)
     point = functools.partial(
-        measure_at_load, build_world, duration=duration, warmup=warmup,
-        mix=mix, seed=seed, trace=trace,
-        shard_journal_dir=options.shard_journal_dir,
-        **options.point_options(), **world_kwargs,
+        _load_point, build_world=build_world, duration=duration,
+        warmup=warmup, mix=mix, seed=seed, options=options,
+        world_kwargs=world_kwargs,
     )
     config = sweep_config(
         builder=getattr(build_world, "__name__", repr(build_world)),
         duration=duration,
         warmup=warmup,
         mix=mix,
-        fault_plan=fault_plan,
-        audit=audit,
-        **options.journal_config(trace),
+        fault_plan=options.fault_plan,
+        audit=options.audit,
+        **options.journal_config(trace_key),
         **world_kwargs,
     )
     seeds = [derive_seed(seed, float(qps)) for qps in loads]
@@ -706,7 +693,7 @@ def load_latency_sweep(
             point_key(experiment, {"qps": float(qps)}, derived, config)
             for qps, derived in zip(loads, seeds)
         ],
-        manifest_extra=sweep_manifest_extra(options),
+        manifest_extra=sweep_manifest_summary,
     )
 
 

@@ -8,10 +8,16 @@ each other. Experiment runners declare which options they support
 simply by accepting a keyword argument of the same name, and
 :func:`runner_kwargs` is the registry's one capability check: it hands
 a runner the options that were set, or refuses loudly when the runner
-cannot honour one. Which worlds shard, and with which options, is the
-shard adapter's rule (:func:`repro.shard.adapter.run_world_sharded`),
-not a signature's. Adding a knob means adding a field here and a
-keyword to the runners that honour it.
+cannot honour one. Each entry point that takes options as keywords
+(the registry runners, :func:`~repro.experiments.loadsweep.load_latency_sweep`,
+:func:`~repro.experiments.loadsweep.measure_at_load`,
+:func:`~repro.experiments.tail_at_scale.measure_tail_at_scale`) picks
+them into one :class:`RunOptions` once; every layer beneath takes that
+object and reads each field where it acts. Which worlds shard, and
+with which options, is the shard adapter's rule
+(:func:`repro.shard.adapter.run_world_sharded`), not a signature's.
+Adding a knob means adding a field here, a keyword to the runners
+that honour it, and a read where it acts.
 """
 
 from __future__ import annotations
@@ -45,10 +51,6 @@ PathLike = Union[str, Path]
 #: ``--run-dir`` is a no-op, not an error).
 _QUALIFIES = {"resume": "run_dir", "trace_sample": "trace_dir"}
 
-#: Options a sweep spends itself instead of handing to each point;
-#: ``trace_sample`` reaches points folded into their ``trace`` setting.
-_SWEEP_ONLY = ("jobs", "run_dir", "resume", "timeout", "trace_sample")
-
 #: How a refusal names an option, when not by its field name.
 _REFUSAL_NAMES = {
     "shards": "the sharded parallel core (--shards)",
@@ -57,25 +59,17 @@ _REFUSAL_NAMES = {
 }
 
 
-def resolve_slos(slo: Optional[SLOSpec], window: float) -> List[SLO]:
-    """Normalise an ``--slo`` style argument into :class:`SLO` objects
+def resolve_slos(spec: Optional[SLOSpec], window: float) -> List[SLO]:
+    """Normalise an ``--slo`` style *spec* into :class:`SLO` objects
     (spec strings parse with the given evaluation *window*)."""
-    if slo is None:
+    if spec is None:
         return []
-    if isinstance(slo, (str, SLO)):
-        slo = [slo]
+    if isinstance(spec, (str, SLO)):
+        spec = [spec]
     return [
         parse_slo(entry, window=window) if isinstance(entry, str) else entry
-        for entry in slo
+        for entry in spec
     ]
-
-
-def implied_trace(
-    trace: Union[bool, TraceConfig], trace_dir: Optional[PathLike]
-) -> Union[bool, TraceConfig]:
-    """The tracing a point runs with: *trace* as given, or default
-    tracing when only a *trace_dir* was given."""
-    return trace or trace_dir is not None
 
 
 @dataclass(frozen=True)
@@ -148,14 +142,6 @@ class RunOptions:
             requested[f.name] = value
         return requested
 
-    def point_options(self) -> Dict[str, Any]:
-        """The requested options every measured point of a sweep takes
-        as keyword arguments."""
-        return {
-            name: value for name, value in self.requested().items()
-            if name not in _SWEEP_ONLY
-        }
-
     @property
     def trace(self) -> Union[bool, TraceConfig]:
         """The tracing this run asks for: exporting to ``trace_dir``
@@ -166,9 +152,10 @@ class RunOptions:
 
     @property
     def shard_journal_dir(self) -> Optional[Path]:
-        """Where sharded points mirror their replay journals: inside the
-        run directory, so a post-mortem can verify recovery digests."""
-        if self.run_dir is None or self.shards == 1:
+        """Where sharded runs mirror their replay journals: inside the
+        run directory, so a post-mortem can verify recovery digests. A
+        run that does not shard writes none."""
+        if self.run_dir is None:
             return None
         return Path(self.run_dir) / "shard_journals"
 

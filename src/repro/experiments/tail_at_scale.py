@@ -27,15 +27,14 @@ from ..distributions import Deterministic, Exponential
 from ..errors import ConfigError
 from ..hardware import Machine, NetworkFabric
 from ..runner.runstore import point_key, register_result_type
-from ..telemetry.tracing import TraceConfig
 from ..topology import PathNode, PathTree
 from .loadsweep import (
     WorldRun,
     export_artifacts,
-    run_world,
-    sweep_manifest_extra,
+    run_point,
+    sweep_manifest_summary,
 )
-from .options import RunOptions, SLOSpec, implied_trace
+from .options import RunOptions, SLOSpec
 
 
 def build_fanout_cluster(
@@ -117,7 +116,6 @@ def measure_tail_at_scale(
     slow_factor: float = 10.0,
     seed: int = 0,
     audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
     trace_dir: Optional[Union[str, Path]] = None,
     slo: Optional[SLOSpec] = None,
     shards: int = 1,
@@ -125,71 +123,49 @@ def measure_tail_at_scale(
     fault_plan=None,
     shard_timeout: Optional[float] = None,
     shard_restarts: Optional[int] = None,
-    shard_journal_dir: Optional[Union[str, Path]] = None,
 ) -> TailAtScalePoint:
     """Drive one (cluster size, slow fraction) configuration and report
     the p50/p99 of the fan-in-synchronised end-to-end latency.
 
-    With *trace_dir* set (implies ``trace=True``), the sampled traces
-    export there as Perfetto and OTLP JSON named by the cell. *slo*
-    attaches live objectives (spec strings or :class:`SLO` objects)
-    whose verdicts ride the returned point.
+    The execution options are :class:`RunOptions` fields. With
+    *trace_dir* set, the sampled traces export there as Perfetto and
+    OTLP JSON named by the cell; *slo* verdicts ride the returned
+    point.
 
     ``shards > 1`` runs the cell through the generic shard adapter
     (:func:`repro.shard.adapter.run_world_sharded`): one worker process
     per shard, synchronised by conservative time windows. Requires a
     *network* whose propagation has a positive minimum (otherwise the
-    planner falls back to one shard with a ``RuntimeWarning``).
-    *audit* works under shards too — it runs the merged cross-shard
-    conservation audit on the per-shard finalize counters; *trace* and
-    *slo* are refused, as on every sharded run stopped by a request
-    count rather than a horizon. *fault_plan* under shards may carry
-    ``shard_kill``/``shard_hang`` chaos (the supervisor recovers and
-    results must not change); under ``shards=1`` it arms
-    in-simulation faults. Either way the run goes through
-    :func:`tail_point`; a sharded point carries the coordinator
-    counters as a ``shard_sync`` attribute, which the manifest sums.
+    planner falls back to one shard with a ``RuntimeWarning``). A cell
+    stops after a request count rather than at a horizon, so under
+    shards the adapter refuses *trace_dir* and *slo*; *audit* runs the
+    merged cross-shard conservation audit, and *fault_plan* may carry
+    only ``shard_kill``/``shard_hang`` chaos (the supervisor recovers
+    and results must not change). A sharded point carries the
+    coordinator counters as a ``shard_sync`` attribute, which the
+    manifest sums.
     """
-    RunOptions.pick(locals())  # refuses incoherent option combinations
-    common = dict(
-        max_requests=num_requests, fault_plan=fault_plan, audit=audit,
-        trace=implied_trace(trace, trace_dir), slo=slo,
-        cluster_size=cluster_size, slow_fraction=slow_fraction,
-        slow_factor=slow_factor, network=network,
+    return _measure_cell(
+        (cluster_size, slow_fraction), RunOptions.pick(locals()), qps=qps,
+        num_requests=num_requests, slow_factor=slow_factor, seed=seed,
+        network=network,
     )
-    if shards == 1:
-        run = run_world(build_fanout_cluster, qps, seed, **common)
-    else:
-        from ..shard.adapter import run_world_sharded
-
-        journal_path = None
-        if shard_journal_dir is not None:
-            journal_path = (
-                Path(shard_journal_dir)
-                / f"shard_journal_size{cluster_size}_slow{slow_fraction:g}.jsonl"
-            )
-        run = run_world_sharded(
-            build_fanout_cluster, qps, seed, shards,
-            shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-            journal_path=journal_path, **common,
-        )
-    return tail_point(run, cluster_size, slow_fraction, trace_dir=trace_dir)
 
 
 def tail_point(
     run: WorldRun,
     cluster_size: int,
     slow_fraction: float,
-    *,
-    trace_dir: Optional[Union[str, Path]] = None,
+    options: RunOptions = RunOptions(),
 ) -> TailAtScalePoint:
     """The :class:`TailAtScalePoint` of a count-terminated *run* from
     either executor: whole-run p50/p99 of the fan-in-synchronised
-    latency, ``inf`` for a wedged cell where nothing completed. With
-    *trace_dir* set, the run's traces export there named by the cell."""
-    if trace_dir is not None:
+    latency, ``inf`` for a wedged cell where nothing completed. With a
+    ``trace_dir`` in the *options*, the run's traces export there named
+    by the cell."""
+    if options.trace_dir is not None:
         export_artifacts(
-            trace_dir, f"size{cluster_size}_slow{slow_fraction:g}",
+            options.trace_dir, f"size{cluster_size}_slow{slow_fraction:g}",
             run.root.get("traces") or [],
         )
     return run.annotate(TailAtScalePoint(
@@ -200,15 +176,28 @@ def tail_point(
 
 
 def _measure_cell(
-    size_and_fraction: Tuple[int, float], options: RunOptions, **kwargs
+    size_and_fraction: Tuple[int, float],
+    options: RunOptions,
+    *,
+    qps: float,
+    num_requests: int,
+    seed: int,
+    slow_factor: float = 10.0,
+    network: Optional[NetworkFabric] = None,
 ) -> TailAtScalePoint:
-    """Picklable per-cell worker for the grid sweep: one
-    :func:`measure_tail_at_scale` run under the sweep's *options*."""
-    return measure_tail_at_scale(
-        *size_and_fraction, trace=options.trace,
-        shard_journal_dir=options.shard_journal_dir,
-        **options.point_options(), **kwargs,
+    """Picklable per-cell worker of the grid sweep: :func:`tail_point`
+    of one :func:`~repro.experiments.loadsweep.run_point` stopped after
+    *num_requests* arrivals."""
+    cluster_size, slow_fraction = size_and_fraction
+    run = run_point(
+        build_fanout_cluster, qps, seed, options, max_requests=num_requests,
+        journal_name=(
+            f"shard_journal_size{cluster_size}_slow{slow_fraction:g}.jsonl"
+        ),
+        cluster_size=cluster_size, slow_fraction=slow_fraction,
+        slow_factor=slow_factor, network=network,
     )
+    return tail_point(run, cluster_size, slow_fraction, options)
 
 
 def tail_at_scale_sweep(
@@ -270,5 +259,5 @@ def tail_at_scale_sweep(
             point_key(experiment, {"size": size, "frac": frac}, seed, config)
             for size, frac in grid
         ],
-        manifest_extra=sweep_manifest_extra(options),
+        manifest_extra=sweep_manifest_summary,
     )

@@ -9,6 +9,7 @@ windows for higher-fidelity runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -21,7 +22,7 @@ from ..apps import (
     two_tier,
 )
 from ..testbed import RealismConfig
-from .loadsweep import SweepPoint, load_latency_sweep
+from .loadsweep import SweepPoint, sweep_loads
 from .options import RunOptions
 
 SweepPair = Dict[str, List[SweepPoint]]
@@ -53,17 +54,15 @@ def _real_and_sim(
     """
 
     def side(name: str, side_seed: int, **realism: Any) -> List[SweepPoint]:
-        knobs = options.requested()
-        knobs.pop("trace_sample", None)
+        side_options = options
         if options.trace_dir is not None:
-            knobs.update(
-                trace=options.trace,
-                trace_dir=Path(options.trace_dir) / experiment / name,
+            side_options = replace(
+                options, trace_dir=Path(options.trace_dir) / experiment / name
             )
-        return load_latency_sweep(
-            build_world, loads, duration, warmup, seed=side_seed,
-            experiment=f"{experiment}/{name}", **knobs, **realism,
-            **world_kwargs,
+        return sweep_loads(
+            build_world, loads, duration, warmup, side_seed,
+            f"{experiment}/{name}", side_options, trace_key=options.trace,
+            **realism, **world_kwargs,
         )
 
     return {

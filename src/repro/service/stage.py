@@ -21,7 +21,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from ..distributions import BufferedSampler, Distribution, FrequencyTable
+from ..distributions import (
+    BufferedSampler,
+    Deterministic,
+    Distribution,
+    FrequencyTable,
+)
 from ..errors import ConfigError
 from ..hardware.dvfs import GHZ
 from .job import Job
@@ -118,19 +123,27 @@ class Stage:
         """Serve this stage's cost draws from block-buffered samplers.
 
         *streams* is the simulation's :class:`~repro.engine.RandomStreams`;
-        each cost term gets its own dedicated stream under *prefix* so
-        the buffered draws have sole ownership of their generator (the
-        :class:`~repro.distributions.BufferedSampler` determinism
-        contract); a term profiled at several frequencies draws each
-        non-nominal point from ``{term stream}@{frequency!r}``.
+        each cost term that draws gets its own dedicated stream under
+        *prefix* so the buffered draws have sole ownership of their
+        generator (the :class:`~repro.distributions.BufferedSampler`
+        determinism contract); a term profiled at several frequencies
+        draws each non-nominal point from ``{term stream}@{frequency!r}``.
+        A :class:`~repro.distributions.Deterministic` term never draws
+        and gets none; streams are named, so no other draw moves.
         Idempotent: re-attaching to the same streams factory reuses the
         same named streams and therefore the same sequence.
         """
+        def stream(name: str, dist: Distribution):
+            drawn = not isinstance(dist, Deterministic)
+            return streams.stream(name) if drawn else None
+
         def sampler(table: FrequencyTable, term: str):
             name = f"{prefix}/{term}"
             return table.make_sampler(
-                streams.stream(name), block,
-                point_rng=lambda point: streams.stream(f"{name}@{point!r}"),
+                stream(name, table.at(table.frequencies[-1])), block,
+                point_rng=lambda point: stream(
+                    f"{name}@{point!r}", table.at(point)
+                ),
             )
 
         if self.base is not None:
@@ -141,7 +154,7 @@ class Stage:
             self._per_byte_sampler = sampler(self.per_byte, "per_byte")
         if self.io is not None:
             self._io_sampler = BufferedSampler(
-                self.io, streams.stream(f"{prefix}/io"), block
+                self.io, stream(f"{prefix}/io", self.io), block
             )
 
     def compute_cost(self, batch: List[Job], frequency: float) -> float:

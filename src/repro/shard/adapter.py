@@ -107,6 +107,7 @@ are refused at the first submit.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ShardingError
@@ -114,16 +115,16 @@ from ..experiments.loadsweep import (
     WorldRun,
     client_payload,
     run_world,
+    shard_journal_name,
     start_slo_monitor,
     sweep_point,
 )
-from ..experiments.options import implied_trace
+from ..experiments.options import RunOptions
 from ..service import Connection, Request
 from ..telemetry.tracing import (
     Span,
     SpanEvent,
     Trace,
-    TraceConfig,
     trace_requested,
 )
 from ..topology.dispatcher import (
@@ -148,6 +149,10 @@ __all__ = [
     "validate_world_shardable",
     "world_shard_specs",
 ]
+
+#: The machine every builder's open-loop client runs on; its shard is
+#: the root.
+CLIENT_MACHINE = "client"
 
 
 def _owned_tiers(deployment, assignments: Dict[str, int],
@@ -262,8 +267,8 @@ class ShardedDispatcher(Dispatcher):
     :meth:`submit` additionally refuses resilience policies.
     """
 
-    def __init__(self, host: "WorldShardHost", world, assignments: Dict[str, int],
-                 span_breakdown: bool = True) -> None:
+    def __init__(self, host: "WorldShardHost", world,
+                 assignments: Dict[str, int]) -> None:
         super().__init__(world.sim, world.deployment,
                          network=world.cluster.network)
         source = world.dispatcher
@@ -272,7 +277,6 @@ class ShardedDispatcher(Dispatcher):
         self._trees_by_name = dict(source._trees_by_name)
         self._host = host
         self._assignments = dict(assignments)
-        self._span_breakdown = span_breakdown
         #: tree name -> how many of its nodes this shard executes.
         self._my_node_count: Dict[str, int] = {}
         for (tree_name, _node), machine in validate_world_shardable(world).items():
@@ -459,11 +463,10 @@ class ShardedDispatcher(Dispatcher):
         request = Request(created_at, request_type=rtype, size_bytes=req_size)
         request.request_id = rid
         request.attempts = 1
-        group = _RequestGroup(request, None, None, "client",
-                              self._host.client_machine)
+        group = _RequestGroup(request, None, None, "client", CLIENT_MACHINE)
         if traced:
-            group.trace = Trace(rid, rtype, created_at,
-                                breakdown=self._span_breakdown)
+            # Run options trace with the default span breakdown.
+            group.trace = Trace(rid, rtype, created_at)
             self._replica_traces.append(group.trace)
         # Not listed in ``group.states``: a replica never resolves or
         # hedges, the only readers of that list, and listing it would
@@ -482,10 +485,11 @@ class WorldShardHost(ShardHost):
     Builds the full world replica, swaps in a
     :class:`ShardedDispatcher`, and — on the root shard (wherever the
     client machine landed) — attaches the open-loop client, the
-    optional tracer, and the optional SLO monitor. The client stops at
-    the *duration* horizon, after *max_requests* arrivals, or at
-    whichever comes first; with no horizon the shard runs until its
-    queue drains. Everything else is inherited ShardHost mechanics, so
+    options' tracer, and their SLO monitor. The client stops at the
+    *duration* horizon, after *max_requests* arrivals, or at whichever
+    comes first; with no horizon the shard runs until its queue
+    drains. Every shard scrapes the tiers it owns when the options
+    scrape. Everything else is inherited ShardHost mechanics, so
     supervision/replay and the conservation audit apply unchanged.
     """
 
@@ -493,39 +497,32 @@ class WorldShardHost(ShardHost):
                  seed: int, assignments: Dict[str, int], lookahead: float,
                  qps: float, duration: Optional[float],
                  warmup: Optional[float],
-                 max_requests: Optional[int] = None,
-                 client_machine: str = "client", mix=None,
-                 trace=False, slo=None,
-                 scrape_interval: Optional[float] = None) -> None:
+                 max_requests: Optional[int] = None, mix=None,
+                 options: RunOptions = RunOptions()) -> None:
         world = builder(seed=seed, **world_kwargs)
         super().__init__(shard_id, world.sim, lookahead, end_time=duration)
-        self.client_machine = client_machine
-        self.is_root = assignments[client_machine] == shard_id
+        self.is_root = assignments[CLIENT_MACHINE] == shard_id
         self._warmup = warmup
-        self.trace_active = trace_requested(trace)
-        breakdown = (trace.breakdown
-                     if isinstance(trace, TraceConfig) else True)
-        self.dispatcher = ShardedDispatcher(
-            self, world, assignments, span_breakdown=breakdown
-        )
+        self.trace_active = trace_requested(options.trace)
+        self.dispatcher = ShardedDispatcher(self, world, assignments)
         world.dispatcher = self.dispatcher
         self.client = None
         self._slo_monitor = None
         if self.is_root:
             if self.trace_active:
-                self.dispatcher.trace = trace if trace else True
+                self.dispatcher.trace = options.trace
             self.client = OpenLoopClient(
                 world.sim, self.dispatcher, arrivals=qps, mix=mix,
                 max_requests=max_requests, stop_at=duration,
                 realism=world.realism,
             )
             self._slo_monitor = start_slo_monitor(
-                self.client, slo, qps, duration=duration, warmup=warmup,
-                max_requests=max_requests,
+                self.client, options.slo, qps, duration=duration,
+                warmup=warmup, max_requests=max_requests,
             )
             self.client.start()
         self._scraper = None
-        if scrape_interval is not None:
+        if options.scrape_interval is not None:
             from ..telemetry.scrape import Scraper
 
             # Each shard scrapes only the tiers it owns (the replica's
@@ -533,7 +530,7 @@ class WorldShardHost(ShardHost):
             # flat zeros); the root additionally scrapes the client.
             self._scraper = Scraper(
                 world.sim,
-                interval=scrape_interval,
+                interval=options.scrape_interval,
                 tiers=_owned_tiers(world.deployment, assignments, shard_id),
                 client=self.client,
                 stop_at=duration,
@@ -688,49 +685,61 @@ def _shard_sync_counters(coordinator, num_shards: int) -> dict:
     }
 
 
+def _with_shards(options: RunOptions, shards: Optional[int]) -> RunOptions:
+    """*options* with the shard count *shards* folded in, so a sharded
+    run reads its count from one place. ``None`` keeps the options'
+    count; a count that contradicts one the options already set (any
+    but the default ``1``) is refused rather than picked between."""
+    if shards is None or shards == options.shards:
+        return options
+    if options.shards != 1:
+        raise ShardingError(
+            f"shards={shards} contradicts the options' "
+            f"shards={options.shards}; give the count once"
+        )
+    return dataclasses.replace(options, shards=shards)
+
+
 def run_world_sharded(
     build_world: Callable,
     qps: float,
     seed: int,
-    shards: int,
+    shards: Optional[int] = None,
+    /,
+    options: RunOptions = RunOptions(),
     *,
     duration: Optional[float] = None,
     warmup: Optional[float] = None,
     max_requests: Optional[int] = None,
     mix=None,
-    trace=False,
-    slo=None,
-    scrape_interval: Optional[float] = None,
     mode: str = "auto",
-    max_window: Optional[float] = None,
-    audit: bool = False,
-    fault_plan=None,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
-    journal_path=None,
-    client_machine: str = "client",
+    journal_name: Optional[str] = None,
     **world_kwargs,
 ) -> WorldRun:
-    """Run *build_world* under an open-loop client across *shards*
-    shards and merge the result into the :class:`WorldRun` record the
-    vanilla :func:`~repro.experiments.loadsweep.run_world` returns.
+    """Run *build_world* under an open-loop client across the options'
+    shard count and merge the result into the :class:`WorldRun` record
+    the vanilla :func:`~repro.experiments.loadsweep.run_world` returns.
 
     Plans shards over the world's machines and replicates the world per
     shard behind :class:`WorldShardHost`. The client stops at the
     *duration* horizon (statistics then cover the post-*warmup* window)
     and/or after *max_requests* arrivals; with no horizon the run ends
-    when the last request resolves. *seed* is used as-is.
+    when the last request resolves. *seed* is used as-is. A positional
+    *shards* is shorthand for options that carry that count; one that
+    contradicts the options' own count is refused.
 
     When the planner falls back — loudly, via its ``RuntimeWarning`` —
     because the fabric has no positive lookahead or there are fewer
     machines than shards, the run is the vanilla
     :func:`~repro.experiments.loadsweep.run_world` itself, bit-identical
-    by construction (its ``shard_sync`` is ``None``). *fault_plan* may
-    only carry ``shard_kill``/``shard_hang`` faults, and only on a run
-    that really shards. *audit* runs the merged cross-shard
-    conservation audit; *shard_timeout*, *shard_restarts* and
-    *journal_path* tune the supervision layer (see
-    :func:`repro.shard.worker.run_sharded`).
+    by construction (its ``shard_sync`` is ``None``). The options' fault
+    plan may only carry ``shard_kill``/``shard_hang`` faults, and only
+    on a run that really shards; their audit is the merged cross-shard
+    conservation audit; their ``shard_timeout`` and ``shard_restarts``
+    tune the supervision layer (see
+    :func:`repro.shard.worker.run_sharded`), which mirrors its replay
+    journal to *journal_name* (by default, named by *seed*) under the
+    options' ``shard_journal_dir`` when they have a run directory.
 
     Tracing and SLOs need a *duration* horizon: a root shard's SLO
     monitor stands down when its own shard's queue drains, not the
@@ -738,19 +747,21 @@ def run_world_sharded(
     count-terminated run, so such a run refuses them before building
     anything.
     """
+    options = _with_shards(options, shards)
     if duration is None and max_requests is None:
         raise ShardingError(
             "a sharded run needs a duration horizon and/or max_requests"
         )
-    if duration is None and (trace or slo is not None):
+    if duration is None and (options.trace or options.slo is not None):
         raise ShardingError(
             f"a sharded run with no duration horizon does not support "
-            f"trace or slo (shards={shards}); run it with shards=1"
+            f"trace or slo (shards={options.shards}); run it with shards=1"
         )
     probe = build_world(seed=seed, **world_kwargs)
     validate_world_shardable(probe)
-    plan = plan_shards(probe.cluster.machine_names, shards,
+    plan = plan_shards(probe.cluster.machine_names, options.shards,
                        probe.cluster.network)
+    fault_plan = options.fault_plan
     if not plan.sharded:
         if fault_plan is not None and len(fault_plan):
             raise ShardingError(
@@ -759,34 +770,34 @@ def run_world_sharded(
                 + (f" ({plan.fallback_reason})" if plan.fallback_reason else "")
             )
         return run_world(
-            build_world, qps, seed, duration=duration, warmup=warmup,
-            max_requests=max_requests, mix=mix, fault_plan=fault_plan,
-            audit=audit, trace=trace, slo=slo,
-            scrape_interval=scrape_interval, **world_kwargs,
+            build_world, qps, seed, options, duration=duration,
+            warmup=warmup, max_requests=max_requests, mix=mix,
+            **world_kwargs,
         )
     chaos = _shard_chaos(fault_plan, plan)
     specs, edges = world_shard_specs(
         plan, builder=build_world, world_kwargs=dict(world_kwargs),
         seed=seed, qps=qps, duration=duration, warmup=warmup,
-        max_requests=max_requests, client_machine=client_machine,
-        mix=mix, trace=trace, slo=slo, scrape_interval=scrape_interval,
+        max_requests=max_requests, mix=mix, options=options,
     )
-    run_kwargs: dict = {"chaos": chaos, "journal_path": journal_path}
-    if shard_timeout is not None:
-        run_kwargs["window_timeout"] = shard_timeout
-    if shard_restarts is not None:
-        run_kwargs["max_shard_restarts"] = shard_restarts
-    results, coordinator = run_sharded(
-        specs, edges, mode=mode, max_window=max_window, **run_kwargs
-    )
-    if audit:
+    run_kwargs: dict = {"chaos": chaos}
+    if options.shard_journal_dir is not None:
+        run_kwargs["journal_path"] = options.shard_journal_dir / (
+            journal_name or shard_journal_name(seed)
+        )
+    if options.shard_timeout is not None:
+        run_kwargs["window_timeout"] = options.shard_timeout
+    if options.shard_restarts is not None:
+        run_kwargs["max_shard_restarts"] = options.shard_restarts
+    results, coordinator = run_sharded(specs, edges, mode=mode, **run_kwargs)
+    if options.audit:
         from ..experiments.audit import audit_sharded_run
 
         audit_sharded_run(
             results, messages_exchanged=coordinator.messages_exchanged
         )
-    root = results[plan.assignments[client_machine]]
-    if trace_requested(trace):
+    root = results[plan.assignments[CLIENT_MACHINE]]
+    if trace_requested(options.trace):
         _merge_traces(results, root)
     sync = _shard_sync_counters(coordinator, plan.num_shards)
     return WorldRun(
@@ -803,39 +814,22 @@ def sharded_load_point(
     duration: float,
     warmup: float,
     seed: int,
-    shards: int,
-    *,
-    mix=None,
-    trace=False,
-    trace_dir=None,
-    slo=None,
-    scrape_interval: Optional[float] = None,
-    mode: str = "auto",
-    max_window: Optional[float] = None,
-    audit: bool = False,
-    fault_plan=None,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
-    journal_path=None,
-    client_machine: str = "client",
-    **world_kwargs,
+    shards: Optional[int] = None,
+    /,
+    options: RunOptions = RunOptions(),
+    **run_kwargs,
 ):
-    """Measure one load point of *build_world* across *shards* shards.
+    """Measure one load point of *build_world* across the options'
+    shard count (or a positional *shards*, as in
+    :func:`run_world_sharded`).
 
     :func:`run_world_sharded` over the *duration* horizon (the vanilla
     run on a planner fallback), folded into a ``SweepPoint`` by
     :func:`~repro.experiments.loadsweep.sweep_point`. *seed* is the
-    already-derived per-point seed.
+    already-derived per-point seed; *run_kwargs* are the request
+    ``mix``, the executor ``mode`` and the builder's keywords.
     """
-    run = run_world_sharded(
-        build_world, qps, seed, shards, duration=duration, warmup=warmup,
-        mix=mix, trace=implied_trace(trace, trace_dir), slo=slo,
-        scrape_interval=scrape_interval, mode=mode, max_window=max_window,
-        audit=audit, fault_plan=fault_plan, shard_timeout=shard_timeout,
-        shard_restarts=shard_restarts, journal_path=journal_path,
-        client_machine=client_machine, **world_kwargs,
-    )
-    return sweep_point(
-        run, qps, duration, warmup, seed, trace_dir=trace_dir,
-        scrape_interval=scrape_interval,
-    )
+    options = _with_shards(options, shards)
+    run = run_world_sharded(build_world, qps, seed, options=options,
+                            duration=duration, warmup=warmup, **run_kwargs)
+    return sweep_point(run, qps, duration, warmup, seed, options)

@@ -988,7 +988,7 @@ class Dispatcher:
             return
         tx_proc = self.deployment.netproc(src)
         if tx_proc is None:
-            self._over_wire(message)
+            self._over_wire(message)  # _send just checked the partition
             return
         tx_job = Job(message.state.request, size_bytes=message.size)
         tx_job.owner = message
@@ -997,15 +997,17 @@ class Dispatcher:
         tx_proc.accept(tx_job)
 
     def _sent(self, tx_job: Job) -> None:
-        """The sender's netproc let the message out."""
-        self._over_wire(tx_job.owner)
+        """The sender's netproc let the message out: onto the wire,
+        unless the link was severed while it waited there."""
+        message = tx_job.owner
+        if self.network.is_partitioned(message.src, message.dst):
+            self._lost(message)
+            return  # lost on the severed link
+        self._over_wire(message)
 
     def _over_wire(self, message: _Message) -> None:
         """Draw *message*'s wire delay and put it on the wire."""
         src, dst = message.src, message.dst
-        if self.network.is_partitioned(src, dst):
-            self._lost(message)
-            return  # lost on the severed link
         delay = self._streams(src)[1].delay(src, dst, message.size)
         self._cross(delay, message)
 

@@ -175,6 +175,41 @@ class TestStageCostIdentity:
             assert stage.io_cost(batch) == expected_io
 
 
+class TestStageStreams:
+    """A stage derives a named stream only for a cost term that draws."""
+
+    PREFIX = "service/svc/stage0"
+    TERMS = ("base", "per_job", "per_byte", "io")
+
+    def test_deterministic_terms_derive_no_stream(self):
+        streams = RandomStreams(3)
+        stage = Stage(
+            "s", 0, SingleQueue(), base=Deterministic(5e-6),
+            per_job=Deterministic(1e-6), per_byte=Deterministic(1e-9),
+            io=Deterministic(20e-6),
+        )
+        stage.attach_samplers(streams, self.PREFIX)
+        assert not [t for t in self.TERMS if f"{self.PREFIX}/{t}" in streams]
+        assert stage.compute_cost(jobs(2, size=100.0), 2.6 * GHZ) == (
+            pytest.approx(5e-6 + 2 * 1e-6 + 200 * 1e-9)
+        )
+        assert stage.io_cost(jobs(2)) == pytest.approx(40e-6)
+
+    def test_stochastic_term_draws_its_fresh_named_stream(self):
+        streams = RandomStreams(3)
+        stage = Stage(
+            "s", 0, SingleQueue(), base=Exponential(5e-6),
+            per_job=Deterministic(1e-6),
+        )
+        stage.attach_samplers(streams, self.PREFIX)
+        assert f"{self.PREFIX}/per_job" not in streams
+        fresh = RandomStreams(3).stream(f"{self.PREFIX}/base")
+        expected = [Exponential(5e-6).sample(fresh) + 1e-6 for _ in range(5)]
+        assert [
+            stage.compute_cost(jobs(1), 2.6 * GHZ) for _ in range(5)
+        ] == expected
+
+
 class TestExecutionPath:
     def test_basic(self):
         path = ExecutionPath(0, "read", [0, 1, 2, 3])

@@ -3,8 +3,8 @@
 The contracts under test (see ``repro.shard.adapter``):
 
 * ``shards=1`` is bit-identical to vanilla for every ported topology
-  (the planner falls back onto the *same* ``measure_vanilla_point``
-  call with the same derived seed).
+  (the planner falls back onto the *same* ``run_world`` call with the
+  same derived seed, whose point is the same ``sweep_point``).
 * Under a draw-free fabric, shard counts are bit-identical to each
   other at any load, and — at loads where no two messages hit the same
   queue at the same instant, as here — bit-identical to the vanilla
@@ -23,11 +23,9 @@ import pytest
 
 from repro.apps import social_network, two_tier
 from repro.distributions import Deterministic
-from repro.experiments.loadsweep import (
-    find_shard_journal,
-    measure_vanilla_point,
-    shard_journal_name,
-)
+from repro.errors import ShardingError
+from repro.experiments.loadsweep import find_shard_journal, shard_journal_name
+from repro.experiments.options import RunOptions
 from repro.faults.plan import FaultPlan
 from repro.hardware import NetworkFabric
 from repro.runner import derive_seed
@@ -37,7 +35,8 @@ from repro.shard.adapter import (
 )
 from repro.shard.partition import plan_shards
 from repro.shard.worker import run_sharded
-from repro.telemetry.tracing import TraceConfig
+
+from ..vanilla import vanilla_point
 
 
 def det_fabric():
@@ -49,18 +48,17 @@ TT = dict(qps=2000.0, duration=0.05, warmup=0.01)
 SN = dict(qps=1000.0, duration=0.05, warmup=0.01)
 
 
-def vanilla(build, cfg, **kwargs):
-    return measure_vanilla_point(
-        build, cfg["qps"], cfg["duration"], cfg["warmup"], SEED,
-        network=det_fabric(), **kwargs,
-    )
+def vanilla(build, cfg, mix=None, **options):
+    return vanilla_point(build, **cfg, seed=SEED,
+                         options=RunOptions(**options), mix=mix,
+                         network=det_fabric())
 
 
-def sharded(build, cfg, shards, **kwargs):
-    kwargs.setdefault("network", det_fabric())
+def sharded(build, cfg, shards, mode="inline", mix=None, **options):
     return sharded_load_point(
-        build, cfg["qps"], cfg["duration"], cfg["warmup"], SEED, shards,
-        mode=kwargs.pop("mode", "inline"), **kwargs,
+        build, cfg["qps"], cfg["duration"], cfg["warmup"], SEED,
+        options=RunOptions(shards=shards, **options), mode=mode, mix=mix,
+        network=det_fabric(),
     )
 
 
@@ -98,9 +96,7 @@ class TestBitIdentity:
                 two_tier, TT["qps"], TT["duration"], TT["warmup"],
                 SEED, 2, mode="inline",
             )
-        ref = measure_vanilla_point(
-            two_tier, TT["qps"], TT["duration"], TT["warmup"], SEED,
-        )
+        ref = vanilla_point(two_tier, **TT, seed=SEED)
         assert point == ref
 
     def test_audit_passes_sharded(self):
@@ -126,11 +122,22 @@ def _normalized_otlp(path):
     return doc
 
 
+class TestShardCount:
+    def test_contradictory_counts_refused(self):
+        # A positional count is shorthand for the options' own; two
+        # different counts are refused, not picked between.
+        with pytest.raises(ShardingError, match="give the count once"):
+            sharded_load_point(
+                two_tier, TT["qps"], TT["duration"], TT["warmup"], SEED,
+                4, RunOptions(shards=2), mode="inline",
+            )
+
+
 class TestLiftedTelemetry:
     def test_trace_dir_merged_export(self, tmp_path):
         vdir, sdir = tmp_path / "vanilla", tmp_path / "sharded"
-        vanilla(two_tier, TT, trace=True, trace_dir=vdir)
-        sharded(two_tier, TT, 2, trace=True, trace_dir=sdir)
+        vanilla(two_tier, TT, trace_dir=vdir)
+        sharded(two_tier, TT, 2, trace_dir=sdir)
         for stem in ("qps2000.otlp.json", "qps2000.perfetto.json"):
             assert (sdir / stem).exists()
         assert (
@@ -138,12 +145,12 @@ class TestLiftedTelemetry:
             == _normalized_otlp(vdir / "qps2000.otlp.json")
         )
 
-    def test_trace_config_sampling_zero_is_noop(self):
-        # A sampling-disabled TraceConfig must not trip the blocked-knob
+    def test_trace_config_sampling_zero_is_noop(self, tmp_path):
+        # A sampling-disabled trace export must not trip the blocked-knob
         # check nor perturb the measurement.
-        off = TraceConfig(sample_rate=0.0)
         assert (
-            sharded(two_tier, TT, 2, trace=off) == vanilla(two_tier, TT)
+            sharded(two_tier, TT, 2, trace_dir=tmp_path, trace_sample=0.0)
+            == vanilla(two_tier, TT)
         )
 
     def test_slo_summary_matches_vanilla(self):
@@ -182,7 +189,7 @@ class TestLiftedTelemetry:
             assignments=dict(plan.assignments),
             lookahead=plan.lookahead,
             qps=TT["qps"], duration=TT["duration"], warmup=TT["warmup"],
-            client_machine="client", mix=None, trace=False, slo=None,
+            mix=None, options=RunOptions(),
         )
         specs = [
             (build_world_shard_host, dict(common, shard_id=i))

@@ -10,7 +10,8 @@ import pytest
 
 from repro.apps import social_network
 from repro.distributions import Deterministic
-from repro.experiments.loadsweep import measure_vanilla_point
+from repro.experiments.loadsweep import run_world, sweep_point
+from repro.experiments.options import RunOptions
 from repro.hardware import NetworkFabric
 from repro.runner import derive_seed
 from repro.shard.adapter import sharded_load_point
@@ -44,13 +45,15 @@ def closed_spans(trace_dir):
 @pytest.mark.parametrize("shards", [2, 4])
 def test_social_network_exports_vanillas_closed_spans(tmp_path, shards):
     vdir, sdir = tmp_path / "vanilla", tmp_path / "sharded"
-    measure_vanilla_point(
-        social_network, QPS, DURATION, WARMUP, SEED,
-        network=det_fabric(), trace=True, trace_dir=vdir,
-    )
+    traced = RunOptions(trace_dir=vdir)
+    sweep_point(run_world(
+        social_network, QPS, SEED, traced, duration=DURATION, warmup=WARMUP,
+        network=det_fabric(),
+    ), QPS, DURATION, WARMUP, SEED, traced)
     point = sharded_load_point(
-        social_network, QPS, DURATION, WARMUP, SEED, shards,
-        mode="inline", network=det_fabric(), trace=True, trace_dir=sdir,
+        social_network, QPS, DURATION, WARMUP, SEED,
+        options=RunOptions(shards=shards, trace_dir=sdir), mode="inline",
+        network=det_fabric(),
     )
     assert point.shard_sync["shards"] == shards
     vanilla = closed_spans(vdir)

@@ -6,11 +6,13 @@ import pytest
 from repro.apps import social_network, two_tier
 from repro.analysis import reconcile_shard_runtime
 from repro.distributions import Deterministic
-from repro.experiments.loadsweep import measure_vanilla_point
+from repro.experiments.options import RunOptions
 from repro.experiments.tail_at_scale import build_fanout_cluster
 from repro.hardware import NetworkFabric
 from repro.runner import derive_seed
 from repro.shard.adapter import run_world_sharded, sharded_load_point
+
+from ..vanilla import vanilla_point
 
 
 def det_fabric():
@@ -21,11 +23,11 @@ SEED = derive_seed(11, 1000.0)
 SN = dict(qps=1000.0, duration=0.05, warmup=0.01)
 
 
-def sharded(build, cfg, shards, **kwargs):
-    kwargs.setdefault("network", det_fabric())
+def sharded(build, cfg, shards, **options):
     return sharded_load_point(
-        build, cfg["qps"], cfg["duration"], cfg["warmup"], SEED, shards,
-        mode="inline", **kwargs,
+        build, cfg["qps"], cfg["duration"], cfg["warmup"], SEED,
+        options=RunOptions(shards=shards, **options), mode="inline",
+        network=det_fabric(),
     )
 
 
@@ -92,9 +94,9 @@ class TestScrapeUnderShards:
         # Registry scraping is vanilla-only: a sharded point scrapes
         # every tier and client series a vanilla point does, and none
         # of the ``counter/*``/``gauge/*`` ones.
-        vanilla = measure_vanilla_point(
-            social_network, SN["qps"], SN["duration"], SN["warmup"],
-            SEED, network=det_fabric(), scrape_interval=0.01,
+        vanilla = vanilla_point(
+            social_network, **SN, seed=SEED,
+            options=RunOptions(scrape_interval=0.01), network=det_fabric(),
         ).timeline["series"]
         shard = sharded(
             social_network, SN, 2, scrape_interval=0.01,
@@ -119,10 +121,8 @@ class TestScrapeUnderShards:
         # dataclass equality (which now includes the timeline field,
         # None on both sides) still holds against the vanilla engine.
         point = sharded(social_network, SN, 2)
-        ref = measure_vanilla_point(
-            social_network, SN["qps"], SN["duration"], SN["warmup"],
-            SEED, network=det_fabric(),
-        )
+        ref = vanilla_point(social_network, **SN, seed=SEED,
+                            network=det_fabric())
         assert point.timeline is None and ref.timeline is None
         assert point == ref
 

@@ -132,10 +132,11 @@ class TestTailAtScaleRouting:
         assert sharded.requests == vanilla.requests
 
     @pytest.mark.parametrize("knob", [
-        {"trace": True},
+        {"trace_dir": "traces"},
         {"slo": "p99<5ms"},
     ])
     def test_instrumentation_knobs_blocked_when_sharded(self, knob):
+        # Refused before anything runs, so no trace directory is made.
         with pytest.raises(ReproError, match="shards"):
             measure_tail_at_scale(
                 4, 0.0, qps=60.0, num_requests=10,

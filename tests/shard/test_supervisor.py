@@ -20,6 +20,7 @@ from repro.experiments.loadsweep import (
     measure_at_load,
     shard_recovery_manifest_summary,
 )
+from repro.experiments.options import RunOptions
 from repro.experiments.tail_at_scale import (
     build_fanout_cluster,
     measure_tail_at_scale,
@@ -45,13 +46,16 @@ def det_fabric():
 CFG = dict(qps=60.0, num_requests=30, seed=7)
 
 
-def fanout_run(*, qps, num_requests, seed, shards, mode="process", **kwargs):
+def fanout_run(*, qps, num_requests, seed, shards, mode="process",
+               journal_name=None, **options):
     """The 8-leaf fan-out world (10% slow) through the shard adapter,
-    stopped after *num_requests* arrivals."""
+    stopped after *num_requests* arrivals, under *options*."""
     return run_world_sharded(
-        build_fanout_cluster, qps, seed, shards, max_requests=num_requests,
-        mode=mode, cluster_size=8, slow_fraction=0.1, network=det_fabric(),
-        **kwargs,
+        build_fanout_cluster, qps, seed,
+        options=RunOptions(shards=shards, **options),
+        max_requests=num_requests,
+        mode=mode, journal_name=journal_name, cluster_size=8,
+        slow_fraction=0.1, network=det_fabric(),
     )
 
 
@@ -298,10 +302,10 @@ class TestFaultPlanRecovery:
         assert "shard 1" in str(exc.value)
 
     def test_journal_written_and_auditable(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "shard_journals" / "journal.jsonl"
         result = fanout_run(
             shards=2, audit=True, fault_plan=FaultPlan().kill_shard(1, 2),
-            journal_path=path, **CFG
+            run_dir=tmp_path, journal_name=path.name, **CFG
         )
         assert result.shard_sync["restarts"] == 1
         journal = load_replay_journal(path)

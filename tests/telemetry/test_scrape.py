@@ -8,12 +8,12 @@ import pytest
 from repro.apps import two_tier
 from repro.engine import EngineProfiler, Simulator
 from repro.errors import ReproError
-from repro.experiments.loadsweep import measure_vanilla_point, run_world
+from repro.experiments.loadsweep import run_world
+from repro.experiments.options import RunOptions
 from repro.telemetry import (
     TIMELINE_SCHEMA,
     MetricsRegistry,
     Scraper,
-    TraceConfig,
     counters_from_perfetto,
     load_timeline,
     scrape_tiers,
@@ -23,6 +23,8 @@ from repro.telemetry import (
     to_perfetto,
     write_timeline,
 )
+
+from ..vanilla import vanilla_point
 
 QPS = 2000.0
 
@@ -111,7 +113,7 @@ class TestScraperLifecycle:
 def _scraped_series(qps, interval):
     """Scrape series of a 0.2s two_tier load point at *qps*."""
     return run_world(
-        two_tier, qps, 8, duration=0.2, scrape_interval=interval
+        two_tier, qps, 8, RunOptions(scrape_interval=interval), duration=0.2
     ).root["scrape"]["series"]
 
 
@@ -169,19 +171,23 @@ class TestScrapeNeverChangesResults:
     # plain point's, not merely be close.
     @pytest.mark.parametrize("build, observe", [
         (two_tier, {"scrape_interval": 0.01}),
-        (two_tier, {"trace": TraceConfig(sample_rate=0.5)}),
+        (two_tier, {"trace_sample": 0.5}),
         (_profiled_two_tier, {}),
     ], ids=["scraped", "traced", "profiled"])
-    def test_vanilla_outcome_identity(self, build, observe):
-        off = measure_vanilla_point(two_tier, QPS, 0.05, 0.01, 7)
-        on = measure_vanilla_point(build, QPS, 0.05, 0.01, 7, **observe)
+    def test_vanilla_outcome_identity(self, build, observe, tmp_path):
+        if "trace_sample" in observe:
+            # Sampled tracing rides a trace export directory.
+            observe = dict(observe, trace_dir=tmp_path)
+        off = vanilla_point(two_tier, QPS, 0.05, 0.01, 7)
+        on = vanilla_point(build, QPS, 0.05, 0.01, 7,
+                           RunOptions(**observe))
         assert off.timeline is None
         assert (on.timeline is not None) == ("scrape_interval" in observe)
         assert on == dataclasses.replace(off, timeline=on.timeline)
 
     def test_scraped_point_carries_expected_series(self):
-        on = measure_vanilla_point(
-            two_tier, QPS, 0.05, 0.01, 7, scrape_interval=0.01
+        on = vanilla_point(
+            two_tier, QPS, 0.05, 0.01, 7, RunOptions(scrape_interval=0.01)
         )
         series = on.timeline["series"]
         assert "client/qps" in series and "client/inflight" in series

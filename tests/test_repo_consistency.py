@@ -188,3 +188,62 @@ class TestExecutionOptionsTable:
                 assert cell in ("", "✓"), (spec.exp_id, name, cell)
                 assert (cell == "✓") == spec.supports(name), (
                     spec.exp_id, name)
+
+
+class TestExecutionOptionsTravelAsOneObject:
+    """Below the entry points that callers reach with keywords, the
+    execution options travel as one ``RunOptions``: no other public
+    function of the measurement layers takes an option, ``trace`` or a
+    journal path as a keyword of its own. A helper that acts on one
+    value takes it under its own name (``arm_faults(world, plan)``);
+    the shard adapter's executors take a shard count positionally only,
+    as shorthand folded into their options."""
+
+    #: The entry points beside the registry runners. Each picks its
+    #: keywords into one ``RunOptions`` (the orchestration studies'
+    #: single measurements, whose ``timeout`` is a request timeout,
+    #: hand theirs to the world directly).
+    ENTRY_POINTS = {
+        "repro.experiments.loadsweep.load_latency_sweep",
+        "repro.experiments.loadsweep.measure_at_load",
+        "repro.experiments.tail_at_scale.measure_tail_at_scale",
+        "repro.experiments.orchestration.measure_node_failure",
+        "repro.experiments.orchestration.measure_rollout",
+    }
+
+    def test_only_entry_points_take_option_keywords(self):
+        import inspect
+        import pkgutil
+        from dataclasses import fields
+
+        import repro.experiments
+        from repro.experiments import registry
+        from repro.experiments.options import RunOptions
+
+        forbidden = {f.name for f in fields(RunOptions)} | {
+            "trace", "journal_path", "shard_journal_dir",
+        }
+        allowed = self.ENTRY_POINTS | {
+            f"{spec.runner.__module__}.{spec.runner.__qualname__}"
+            for spec in registry.all_experiments()
+        }
+        modules = [
+            f"repro.experiments.{info.name}"
+            for info in pkgutil.iter_modules(repro.experiments.__path__)
+        ] + ["repro.shard.adapter"]
+        offenders = []
+        for name in modules:
+            module = importlib.import_module(name)
+            for attr, fn in inspect.getmembers(module, inspect.isfunction):
+                qualified = f"{name}.{attr}"
+                if (attr.startswith("_") or fn.__module__ != name
+                        or qualified in allowed):
+                    continue
+                taken = forbidden & {
+                    param.name
+                    for param in inspect.signature(fn).parameters.values()
+                    if param.kind is not param.POSITIONAL_ONLY
+                }
+                if taken:
+                    offenders.append(f"{qualified}{sorted(taken)}")
+        assert not offenders, offenders
