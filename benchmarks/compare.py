@@ -2,24 +2,30 @@
 
 Run from the repository root::
 
-    python -m benchmarks.compare BASE
+    python -m benchmarks.compare BASE [--pairs N] [--workload NAME]
 
 BASE is any commit git can resolve, such as ``HEAD~1`` or a pull
-request's base SHA. It is checked out into a temporary ``git worktree``
-whose ``benchmarks/perf`` is then replaced by this tree's copy, so both
-sides run the same harness, workloads and golden digests and only
-``src/`` differs. The change is this tree as it stands, uncommitted
-edits included.
+request's base SHA, or a directory holding the parent's tree, such as
+an unpacked ``git archive``. A commit is checked out into a temporary
+``git worktree``; a directory is copied into a temporary directory and
+is itself left untouched. The parent tree's ``benchmarks/perf`` is then
+replaced by this tree's copy, so both sides run the same harness,
+workloads and golden digests and only ``src/`` differs. The change is
+this tree as it stands, uncommitted edits included.
 
 ``BENCHMARK.json``'s command runs with ``--trace 0 --seconds
-<run_seconds>`` on each side in ``PAIRS`` pairs, alternating which side
-goes first so that a slow stretch of a shared host hits both. Both
-sides' sources are byte-compiled before the first pair, so neither
-side's ``setup_s`` includes compiling modules the other reads from a
-warm cache. One row
-is printed per workload and end-to-end metric: the parent's median, the
-change's median, their ratio, the metric's bound from ``BENCHMARK.json``
-and a verdict. The last line of standard output is one JSON object.
+<run_seconds>`` on each side in ``PAIRS`` pairs (``--pairs`` sets
+another count), alternating which side goes first so that a slow
+stretch of a shared host hits both. ``--workload`` runs, and judges,
+that one workload only. Both sides' sources are byte-compiled before
+the first pair, so neither side's ``setup_s`` includes compiling
+modules the other reads from a warm cache. One row is printed per
+workload and end-to-end metric: the parent's median, the change's
+median, their ratio, the metric's bound from ``BENCHMARK.json``, a
+verdict, the pairs in which the change did better than the parent, and
+the interquartile range of the parent's runs (the spread a median gap
+has to exceed to say anything). The last line of standard output is
+one JSON object.
 
 The exit code is 0 when every change median is within its bound and no
 change run failed, 1 otherwise, and 2 when the benchmark could not run.
@@ -30,6 +36,7 @@ mismatch.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -73,11 +80,23 @@ def compile_sources(tree: Path, spec: Dict[str, Any]) -> None:
         raise GateError(f"cannot byte-compile the sources in {tree}")
 
 
+def only_workload(spec: Dict[str, Any], name: str) -> Dict[str, Any]:
+    """*spec* narrowed to its workload *name*."""
+    chosen = [w for w in spec["workloads"] if w["name"] == name]
+    if not chosen:
+        known = ", ".join(w["name"] for w in spec["workloads"])
+        raise GateError(f"unknown workload {name!r}; known: {known}")
+    return dict(spec, workloads=chosen)
+
+
 def run_side(tree: Path, spec: Dict[str, Any]) -> Dict[str, Any]:
-    """One benchmark run in *tree*, against that tree's ``src/``."""
+    """One benchmark run in *tree*, against that tree's ``src/``; a
+    *spec* with one workload runs that workload alone."""
     command = list(spec["command"]) + [
         "--trace", "0", "--seconds", str(spec["run_seconds"]),
     ]
+    if len(spec["workloads"]) == 1:
+        command += ["--workload", spec["workloads"][0]["name"]]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
@@ -85,13 +104,32 @@ def run_side(tree: Path, spec: Dict[str, Any]) -> Dict[str, Any]:
     # The harness exits 1 when a run failed and 2 when it could not run.
     if proc.returncode not in (0, 1):
         raise GateError(f"the benchmark in {tree} exited with {proc.returncode}")
-    return last_json(proc.stdout)
+    run = last_json(proc.stdout)
+    if len(spec["workloads"]) == 1:
+        # One workload's metrics are printed without its name.
+        name = spec["workloads"][0]["name"]
+        run["metrics"] = {
+            f"{name}/{key}": value for key, value in run["metrics"].items()
+        }
+    return run
 
 
-def _median(runs: List[Dict[str, Any]], key: str) -> Optional[float]:
-    values = [run["metrics"][key]["value"] for run in runs
-              if key in run["metrics"]]
-    return statistics.median(values) if values else None
+def _values(runs: List[Dict[str, Any]], key: str) -> List[Optional[float]]:
+    return [run["metrics"][key]["value"] if key in run["metrics"] else None
+            for run in runs]
+
+
+def _median(values: List[Optional[float]]) -> Optional[float]:
+    present = [v for v in values if v is not None]
+    return statistics.median(present) if present else None
+
+
+def _iqr(values: List[Optional[float]]) -> Optional[float]:
+    present = [v for v in values if v is not None]
+    if len(present) < 2:
+        return None
+    low, _, high = statistics.quantiles(present, n=4, method="inclusive")
+    return high - low
 
 
 def gate(
@@ -104,8 +142,16 @@ def gate(
     for workload in spec["workloads"]:
         for metric in spec["end_to_end"]:
             key = f"{workload['name']}/{metric['name']}"
-            parent = _median(parent_runs, key)
-            change = _median(change_runs, key)
+            parent_values = _values(parent_runs, key)
+            change_values = _values(change_runs, key)
+            parent = _median(parent_values)
+            change = _median(change_values)
+            lower = metric["better"] == "lower"
+            won = sum(
+                1 for p, c in zip(parent_values, change_values)
+                if p is not None and c is not None
+                and (c < p if lower else c > p)
+            )
             ratio = None
             if change is None:
                 verdict = "missing"
@@ -113,12 +159,14 @@ def gate(
                 verdict = "no parent"
             else:
                 ratio = change / parent
-                worse = ratio - 1 if metric["better"] == "lower" else 1 - ratio
+                worse = ratio - 1 if lower else 1 - ratio
                 verdict = "WORSE" if worse > metric["bound"] else "ok"
             rows.append({
                 "metric": key, "unit": metric["unit"], "parent": parent,
                 "change": change, "ratio": ratio, "bound": metric["bound"],
-                "verdict": verdict,
+                "verdict": verdict, "won": won,
+                "pairs": min(len(parent_runs), len(change_runs)),
+                "parent_iqr": _iqr(parent_values),
             })
     change_failed = sum(run["failed"] for run in change_runs)
     return {
@@ -138,70 +186,115 @@ def report(result: Dict[str, Any]) -> None:
         return "-" if value is None else f"{value:.6g}"
 
     print(f"{'metric':34s} {'parent':>12s} {'change':>12s} {'ratio':>7s} "
-          f"{'bound':>6s}  verdict")
+          f"{'bound':>6s}  {'verdict':7s} {'won':>5s} {'parent IQR':>12s}")
     for row in result["rows"]:
         ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+        won = f"{row['won']}/{row['pairs']}"
         print(f"{row['metric']:34s} {shown(row['parent']):>12s} "
               f"{shown(row['change']):>12s} {ratio:>7s} "
-              f"{row['bound']:>6.0%}  {row['verdict']}")
+              f"{row['bound']:>6.0%}  {row['verdict']:7s} {won:>5s} "
+              f"{shown(row['parent_iqr']):>12s}")
     print(f"failed runs: change {result['change_failed']}, "
           f"parent {result['parent_failed']} (the parent's do not count)")
 
 
-def measure(base: str, spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Check *base* out beside this tree and run both in pairs."""
-    resolved = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{base}^{{commit}}"],
-        cwd=ROOT, capture_output=True, text=True,
+def copy_tree(base: Path, dest: Path) -> None:
+    """Copy the parent tree in directory *base* to *dest*, leaving out
+    version control and byte-code caches."""
+    if not (base / "src").is_dir():
+        raise GateError(f"{base} holds no src/ directory")
+    shutil.copytree(
+        base, dest, ignore=shutil.ignore_patterns(".git", "__pycache__"),
     )
-    if resolved.returncode:
-        raise GateError(f"cannot resolve {base!r}: {resolved.stderr.strip()}")
-    sha = resolved.stdout.strip()
+
+
+def measure(
+    base: str, spec: Dict[str, Any], pairs: int = PAIRS,
+) -> Dict[str, Any]:
+    """Put *base* beside this tree and run both in *pairs* pairs."""
     scratch = Path(tempfile.mkdtemp(prefix="perf-gate-"))
     parent_tree = scratch / "parent"
+    worktree = False
     try:
-        added = subprocess.run(
-            ["git", "worktree", "add", "--detach", str(parent_tree), sha],
-            cwd=ROOT, capture_output=True, text=True,
-        )
-        if added.returncode:
-            raise GateError(f"cannot check out {sha}: {added.stderr.strip()}")
+        if Path(base).is_dir():
+            label = str(Path(base).resolve())
+            copy_tree(Path(base), parent_tree)
+        else:
+            resolved = subprocess.run(
+                ["git", "rev-parse", "--verify", f"{base}^{{commit}}"],
+                cwd=ROOT, capture_output=True, text=True,
+            )
+            if resolved.returncode:
+                raise GateError(
+                    f"cannot resolve {base!r}: {resolved.stderr.strip()}"
+                )
+            label = resolved.stdout.strip()
+            added = subprocess.run(
+                ["git", "worktree", "add", "--detach", str(parent_tree),
+                 label],
+                cwd=ROOT, capture_output=True, text=True,
+            )
+            if added.returncode:
+                raise GateError(
+                    f"cannot check out {label}: {added.stderr.strip()}"
+                )
+            worktree = True
         shutil.rmtree(parent_tree / "benchmarks" / "perf", ignore_errors=True)
         shutil.copytree(
             ROOT / "benchmarks" / "perf", parent_tree / "benchmarks" / "perf",
             ignore=shutil.ignore_patterns("__pycache__"),
         )
-        print(f"perf gate: parent {sha[:12]} against {ROOT}, {PAIRS} pairs",
-              flush=True)
+        print(f"perf gate: parent {label[:12] if worktree else label} "
+              f"against {ROOT}, {pairs} pairs", flush=True)
         sides = {"parent": parent_tree, "change": ROOT}
         for tree in sides.values():
             compile_sources(tree, spec)
         runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
-        for pair in range(PAIRS):
+        for pair in range(pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 start = time.monotonic()
                 run = run_side(sides[side], spec)
                 runs[side].append(run)
-                print(f"pair {pair + 1}/{PAIRS} {side}: "
+                print(f"pair {pair + 1}/{pairs} {side}: "
                       f"{time.monotonic() - start:.0f} s, {run['failed']} of "
                       f"{run['attempted']} runs failed", flush=True)
     finally:
-        subprocess.run(
-            ["git", "worktree", "remove", "--force", str(parent_tree)],
-            cwd=ROOT, capture_output=True,
-        )
+        if worktree:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(parent_tree)],
+                cwd=ROOT, capture_output=True,
+            )
         shutil.rmtree(scratch, ignore_errors=True)
-    return dict(gate(spec, runs["parent"], runs["change"]), base=sha)
+    return dict(gate(spec, runs["parent"], runs["change"]), base=label)
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python -m benchmarks.compare",
+        description="Run the perf benchmark on a parent tree and on this "
+                    "tree in alternating pairs and judge the change.",
+    )
+    parser.add_argument("base", metavar="BASE",
+                        help="a commit, or a directory holding the "
+                             "parent's tree")
+    parser.add_argument("--pairs", type=int, default=PAIRS,
+                        help=f"pairs of runs (default: {PAIRS})")
+    parser.add_argument("--workload",
+                        help="run and judge one workload (default: all)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = sys.argv[1:] if argv is None else list(argv)
-    if len(args) != 1:
-        print("usage: python -m benchmarks.compare BASE", file=sys.stderr)
-        return 2
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        result = measure(args[0], json.loads(SPEC.read_text()))
+        spec = json.loads(SPEC.read_text())
+        if args.workload is not None:
+            spec = only_workload(spec, args.workload)
+        result = measure(args.base, spec, args.pairs)
     except GateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -141,3 +141,137 @@ def test_a_tree_that_cannot_compile_cannot_be_measured(tmp_path):
     (tmp_path / "src" / "broken.py").write_text("def (\n")
     with pytest.raises(compare.GateError):
         compare.compile_sources(tmp_path, SPEC)
+
+
+def row(result, metric):
+    return next(r for r in result["rows"] if r["metric"] == metric)
+
+
+def test_rows_count_the_pairs_the_change_won_and_the_parents_spread():
+    # The change is 10% faster in every pair on one metric; elsewhere
+    # each pair is a tie, which the change does not win.
+    result = compare.gate(
+        SPEC, side(), side({"two_tier/host_us_per_req": 0.90})
+    )
+    faster = row(result, "two_tier/host_us_per_req")
+    assert (faster["won"], faster["pairs"]) == (3, 3)
+    assert row(result, "two_tier/setup_s")["won"] == 0
+    # Inclusive quartiles of the parent's three runs (0.98, 1.0, 1.03
+    # times the typical value): 0.99 and 1.015.
+    assert faster["parent_iqr"] == pytest.approx(273.0 * 0.025)
+    assert result["passed"]
+
+
+def test_a_metric_where_higher_is_better_is_won_by_the_higher_value():
+    spec = dict(SPEC, end_to_end=[
+        dict(metric, better="higher") for metric in SPEC["end_to_end"]
+    ])
+    result = compare.gate(
+        spec, side(), side({"two_tier/host_us_per_req": 1.10})
+    )
+    assert row(result, "two_tier/host_us_per_req")["won"] == 3
+
+
+def test_one_pair_has_no_spread():
+    result = compare.gate(SPEC, side()[:1], side()[:1])
+    assert {r["parent_iqr"] for r in result["rows"]} == {None}
+    assert result["passed"]
+
+
+def test_one_workload_is_run_and_judged_alone(monkeypatch):
+    spec = compare.only_workload(SPEC, "social_network")
+    result = compare.gate(spec, side(), side())
+    assert {r["metric"].split("/")[0] for r in result["rows"]} == {
+        "social_network"
+    }
+    assert result["passed"]
+    commands = []
+
+    class Done:
+        returncode = 0
+        stdout = json.dumps(side()[0])
+
+    class OneWorkload(Done):
+        # The harness names one workload's metrics without a prefix.
+        stdout = json.dumps(dict(side()[0], metrics={
+            "host_us_per_req": {"value": 500.0, "unit": "us"},
+        }))
+
+    def run(command, **kwargs):
+        commands.append(command)
+        return OneWorkload() if "--workload" in command else Done()
+
+    monkeypatch.setattr(compare.subprocess, "run", run)
+    one = compare.run_side(compare.ROOT, spec)
+    compare.run_side(compare.ROOT, SPEC)
+    assert commands[0][-2:] == ["--workload", "social_network"]
+    assert "--workload" not in commands[1]
+    assert one["metrics"] == {
+        "social_network/host_us_per_req": {"value": 500.0, "unit": "us"},
+    }
+    with pytest.raises(compare.GateError):
+        compare.only_workload(SPEC, "no_such_workload")
+
+
+def test_pairs_and_workload_pass_through_to_the_measurement(monkeypatch):
+    seen = {}
+
+    def measure(base, spec, pairs=compare.PAIRS):
+        seen.update(base=base, pairs=pairs,
+                    workloads=[w["name"] for w in spec["workloads"]])
+        return dict(compare.gate(spec, side(), side()), base=base)
+
+    monkeypatch.setattr(compare, "measure", measure)
+    assert compare.main(["/some/parent", "--pairs", "10",
+                         "--workload", "two_tier"]) == 0
+    assert seen == {"base": "/some/parent", "pairs": 10,
+                    "workloads": ["two_tier"]}
+    assert compare.main(["HEAD"]) == 0
+    assert seen["pairs"] == compare.PAIRS
+    assert len(seen["workloads"]) == len(SPEC["workloads"])
+    assert compare.main(["HEAD", "--workload", "nope"]) == 2
+
+
+def test_a_parent_directory_is_copied_and_left_untouched(tmp_path):
+    base = tmp_path / "base"
+    for part in ("src/repro", "benchmarks/perf", ".git", "src/__pycache__"):
+        (base / part).mkdir(parents=True)
+    (base / "src/repro/mod.py").write_text("VALUE = 1\n")
+    (base / "benchmarks/perf/old.py").write_text("OLD = 1\n")
+    (base / "src/__pycache__/mod.pyc").write_bytes(b"")
+    before = sorted(p.relative_to(base) for p in base.rglob("*"))
+    dest = tmp_path / "copy"
+    compare.copy_tree(base, dest)
+    assert (dest / "src/repro/mod.py").read_text() == "VALUE = 1\n"
+    assert not (dest / ".git").exists()
+    assert not (dest / "src/__pycache__").exists()
+    assert sorted(p.relative_to(base) for p in base.rglob("*")) == before
+    with pytest.raises(compare.GateError):
+        compare.copy_tree(tmp_path / "copy" / "benchmarks", tmp_path / "x")
+
+
+def test_a_parent_directory_is_measured_from_a_copy(tmp_path, monkeypatch):
+    base = tmp_path / "base"
+    (base / "src" / "repro").mkdir(parents=True)
+    (base / "benchmarks" / "perf").mkdir(parents=True)
+    (base / "benchmarks" / "perf" / "stale.py").write_text("STALE = 1\n")
+    before = sorted(p.relative_to(base) for p in base.rglob("*"))
+    trees = []
+
+    def run_side(tree, spec):
+        trees.append(tree)
+        if tree != compare.ROOT:
+            perf = tree / "benchmarks" / "perf"
+            assert not (perf / "stale.py").exists()
+            assert (perf / "harness.py").exists()  # this tree's harness
+        return side()[len(trees) % 3]
+
+    monkeypatch.setattr(compare, "run_side", run_side)
+    monkeypatch.setattr(compare, "compile_sources", lambda tree, spec: None)
+    result = compare.measure(str(base), SPEC, pairs=2)
+    assert result["base"] == str(base.resolve())
+    assert result["pairs"] == 2 and len(trees) == 4
+    # Alternating order: parent first, then change first.
+    assert trees[1] == trees[2] == compare.ROOT
+    assert sorted(p.relative_to(base) for p in base.rglob("*")) == before
+    assert not trees[0].exists()  # the copy is removed afterwards

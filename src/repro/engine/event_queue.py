@@ -54,17 +54,6 @@ class EventQueue:
         self._live += 1
         return event
 
-    def _purge_cancelled_head(self) -> None:
-        """Drop cancelled entries off the top of the heap.
-
-        The single skip loop shared by :meth:`pop`, :meth:`pop_due` and
-        :meth:`peek_time` — the lazy-deletion half of
-        :meth:`Event.cancel`.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or ``None`` if empty."""
         return self.pop_due(math.inf)
@@ -75,10 +64,13 @@ class EventQueue:
 
         The simulator's one run loop pops through this: a single
         heap-top inspection per event serves both the horizon check and
-        the pop (``until=math.inf`` drains).
+        the pop (``until=math.inf`` drains). Cancelled entries on top
+        are dropped first — the lazy-deletion half of
+        :meth:`Event.cancel`.
         """
-        self._purge_cancelled_head()
         heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
         if not heap or heap[0][0] > until:
             return None
         event = heappop(heap)[3]
@@ -88,8 +80,9 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest live event without removing it."""
-        self._purge_cancelled_head()
         heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
         return heap[0][0] if heap else None
 
     def cancel(self, event: Event) -> None:

@@ -85,6 +85,9 @@ class CoreSet:
     :attr:`free_count` is kept by :meth:`try_acquire` and
     :meth:`release` alone (a core belongs to exactly one set), so a
     consumer can tell that no core is free without asking for one.
+    Both change the core's state themselves, one call per stage
+    execution each way, with the same checks and accounting as
+    :meth:`CpuCore.acquire` and :meth:`CpuCore.release`.
     """
 
     def __init__(self, name: str, cores: List[CpuCore]) -> None:
@@ -106,14 +109,19 @@ class CoreSet:
             return None
         for core in self.cores:
             if not core.busy:
-                core.acquire(now)
+                core.busy = True
+                core._busy_since = now
                 self.free_count -= 1
                 return core
         return None
 
     def release(self, core: CpuCore, now: float) -> None:
         """Return *core* to the set and wake subscribers."""
-        core.release(now)
+        if not core.busy:
+            raise ResourceError(f"core {core.core_id} released while free")
+        core.busy = False
+        core.busy_time += now - core._busy_since
+        core._busy_since = None
         self.free_count += 1
         for callback in self._release_callbacks:
             callback()

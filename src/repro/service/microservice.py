@@ -29,18 +29,21 @@ no. While the core set has no free core a round starts nothing, but it
 still claims and returns one worker per ready stage, deepest first, up
 to the first refusal: those claims rotate a static thread pool's idle
 list (which moves context-switch charges) and grow a dynamic pool, so
-they are part of the simulated behaviour.
+they are part of the simulated behaviour. A :class:`SimpleModel`'s
+claims change nothing, so with no free core its round ends at once,
+and its starts skip the dispatch overhead that is always 0.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..engine import PRIORITY_COMPLETION, Event, Simulator
 from ..errors import ConfigError, FaultError
-from ..hardware.core import CoreSet, CpuCore
+from ..hardware.core import CoreSet
 from .connections import Connection
-from .execution_models import ExecutionModel, SimpleModel, Worker
+from .execution_models import ExecutionModel, SimpleModel
 from .io import IoDevice
 from .job import Job
 from .paths import ExecutionPath, PathSelector
@@ -52,8 +55,40 @@ STATE_DRAINING = "draining"
 STATE_DOWN = "down"
 
 
+class _Execution(Event):
+    """One started batch, from its start to the end of its last phase.
+
+    :meth:`Microservice._start_execution` makes it, and it is its own
+    CPU completion event, whose only argument is the record itself. It
+    stays in the service's ``_running`` until the batch is done, so a
+    crash finds it in either phase; ``core`` is ``None`` once the batch
+    has left its core for I/O.
+
+    Being the event, the record adds no object that lives through an
+    execution: a separate record was one more young container per
+    batch in flight, and on a 500-leaf fan-out that was enough to set
+    off a full collection every rep. The ``args`` the record points
+    back through are dropped as soon as the completion runs or is
+    cancelled, so the record is freed by reference counting.
+    """
+
+    __slots__ = ("stage", "batch", "worker", "core")
+
+
 class Microservice:
-    """One deployed instance of a microservice model."""
+    """One deployed instance of a microservice model.
+
+    Each started batch is one execution record (stage, batch, worker
+    and core), which is also the batch's CPU completion event and that
+    event's only argument. The record stays in ``_running`` from start
+    to done,
+    I/O phase included, so :meth:`crash` fails every executing job and
+    frees its worker at the crash instant. A CPU completion advances
+    the jobs, frees the worker and frees the core in one handler; an
+    I/O stage instead frees the core and hands the device a handler
+    bound to the record. An instance with an I/O stage needs an
+    ``io_device`` and is refused at construction without one.
+    """
 
     def __init__(
         self,
@@ -92,6 +127,12 @@ class Microservice:
                     f"microservice {name!r}: path {path.name!r} references "
                     f"unknown stages {missing}"
                 )
+        for stage in stages:
+            if stage.io is not None and io_device is None:
+                raise ConfigError(
+                    f"stage {stage.name!r} of {name!r} has an io cost "
+                    f"but the instance has no io_device"
+                )
         # Dispatch scan order: later pipeline stages first (descending
         # stage id — stage ids are pipeline-ordered by convention).
         self._scan_order: List[Stage] = [
@@ -109,22 +150,25 @@ class Microservice:
         # the simulator (one to three draws per executed batch).
         for sid, stage in self._stages.items():
             stage.attach_samplers(sim.random, f"service/{name}/stage{sid}")
+        # The execution model is settled here: a simple model's worker
+        # claims and dispatch overhead change nothing, so the hot path
+        # skips them (a thread pool's claims rotate its idle list).
+        self._simple = isinstance(self.model, SimpleModel)
         self._subscribed_conns: Set[int] = set()
         self._in_dispatch = False
         self.cores.on_release(self._kick)
         # Bound once: every batch's completion event holds it.
         self._on_cpu_done = self._on_cpu_done
+        self._push = sim.events.push
 
         # Lifecycle (fault injection): up -> draining/down -> up.
         self.state = STATE_UP
         # Straggler degradation: all stage costs are multiplied by this.
         self.slow_factor = 1.0
-        # The completion events of the batches currently on a core,
-        # keyed by ``id(batch)`` (the batch list lives until its
-        # completion deletes the entry), so a crash can cancel them and
-        # reclaim cores/workers: each event's args are
-        # ``(stage, batch, worker, core)``.
-        self._running: Dict[int, Event] = {}
+        # The executions in flight, CPU or I/O phase, in start order
+        # (a dict used as an ordered set), so a crash can fail their
+        # jobs and reclaim their workers and cores.
+        self._running: Dict[_Execution, None] = {}
 
         # Telemetry.
         self.jobs_accepted = 0
@@ -188,8 +232,11 @@ class Microservice:
         executing job fires its ``on_fail`` callback (the upstream sees
         a reset connection and can retry); with ``"drop"`` jobs vanish
         silently (a network black hole — only a timeout surfaces it).
-        Cores and workers held by executing batches are reclaimed
-        immediately. Returns the killed jobs.
+        Executing jobs include those of a batch blocked on I/O. Cores
+        and workers held by executing batches are reclaimed
+        immediately; an I/O operation in flight keeps its device
+        channel until it completes, and that completion does nothing.
+        Returns the killed jobs.
         """
         if disposition not in ("fail", "drop"):
             raise FaultError(
@@ -201,13 +248,16 @@ class Microservice:
         self.state = STATE_DOWN
         self.crashes += 1
         killed: List[Job] = []
-        for event in list(self._running.values()):
-            _stage, batch, worker, core = event.args
-            self.sim.cancel(event)
-            self.model.release_worker(worker)
-            if core is not None:
-                self.cores.release(core, self.sim.now)
-            killed.extend(batch)
+        for record in list(self._running):
+            self.model.release_worker(record.worker)
+            if record.core is not None:  # on a core: cancel the completion
+                record.args = ()
+                self.sim.cancel(record)
+                self.cores.release(record.core, self.sim.now)
+            killed.extend(record.batch)
+        # A record still in I/O is lost: the device finishes the
+        # operation (its channel stays busy until then) and the
+        # completion finds the record gone.
         self._running.clear()
         for stage in self._stages.values():
             killed.extend(stage.queue.drain())
@@ -306,6 +356,7 @@ class Microservice:
         self._in_dispatch = True
         cores = self.cores
         model = self.model
+        simple = self._simple
         try:
             while True:
                 for stage in self._scan_order:
@@ -318,9 +369,12 @@ class Microservice:
                         if not self._start_execution(stage):
                             return  # no worker: no later stage can start
                         break  # rescan from the deepest stage
-                    # No core is free, so nothing starts; claim and
-                    # return a worker exactly as a start that finds no
-                    # core would.
+                    # No core is free, so nothing starts. A thread
+                    # pool claims and returns a worker exactly as a
+                    # start that finds no core would; a simple model's
+                    # claim changes nothing, so it ends the round.
+                    if simple:
+                        return
                     worker = model.acquire_worker()
                     if worker is None:
                         return
@@ -344,84 +398,86 @@ class Microservice:
             if job.first_dispatch_at is None:
                 job.first_dispatch_at = now
         cost = stage.compute_cost(batch, core.frequency)
-        cost += model.dispatch_overhead(worker, core)
+        if not self._simple:
+            cost += model.dispatch_overhead(worker, core)
         cost *= self.slow_factor
-        stage.record(len(batch), cost)
+        stage.invocations += 1
+        stage.jobs_processed += len(batch)
+        stage.busy_time += cost
         if self.metrics is not None:
             self.metrics.histogram(
                 "stage_cost_seconds", service=self.name, stage=stage.name
             ).observe(cost)
-        event = self.sim.schedule(
-            cost,
-            self._on_cpu_done,
-            stage,
-            batch,
-            worker,
-            core,
-            priority=PRIORITY_COMPLETION,
+        record = _Execution(
+            now + cost, self._on_cpu_done, (), PRIORITY_COMPLETION
         )
-        self._running[id(batch)] = event
+        record.args = (record,)
+        record.stage = stage
+        record.batch = batch
+        record.worker = worker
+        record.core = core
+        self._push(record)
+        self._running[record] = None
         return True
 
-    def _on_cpu_done(
-        self,
-        stage: Stage,
-        batch: List[Job],
-        worker: Worker,
-        core: CpuCore,
-    ) -> None:
-        del self._running[id(batch)]
+    def _on_cpu_done(self, record: _Execution) -> None:
+        """The CPU phase of *record* is over: hand the batch to the I/O
+        device, or advance its jobs and free the worker and the core."""
+        # The run loop has unpacked the arguments; dropping them leaves
+        # the record no cycle through itself.
+        record.args = ()
+        stage = record.stage
+        batch = record.batch
         if stage.io is not None:
-            if self.io_device is None:
-                raise ConfigError(
-                    f"stage {stage.name!r} of {self.name!r} has an io cost "
-                    f"but the instance has no io_device"
-                )
-            # The core frees during I/O while the worker stays blocked.
-            worker.blocked = True
+            # The core frees during I/O while the worker stays blocked;
+            # the record stays in _running so a crash can find it.
+            record.worker.blocked = True
             io_time = stage.io_cost(batch)
+            core = record.core
+            record.core = None
             self.cores.release(core, self.sim.now)
-            self.io_device.submit(
-                io_time, lambda: self._finish_stage(stage, batch, worker)
-            )
+            self.io_device.submit(io_time, partial(self._on_io_done, record))
             return
-        self._finish_stage(stage, batch, worker, core)
-
-    def _finish_stage(
-        self,
-        stage: Stage,
-        batch: List[Job],
-        worker: Worker,
-        core: Optional[CpuCore] = None,
-    ) -> None:
+        del self._running[record]
+        self.model.release_worker(record.worker)
         # Advance jobs BEFORE releasing the core: the release callback
         # re-enters dispatch, and the freshly finished jobs must already
         # sit in their next stage queue so the scan's later-stage-first
         # preference sees them (run-to-completion bias).
-        self.model.release_worker(worker)
-        if self.state == STATE_DOWN:
-            # The instance crashed while this batch was blocked on I/O
-            # (CPU batches are cancelled outright): the results are lost.
-            for job in batch:
-                self._fail_job(job)
-            if core is not None:
-                self.cores.release(core, self.sim.now)
-            return
+        stages = self._stages
         for job in batch:
-            job.stage_pos += 1
-            if job.stage_pos < len(job.path.stage_ids):
-                self._enqueue(job)
+            pos = job.stage_pos + 1
+            job.stage_pos = pos
+            stage_ids = job.path.stage_ids
+            if pos < len(stage_ids):
+                following = stages[stage_ids[pos]]
+                following.may_be_ready = True
+                following.queue.push(job)
             else:
                 self._complete_job(job)
-        if core is None:
-            self._kick()
-            return
         # The release re-enters dispatch, which runs to a fixed point.
         # After it, each busy core's last worker is the one running on
         # it, so a second round could only rotate idle workers no core
         # ran last (and a dynamic pool has already spawned its thread):
         # it would change nothing.
-        self.cores.release(core, self.sim.now)
+        self.cores.release(record.core, self.sim.now)
+
+    def _on_io_done(self, record: _Execution) -> None:
+        """The device finished *record*'s I/O: advance its jobs and free
+        the worker. A record a crash took out of _running is lost, and
+        its completion does nothing."""
+        running = self._running
+        if record not in running:
+            return
+        del running[record]
+        self.model.release_worker(record.worker)
+        for job in record.batch:
+            job.stage_pos += 1
+            if job.stage_pos < len(job.path.stage_ids):
+                self._enqueue(job)
+            else:
+                self._complete_job(job)
+        self._kick()
 
     def _complete_job(self, job: Job) -> None:
         job.completed_at = self.sim.now

@@ -72,8 +72,35 @@ class _Unattached:
     take = sample
 
 
+class _FixedCost(dict):
+    """Served values of a cost term that never draws, by requested frequency.
+
+    Built by :meth:`Stage.attach_samplers` for a term whose every
+    profiled point is :class:`~repro.distributions.Deterministic`. The
+    first cost at a frequency asks the term's sampler once, which serves
+    ``value if factor == 1.0 else value * factor``; later costs at that
+    frequency read the stored value without a call.
+    """
+
+    __slots__ = ("sampler",)
+
+    def __init__(self, sampler) -> None:
+        super().__init__()
+        self.sampler = sampler
+
+    def __missing__(self, frequency: float) -> float:
+        value = self[frequency] = self.sampler.sample(frequency)
+        return value
+
+
 class Stage:
-    """One execution phase of a microservice."""
+    """One execution phase of a microservice.
+
+    A stage's cost terms draw only once :meth:`attach_samplers` has
+    bound them (the owning microservice does so at construction); a
+    term that can never draw is then served from a per-frequency table
+    of its fixed value, so costing it makes no sampler call.
+    """
 
     def __init__(
         self,
@@ -114,7 +141,12 @@ class Stage:
         self._per_job_sampler = unattached
         self._per_byte_sampler = unattached
         self._io_sampler = unattached
-        # Telemetry.
+        # Fixed-value tables of the terms that never draw, also bound by
+        # attach_samplers; None serves the term from its sampler.
+        self._base_fixed: Optional[_FixedCost] = None
+        self._per_job_fixed: Optional[_FixedCost] = None
+        self._per_byte_fixed: Optional[_FixedCost] = None
+        # Telemetry, kept by the owning microservice at each batch start.
         self.invocations = 0
         self.jobs_processed = 0
         self.busy_time = 0.0
@@ -129,7 +161,10 @@ class Stage:
         determinism contract); a term profiled at several frequencies
         draws each non-nominal point from ``{term stream}@{frequency!r}``.
         A :class:`~repro.distributions.Deterministic` term never draws
-        and gets none; streams are named, so no other draw moves.
+        and gets none; streams are named, so no other draw moves. A
+        compute term that is Deterministic at every profiled point also
+        gets a fixed-value table (:class:`_FixedCost`), so its costs
+        skip the sampler after the first at each frequency.
         Idempotent: re-attaching to the same streams factory reuses the
         same named streams and therefore the same sequence.
         """
@@ -146,12 +181,23 @@ class Stage:
                 ),
             )
 
+        def fixed(table: Optional[FrequencyTable], bound):
+            if table is None or not all(
+                isinstance(table.at(point), Deterministic)
+                for point in table.frequencies
+            ):
+                return None
+            return _FixedCost(bound)
+
         if self.base is not None:
             self._base_sampler = sampler(self.base, "base")
         if self.per_job is not None:
             self._per_job_sampler = sampler(self.per_job, "per_job")
         if self.per_byte is not None:
             self._per_byte_sampler = sampler(self.per_byte, "per_byte")
+        self._base_fixed = fixed(self.base, self._base_sampler)
+        self._per_job_fixed = fixed(self.per_job, self._per_job_sampler)
+        self._per_byte_fixed = fixed(self.per_byte, self._per_byte_sampler)
         if self.io is not None:
             self._io_sampler = BufferedSampler(
                 self.io, stream(f"{prefix}/io", self.io), block
@@ -163,17 +209,34 @@ class Stage:
             raise ConfigError(f"stage {self.name!r} asked to cost an empty batch")
         cost = 0.0
         if self.base is not None:
-            cost += self._base_sampler.sample(frequency)
+            fixed = self._base_fixed
+            cost += (
+                self._base_sampler.sample(frequency) if fixed is None
+                else fixed[frequency]
+            )
         if self.per_job is not None:
             n = len(batch)
-            sampler = self._per_job_sampler
-            cost += sampler.sample(frequency) if n == 1 else sum(
-                sampler.take(n, frequency)
-            )
+            fixed = self._per_job_fixed
+            if fixed is not None:
+                value = fixed[frequency]
+                # n in-order copies, exactly as the sampler's take sums.
+                cost += value if n == 1 else sum([value] * n)
+            else:
+                sampler = self._per_job_sampler
+                cost += sampler.sample(frequency) if n == 1 else sum(
+                    sampler.take(n, frequency)
+                )
         if self.per_byte is not None:
-            total_bytes = sum(job.size_bytes for job in batch)
+            total_bytes = (
+                batch[0].size_bytes if len(batch) == 1
+                else sum([job.size_bytes for job in batch])
+            )
             if total_bytes > 0:
-                cost += self._per_byte_sampler.sample(frequency) * total_bytes
+                fixed = self._per_byte_fixed
+                cost += (
+                    self._per_byte_sampler.sample(frequency) if fixed is None
+                    else fixed[frequency]
+                ) * total_bytes
         return cost
 
     def io_cost(self, batch: List[Job]) -> float:
@@ -201,12 +264,6 @@ class Stage:
         if self.per_byte is not None:
             cost += batch_size * mean_bytes * self.per_byte.mean(frequency)
         return cost
-
-    def record(self, batch_size: int, busy: float) -> None:
-        """Telemetry hook called by the execution model."""
-        self.invocations += 1
-        self.jobs_processed += batch_size
-        self.busy_time += busy
 
     def __repr__(self) -> str:
         return (

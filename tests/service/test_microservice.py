@@ -246,10 +246,9 @@ class TestIoStages:
             ),
         ]
         selector = PathSelector([ExecutionPath(0, "p", [0])])
-        svc = Microservice("svc", sim, stages, selector, make_cores(1))
-        send(svc, sim)
-        with pytest.raises(ConfigError):
-            sim.run()
+        # Refused when the instance is built, not at the first I/O.
+        with pytest.raises(ConfigError, match="io_device"):
+            Microservice("svc", sim, stages, selector, make_cores(1))
 
     def test_single_channel_disk_saturates(self, sim):
         disk = IoDevice("disk", sim, channels=1)
@@ -269,6 +268,72 @@ class TestIoStages:
         # Disk serialises: ~10, ~20, ~30 ms.
         times = sorted(t for _, t in done)
         assert times[2] == pytest.approx(30e-3, rel=0.01)
+
+
+class TestCrashDuringIo:
+    """A crash fails the jobs of a batch blocked on I/O at the crash
+    instant and frees its worker; the disk still finishes the
+    operation, and that completion does nothing."""
+
+    def io_service(self, sim):
+        disk = IoDevice("disk", sim, channels=1)
+        stages = [
+            Stage(
+                "query", 0, SingleQueue(),
+                base=Deterministic(1e-3), io=Deterministic(5e-3),
+            ),
+        ]
+        selector = PathSelector([ExecutionPath(0, "p", [0])])
+        return Microservice(
+            "mongo", sim, stages, selector, make_cores(1), io_device=disk,
+            model=MultiThreadedModel(1, context_switch=0.0),
+        )
+
+    def submit(self, svc, sim):
+        seen = {"fail": [], "discard": [], "complete": []}
+        job = Job(Request(sim.now))
+        job.on_fail = lambda j: seen["fail"].append(sim.now)
+        job.on_discard = lambda j: seen["discard"].append(sim.now)
+        job.on_complete = lambda j: seen["complete"].append(sim.now)
+        svc.accept(job)
+        return seen
+
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_job_in_io_fails_at_the_crash(self, sim, recover):
+        svc = self.io_service(sim)
+        seen = self.submit(svc, sim)
+        sim.schedule(2e-3, svc.crash)
+        if recover:
+            sim.schedule(3e-3, svc.recover)
+        sim.run()
+        assert seen["fail"] == [pytest.approx(2e-3)]
+        assert seen["complete"] == []
+        assert svc.jobs_failed == 1
+        assert svc.io_device.ops_completed == 1  # the disk finished it
+
+    def test_worker_is_idle_after_the_crash(self, sim):
+        svc = self.io_service(sim)
+        self.submit(svc, sim)
+        sim.schedule(2e-3, svc.crash)
+        probes = []
+        sim.schedule(2.5e-3, lambda: probes.append(
+            (svc.model.idle_threads, svc.io_device.in_flight,
+             len(svc._running))
+        ))
+        sim.run()
+        # Worker back in the pool; the disk channel stays busy until
+        # the operation ends at 6 ms.
+        assert probes == [(1, 1, 0)]
+        assert svc.io_device.in_flight == 0
+
+    def test_drop_discards_without_failing(self, sim):
+        svc = self.io_service(sim)
+        seen = self.submit(svc, sim)
+        sim.schedule(2e-3, svc.crash, "drop")
+        sim.run()
+        assert seen["discard"] == [pytest.approx(2e-3)]
+        assert seen["fail"] == []
+        assert seen["complete"] == []
 
 
 class TestDvfsEffect:

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.distributions import Deterministic, Exponential, FrequencyTable
+from repro.distributions import (
+    Deterministic,
+    Erlang,
+    Exponential,
+    FrequencyTable,
+)
 from repro.engine import RandomStreams
 from repro.errors import ConfigError
-from repro.hardware import GHZ
+from repro.hardware import GHZ, CoreSet, CpuCore, DvfsLadder
 from repro.service import (
     Connection,
     ExecutionPath,
@@ -117,14 +122,6 @@ class TestStageCost:
         with pytest.raises(ConfigError):
             Stage("empty", 0, SingleQueue())
 
-    def test_record_accumulates_telemetry(self):
-        stage = Stage("s", 0, SingleQueue(), base=Deterministic(1e-6))
-        stage.record(4, 2e-6)
-        stage.record(1, 1e-6)
-        assert stage.invocations == 2
-        assert stage.jobs_processed == 5
-        assert stage.busy_time == pytest.approx(3e-6)
-
 
 class TestStageCostIdentity:
     """Attached samplers return, draw for draw, what scalar reference
@@ -173,6 +170,114 @@ class TestStageCostIdentity:
             assert stage.compute_cost(batch, freq) == expected
             expected_io = sum(io.sample(rng["io"]) for _ in range(n))
             assert stage.io_cost(batch) == expected_io
+
+
+class TestFixedCostIdentity:
+    """A term that never draws is costed from its fixed-value table,
+    bit for bit what the term's sampler serves on twin streams."""
+
+    SEED = 11
+    BASE = FrequencyTable(
+        {1.3 * GHZ: Deterministic(4e-6), 2.6 * GHZ: Deterministic(2e-6)},
+        compute_fraction=0.7,
+    )
+    PER_JOB = FrequencyTable.single(Erlang(3, 1e-6), 2.6 * GHZ)
+    PER_BYTE = FrequencyTable.single(
+        Deterministic(3e-9), 2.6 * GHZ, compute_fraction=0.9
+    )
+
+    def sampler_cost(self, samplers, batch, frequency):
+        """What ``Stage.compute_cost`` returns with every term served
+        by its sampler."""
+        base, per_job, per_byte = samplers
+        cost = 0.0
+        if base is not None:
+            cost += base.sample(frequency)
+        if per_job is not None:
+            n = len(batch)
+            cost += per_job.sample(frequency) if n == 1 else sum(
+                per_job.take(n, frequency)
+            )
+        if per_byte is not None:
+            total_bytes = sum(job.size_bytes for job in batch)
+            if total_bytes > 0:
+                cost += per_byte.sample(frequency) * total_bytes
+        return cost
+
+    def twin_samplers(self, terms):
+        streams = RandomStreams(self.SEED)
+
+        def sampler(table, term):
+            if table is None:
+                return None
+
+            def rng(name, dist):
+                drawn = not isinstance(dist, Deterministic)
+                return streams.stream(name) if drawn else None
+
+            name = f"stage/{term}"
+            return table.make_sampler(
+                rng(name, table.at(table.frequencies[-1])),
+                point_rng=lambda point: rng(f"{name}@{point!r}",
+                                            table.at(point)),
+            )
+
+        return [sampler(table, term) for table, term in
+                zip(terms, ("base", "per_job", "per_byte"))]
+
+    @pytest.mark.parametrize("terms", [
+        (BASE, None, PER_BYTE),
+        (BASE, PER_JOB, None),
+        (None, FrequencyTable.single(Deterministic(1.1e-6), 2.6 * GHZ),
+         PER_BYTE),
+        (BASE, PER_JOB, PER_BYTE),
+    ], ids=["fixed", "mixed", "fixed-per-job", "all-terms"])
+    def test_costs_match_the_sampler_path(self, terms):
+        base, per_job, per_byte = terms
+        stage = attached(Stage(
+            "s", 0, SingleQueue(),
+            base=base, per_job=per_job, per_byte=per_byte,
+        ), seed=self.SEED)
+        samplers = self.twin_samplers(terms)
+        ladder = DvfsLadder([1.2 * GHZ, 1.3 * GHZ, 2.0 * GHZ, 2.6 * GHZ])
+        cores = CoreSet("s", [CpuCore("m/cpu0", ladder, 2.6 * GHZ)])
+        # (DVFS step before the cost or None, batch size, bytes per
+        # job): batches of 1 and 5, zero and non-zero bytes, the two
+        # profiled points, and unprofiled points (scale factor != 1)
+        # switched to in the middle of the sequence. A batch of 7
+        # copies of 1.1e-6 sums to other bits than 7 * 1.1e-6.
+        steps = [
+            (None, 1, 100.0), (None, 5, 40.0), (None, 1, 0.0),
+            (None, 7, 0.0),
+            (2.0 * GHZ, 5, 0.0), (None, 1, 64.0), (1.3 * GHZ, 1, 8.0),
+            (None, 5, 12.0), (1.2 * GHZ, 1, 30.0), (None, 5, 1.0),
+            (2.6 * GHZ, 5, 40.0), (2.0 * GHZ, 1, 100.0),
+        ]
+        for step, n, size in steps:
+            if step is not None:
+                cores.set_frequency(step)
+            batch = jobs(n, size=size)
+            frequency = cores.frequency
+            expected = self.sampler_cost(samplers, batch, frequency)
+            assert stage.compute_cost(batch, frequency) == expected
+
+    def test_fixed_terms_skip_the_sampler_after_the_first_cost(self):
+        stage = attached(Stage(
+            "s", 0, SingleQueue(), base=self.BASE, per_job=self.PER_JOB,
+            per_byte=self.PER_BYTE,
+        ))
+        for frequency in (2.6 * GHZ, 2.0 * GHZ, 2.6 * GHZ, 2.0 * GHZ):
+            stage.compute_cost(jobs(2, size=10.0), frequency)
+        assert set(stage._base_fixed) == {2.0 * GHZ, 2.6 * GHZ}
+        assert set(stage._per_byte_fixed) == {2.0 * GHZ, 2.6 * GHZ}
+        assert stage._per_job_fixed is None  # Erlang draws
+
+    def test_a_table_that_draws_at_any_point_gets_no_fixed_table(self):
+        table = FrequencyTable(
+            {1.3 * GHZ: Exponential(4e-6), 2.6 * GHZ: Deterministic(2e-6)}
+        )
+        stage = attached(Stage("s", 0, SingleQueue(), base=table))
+        assert stage._base_fixed is None
 
 
 class TestStageStreams:
