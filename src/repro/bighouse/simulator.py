@@ -10,7 +10,8 @@ the effect Fig 13 demonstrates.
 
 This module implements that methodology faithfully: a compact G/G/k
 event simulation per instance, with instances accumulated until the
-tail-latency estimate converges.
+tail-latency estimate converges under the stopping rule it shares with
+the uqSim replication harness (:mod:`repro.analysis.convergence`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import List
 
 import numpy as np
 
+from ..analysis.convergence import StoppingRule, replicate
 from ..distributions import Distribution
 from ..engine import RandomStreams
 from ..errors import SimulationError
@@ -82,9 +84,12 @@ def simulate_ggk_instance(
 class BigHouseSimulator:
     """Runs G/G/k instances until the p99 estimate converges.
 
-    Convergence: after each batch of instances, the relative spread of
-    the per-instance p99 estimates (std error / mean) must drop under
-    *tolerance*.
+    Convergence is the shared
+    :class:`~repro.analysis.convergence.StoppingRule` over the
+    per-instance p99 estimates: between *min_instances* and
+    *max_instances* instances, stopping once their standard error is
+    under *tolerance* of their mean. Instance *k* draws from its own
+    ``instance/{k}`` stream.
     """
 
     def __init__(
@@ -98,51 +103,31 @@ class BigHouseSimulator:
         tolerance: float = 0.05,
         seed: int = 0,
     ) -> None:
-        if min_instances < 2:
-            raise SimulationError("need >= 2 instances to estimate convergence")
-        if max_instances < min_instances:
-            raise SimulationError("max_instances < min_instances")
-        if not 0 < tolerance < 1:
-            raise SimulationError(f"tolerance must be in (0,1), got {tolerance!r}")
+        self.rule = StoppingRule(min_instances, max_instances, tolerance)
         self.interarrival = interarrival
         self.service = service
         self.servers = servers
         self.requests_per_instance = requests_per_instance
-        self.min_instances = min_instances
-        self.max_instances = max_instances
-        self.tolerance = tolerance
         self._streams = RandomStreams(seed)
 
+    def _instances(self, indices: range) -> List[np.ndarray]:
+        return [simulate_ggk_instance(
+            self.interarrival, self.service, self.servers,
+            self.requests_per_instance, self._streams.stream(f"instance/{k}"),
+        ) for k in indices]
+
     def run(self) -> BigHouseResult:
-        all_samples: List[np.ndarray] = []
-        p99s: List[float] = []
-        converged = False
-        instance = 0
-        while instance < self.max_instances:
-            rng = self._streams.stream(f"instance/{instance}")
-            samples = simulate_ggk_instance(
-                self.interarrival,
-                self.service,
-                self.servers,
-                self.requests_per_instance,
-                rng,
-            )
-            all_samples.append(samples)
-            p99s.append(float(np.percentile(samples, 99)))
-            instance += 1
-            if instance >= self.min_instances:
-                mean_p99 = float(np.mean(p99s))
-                stderr = float(np.std(p99s, ddof=1)) / np.sqrt(len(p99s))
-                if mean_p99 > 0 and stderr / mean_p99 < self.tolerance:
-                    converged = True
-                    break
-        merged = np.concatenate(all_samples)
+        instances, _, _, converged = replicate(
+            self.rule, self._instances,
+            lambda samples: float(np.percentile(samples, 99)),
+        )
+        merged = np.concatenate(instances)
         return BigHouseResult(
             mean=float(np.mean(merged)),
             p50=float(np.percentile(merged, 50)),
             p95=float(np.percentile(merged, 95)),
             p99=float(np.percentile(merged, 99)),
             samples=int(merged.size),
-            instances=instance,
+            instances=len(instances),
             converged=converged,
         )

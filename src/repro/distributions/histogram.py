@@ -74,8 +74,10 @@ class Histogram(Distribution):
             raise DistributionError("profiled times cannot be negative")
         lo = float(samples_arr.min())
         hi = float(samples_arr.max())
-        if lo == hi:
-            # Degenerate profile: one tiny bin around the single value.
+        edges = np.linspace(lo, hi, bins + 1)
+        if np.any(edges[:-1] >= edges[1:]):
+            # Degenerate profile (one value, or a range a few ulps wide
+            # that cannot be split into *bins* bins): one tiny bin.
             width = max(abs(hi), 1e-12) * 1e-6
             return cls([max(lo - width, 0.0), hi + width], [1.0])
         counts, edges = np.histogram(samples_arr, bins=bins)

@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..apps.base import World
 from ..errors import ReproError
@@ -260,29 +260,28 @@ def measure_at_load(
     and runs the vanilla point when the planner falls back.
     """
     return _load_point(
-        qps, build_world, duration, warmup, mix, seed,
-        RunOptions.pick(locals()), world_kwargs,
+        (qps, derive_seed(seed, float(qps))), build_world, duration, warmup,
+        mix, RunOptions.pick(locals()), world_kwargs,
     )
 
 
 def _load_point(
-    qps: float,
+    item: Tuple[float, int],
     build_world: Callable[..., World],
     duration: float,
     warmup: float,
     mix: Optional[RequestMix],
-    seed: int,
     options: RunOptions,
     world_kwargs: Dict[str, Any],
 ) -> SweepPoint:
     """Picklable per-point worker of a load sweep: :func:`sweep_point`
-    of one :func:`run_point` at *qps*, from the seed derived from the
-    sweep's *seed* and *qps*."""
+    of one :func:`run_point` at the *item*'s load from its derived
+    seed."""
     if warmup >= duration:
         raise ReproError(
             f"warmup ({warmup}) must be shorter than duration ({duration})"
         )
-    derived = derive_seed(seed, float(qps))
+    qps, derived = item
     run = run_point(build_world, qps, derived, options, duration=duration,
                     warmup=warmup, mix=mix, **world_kwargs)
     return sweep_point(run, qps, duration, warmup, derived, options)
@@ -661,9 +660,8 @@ def sweep_loads(
     trace_key: Union[bool, TraceConfig] = False,
     **world_kwargs,
 ) -> List[SweepPoint]:
-    """:func:`load_latency_sweep` under ready *options*: one
-    :func:`sweep_point` per offered load, ascending, mapped and
-    journaled by :meth:`RunOptions.map`.
+    """:func:`load_latency_sweep` under ready *options*: one point per
+    offered load, ascending, through :func:`map_load_points`.
 
     *trace_key* is the ``trace`` entry of the journal-key config, kept
     as each caller always wrote it: ``True`` for a sweep that was only
@@ -671,10 +669,36 @@ def sweep_loads(
     validation figure's.
     """
     loads = sorted(loads)
+    return map_load_points(
+        build_world, loads, [derive_seed(seed, float(qps)) for qps in loads],
+        [{"qps": float(qps)} for qps in loads], duration, warmup,
+        experiment, options, mix=mix, trace_key=trace_key, **world_kwargs,
+    )
+
+
+def map_load_points(
+    build_world: Callable[..., World],
+    loads: Sequence[float],
+    seeds: Sequence[int],
+    specs: Sequence[Dict[str, Any]],
+    duration: float,
+    warmup: float,
+    experiment: str,
+    options: RunOptions,
+    *,
+    mix: Optional[RequestMix] = None,
+    trace_key: Union[bool, TraceConfig] = False,
+    summary: Callable[[List[Any]], Dict[str, Any]] = sweep_manifest_summary,
+    **world_kwargs,
+) -> List[SweepPoint]:
+    """One :func:`sweep_point` per load, each run from its derived seed
+    in *seeds*, mapped and journaled by :meth:`RunOptions.map` (whose
+    manifest adds the *summary* of the results): the one place load
+    points get their journal keys, each from its point *spec*, its seed
+    and the sweep config."""
     point = functools.partial(
         _load_point, build_world=build_world, duration=duration,
-        warmup=warmup, mix=mix, seed=seed, options=options,
-        world_kwargs=world_kwargs,
+        warmup=warmup, mix=mix, options=options, world_kwargs=world_kwargs,
     )
     config = sweep_config(
         builder=getattr(build_world, "__name__", repr(build_world)),
@@ -686,14 +710,12 @@ def sweep_loads(
         **options.journal_config(trace_key),
         **world_kwargs,
     )
-    seeds = [derive_seed(seed, float(qps)) for qps in loads]
     return options.map(
-        point, loads, experiment=experiment, config=config, seeds=seeds,
-        keys=[
-            point_key(experiment, {"qps": float(qps)}, derived, config)
-            for qps, derived in zip(loads, seeds)
-        ],
-        manifest_extra=sweep_manifest_summary,
+        point, list(zip(loads, seeds)), experiment=experiment,
+        config=config, seeds=seeds,
+        keys=[point_key(experiment, spec, derived, config)
+              for spec, derived in zip(specs, seeds)],
+        manifest_extra=summary,
     )
 
 

@@ -11,6 +11,7 @@ a runner the options that were set, or refuses loudly when the runner
 cannot honour one. Each entry point that takes options as keywords
 (the registry runners, :func:`~repro.experiments.loadsweep.load_latency_sweep`,
 :func:`~repro.experiments.loadsweep.measure_at_load`,
+:func:`~repro.experiments.replication.replicate_at_load`,
 :func:`~repro.experiments.tail_at_scale.measure_tail_at_scale`) picks
 them into one :class:`RunOptions` once; every layer beneath takes that
 object and reads each field where it acts. Which worlds shard, and

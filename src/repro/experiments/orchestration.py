@@ -207,18 +207,18 @@ def measure_node_failure(
     recovery_from: float = 1.5,
     machines: int = 4,
     replicas: int = 4,
-    timeout: float = 0.2,
-    fault_plan: Optional[FaultPlan] = None,
-    audit: bool = False,
+    request_timeout: float = 0.2,
+    options: RunOptions = RunOptions(),
     **world_kwargs,
 ) -> NodeFailurePoint:
     """Run one machine-kill scenario and report healing statistics.
 
-    The default plan kills *machine* at *fail_at*; passing *fault_plan*
-    (e.g. from ``--fault-plan``) replaces it wholesale. The client
-    retries timed-out requests, so requests in flight on the dead
-    machine resolve instead of hanging — with *audit* on, the
-    conservation check proves none leaked.
+    The default plan kills *machine* at *fail_at*; the options'
+    ``fault_plan`` (e.g. from ``--fault-plan``) replaces it wholesale.
+    The client retries requests that time out after *request_timeout*,
+    so requests in flight on the dead machine resolve instead of
+    hanging — with the options' ``audit`` on, the conservation check
+    proves none leaked.
     """
     cw = build_cluster_world(
         machines=machines, replicas=replicas,
@@ -227,19 +227,20 @@ def measure_node_failure(
     )
     world, cp = cw.world, cw.control_plane
     cp.start(stop_at=duration)
-    arm_faults(world, fault_plan or FaultPlan().fail_machine(fail_at, machine))
+    arm_faults(world, options.fault_plan
+               or FaultPlan().fail_machine(fail_at, machine))
     client = OpenLoopClient(
         world.sim,
         world.dispatcher,
         arrivals=qps,
         stop_at=duration,
         resilience=ResiliencePolicy(
-            timeout=timeout, retry=RetryPolicy(max_attempts=3)
+            timeout=request_timeout, retry=RetryPolicy(max_attempts=3)
         ),
     )
     client.start()
     world.sim.run(until=duration + 1.0)
-    if audit:
+    if options.audit:
         audit_client(client, world.sim, dispatcher=world.dispatcher)
     resolved = sum(client.outcomes.values())
     up = [
@@ -286,7 +287,7 @@ def node_failure_experiment(
     options = RunOptions.pick(locals())
     point = functools.partial(
         measure_node_failure, qps=qps, duration=duration, fail_at=fail_at,
-        machine=machine, fault_plan=fault_plan, audit=audit, **world_kwargs,
+        machine=machine, options=options, **world_kwargs,
     )
     items = [derive_seed(seed, int(s)) for s in seeds]
     config = sweep_config(
@@ -336,12 +337,13 @@ def measure_rollout(
     observe_for: float = 1.5,
     slo_threshold: float = 10e-3,
     mean_service: float = 1e-3,
-    audit: bool = False,
+    options: RunOptions = RunOptions(),
     **world_kwargs,
 ) -> RolloutPoint:
     """Deploy a ``v2`` candidate whose service time is ``regression`` x
     the stable version's, gated (for ``strategy="canary"``) by a
-    latency SLO scoped to the canary cohort alone."""
+    latency SLO scoped to the canary cohort alone; the options'
+    ``audit`` checks conservation."""
     if strategy not in ("canary", "rolling"):
         raise ConfigError(
             f"strategy must be 'canary' or 'rolling', got {strategy!r}"
@@ -377,7 +379,7 @@ def measure_rollout(
     )
     client.start()
     world.sim.run(until=duration + 1.0)
-    if audit:
+    if options.audit:
         audit_client(client, world.sim, dispatcher=world.dispatcher)
     result = rollout.result
     return RolloutPoint(
@@ -413,7 +415,7 @@ def rollout_experiment(
     options = RunOptions.pick(locals())
     point = functools.partial(
         measure_rollout, regression=regression, strategy=strategy,
-        audit=audit, **kwargs,
+        options=options, **kwargs,
     )
     items = [derive_seed(seed, int(s)) for s in seeds]
     config = sweep_config(

@@ -1,25 +1,25 @@
-"""Replicated measurements with convergence control.
-
-BigHouse's methodology — run independent instances "until performance
-metrics converge" — applied to full uqSim experiments: repeat a sweep
-point with decorrelated seeds until the tail-latency estimate's
-relative standard error drops below a tolerance, and report the
-estimate with its confidence half-width. Use this when a single
-measurement window is too noisy (short windows, high percentiles,
-heavy-tailed services).
+"""Replicated measurements with convergence control: BigHouse's
+methodology (run independent instances "until performance metrics
+converge", :mod:`repro.analysis.convergence`) applied to full uqSim
+experiments. Use it when a single measurement window is too noisy
+(short windows, high percentiles, heavy-tailed services).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from pathlib import Path
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
+from ..analysis.convergence import StoppingRule, replicate
 from ..apps.base import World
-from ..errors import ReproError
+from ..faults import FaultPlan
+from ..runner.seeding import derive_seed
 from ..workload import RequestMix
-from .loadsweep import SweepPoint, measure_at_load
+from .loadsweep import SweepPoint, map_load_points, sweep_manifest_summary
+from .options import RunOptions, SLOSpec
 
 
 @dataclass
@@ -51,42 +51,60 @@ def replicate_at_load(
     max_replications: int = 12,
     tolerance: float = 0.1,
     seed: int = 1,
+    jobs: int = 1,
+    run_dir: Optional[Union[str, Path]] = None,
+    resume: bool = True,
+    timeout: Optional[float] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    audit: bool = False,
+    slo: Optional[SLOSpec] = None,
+    scrape_interval: Optional[float] = None,
+    shards: int = 1,
+    shard_timeout: Optional[float] = None,
+    shard_restarts: Optional[int] = None,
     **world_kwargs,
 ) -> ReplicatedPoint:
-    """Repeat a measurement until the p99 estimate converges.
+    """Repeat a load point until the relative standard error of its
+    per-replication p99 is under *tolerance*, between
+    *min_replications* and *max_replications*; replication *k* is
+    seeded with ``derive_seed(seed, float(qps), k)``.
 
-    Convergence: relative standard error of the per-replication p99
-    values under *tolerance* (after *min_replications*). Replications
-    use seeds ``seed + 10_007 * k`` so they are decorrelated but the
-    whole call is reproducible.
+    The execution options are :class:`RunOptions` fields, as for
+    :func:`~repro.experiments.loadsweep.load_latency_sweep`, except
+    trace export (replications at one load would overwrite each other's
+    files). The first ``min_replications`` run at once, then ``jobs``
+    at a time, so any ``jobs`` gives the same result; with *run_dir*
+    set every replication is journaled, even one past the converged
+    prefix, which the result drops.
     """
-    if min_replications < 2:
-        raise ReproError("need >= 2 replications to estimate spread")
-    if max_replications < min_replications:
-        raise ReproError("max_replications < min_replications")
-    if not 0 < tolerance < 1:
-        raise ReproError(f"tolerance must be in (0,1), got {tolerance!r}")
+    rule = StoppingRule(min_replications, max_replications, tolerance)
+    options = RunOptions.pick(locals())
+    # Loaded here, like the pool it sizes rounds for.
+    from ..runner.parallel import resolve_jobs
 
-    points: List[SweepPoint] = []
-    converged = False
-    for k in range(max_replications):
-        point = measure_at_load(
-            build_world, qps, duration, warmup, mix,
-            seed=seed + 10_007 * k, **world_kwargs,
-        )
-        points.append(point)
-        if len(points) >= min_replications:
-            p99s = np.array([p.p99 for p in points])
-            mean = p99s.mean()
-            stderr = p99s.std(ddof=1) / np.sqrt(len(p99s))
-            if mean > 0 and stderr / mean < tolerance:
-                converged = True
-                break
-    p99s = np.array([p.p99 for p in points])
+    measured: List[SweepPoint] = []
+
+    def run(indices: range) -> List[SweepPoint]:
+        # Each round rewrites the run manifest, so its summary covers
+        # every replication measured so far.
+        measured.extend(map_load_points(
+            build_world, [qps] * len(indices),
+            [derive_seed(seed, float(qps), k) for k in indices],
+            [{"qps": float(qps), "replication": k} for k in indices],
+            duration, warmup, "replication", options, mix=mix,
+            summary=lambda new: sweep_manifest_summary(measured + new),
+            **world_kwargs,
+        ))
+        return measured[indices.start:]
+
+    points, p99_mean, p99_stderr, converged = replicate(
+        rule, run, lambda point: point.p99,
+        round_size=resolve_jobs(options.jobs),
+    )
     return ReplicatedPoint(
         offered_qps=qps,
-        p99_mean=float(p99s.mean()),
-        p99_stderr=float(p99s.std(ddof=1) / np.sqrt(len(p99s))),
+        p99_mean=p99_mean,
+        p99_stderr=p99_stderr,
         mean_mean=float(np.mean([p.mean for p in points])),
         throughput_mean=float(np.mean([p.throughput for p in points])),
         replications=len(points),

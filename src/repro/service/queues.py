@@ -100,15 +100,17 @@ class SingleQueue(StageQueue):
 
     def next_batch(self) -> List[Job]:
         batch: List[Job] = []
-        skipped: List[Job] = []
+        skipped: Optional[List[Job]] = None
         while self._fifo and len(batch) < self.batch_limit:
             job = self._fifo.popleft()
             if _is_blocked(job):
+                skipped = skipped or []
                 skipped.append(job)
             else:
                 batch.append(job)
-        # Hidden jobs go back to the front, preserving their order.
-        self._fifo.extendleft(reversed(skipped))
+        if skipped:
+            # Hidden jobs go back to the front, preserving their order.
+            self._fifo.extendleft(reversed(skipped))
         return batch
 
     def __len__(self) -> int:

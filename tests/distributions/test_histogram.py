@@ -89,6 +89,11 @@ class TestFromSamples:
         h = Histogram.from_samples([0.005, 0.005, 0.005])
         assert h.sample(rng) == pytest.approx(0.005, rel=1e-3)
 
+    def test_range_too_narrow_for_the_bins(self, rng):
+        # One ulp apart: numpy cannot split the range into 16 bins.
+        h = Histogram.from_samples([1000.0, 999.9999999999999], bins=16)
+        assert h.sample(rng) == pytest.approx(1000.0, rel=1e-5)
+
     def test_no_samples_rejected(self):
         with pytest.raises(DistributionError):
             Histogram.from_samples([])

@@ -200,15 +200,12 @@ class TestExecutionOptionsTravelAsOneObject:
     as shorthand folded into their options."""
 
     #: The entry points beside the registry runners. Each picks its
-    #: keywords into one ``RunOptions`` (the orchestration studies'
-    #: single measurements, whose ``timeout`` is a request timeout,
-    #: hand theirs to the world directly).
+    #: keywords into one ``RunOptions``.
     ENTRY_POINTS = {
         "repro.experiments.loadsweep.load_latency_sweep",
         "repro.experiments.loadsweep.measure_at_load",
+        "repro.experiments.replication.replicate_at_load",
         "repro.experiments.tail_at_scale.measure_tail_at_scale",
-        "repro.experiments.orchestration.measure_node_failure",
-        "repro.experiments.orchestration.measure_rollout",
     }
 
     def test_only_entry_points_take_option_keywords(self):
