@@ -9,17 +9,26 @@ from the buffer, turning the hottest stochastic call sites (stage
 service times, open-loop inter-arrival gaps, network jitter) into list
 indexing.
 
+**Growth schedule.** A sampler's blocks are sized to its demand: the
+first refill draws ``min(16, block)`` values and each later one twice
+the previous, up to ``block`` (16, 32, 64, ..., 1024 by default). A
+world of many streams that each serve a few dozen draws (the leaves of
+a 500-way fan-out) therefore never draws values it does not use,
+while a hot stream reaches full blocks within seven refills. The bound
+this buys: a sampler holds at most about twice the draws it has served
+(``max(16, 2 * served)``), and never more than ``block``.
+
 **Determinism contract.** numpy ``Generator`` array draws consume the
 underlying bit stream exactly like repeated scalar draws (verified for
 every distribution in this library by ``tests/distributions/
 test_buffered.py``), so a :class:`BufferedSampler` that is the *sole*
 consumer of its generator yields the bitwise-identical value sequence a
 scalar-drawing caller would have seen — same values, same generator end
-state, block size irrelevant. The one requirement is exclusivity: if
-another consumer draws from the same generator between refills, that
-consumer observes the post-block state. Call sites therefore attach
-buffered samplers to dedicated named streams (see
-:meth:`repro.engine.RandomStreams.stream`).
+state, block sizes and growth schedule irrelevant. The one requirement
+is exclusivity: if another consumer draws from the same generator
+between refills, that consumer observes the post-block state. Call
+sites therefore attach buffered samplers to dedicated named streams
+(see :meth:`repro.engine.RandomStreams.stream`).
 """
 
 from __future__ import annotations
@@ -31,20 +40,26 @@ import numpy as np
 from ..errors import DistributionError
 from .base import Distribution
 
-#: Default draws per refill. Large enough to amortise numpy dispatch
-#: (~1000x), small enough that an idle consumer wastes little work.
+#: Default cap on draws per refill: large enough to amortise numpy
+#: dispatch (~1000x). Refills start at :data:`_FIRST_BLOCK` and double
+#: up to it, so a stream that serves few draws never draws a whole one.
 DEFAULT_BLOCK = 1024
+
+#: Draws in a sampler's first refill (less when ``block`` is smaller).
+_FIRST_BLOCK = 16
 
 
 class BufferedSampler:
     """Serves scalar draws of one distribution from pre-drawn blocks.
 
-    The buffer is materialised as a plain Python list (``tolist()``) so
+    *block* is the largest refill; refills grow to it from
+    ``min(16, block)`` by doubling (see the module docstring). The
+    buffer is materialised as a plain Python list (``tolist()``) so
     serving a value is a list index returning a float — no numpy scalar
     boxing on the hot path.
     """
 
-    __slots__ = ("dist", "rng", "block", "_values", "_idx")
+    __slots__ = ("dist", "rng", "block", "_next", "_values", "_idx")
 
     def __init__(
         self,
@@ -57,12 +72,19 @@ class BufferedSampler:
         self.dist = dist
         self.rng = rng
         self.block = int(block)
+        self._next = min(_FIRST_BLOCK, self.block)  # the next refill's size
         self._values: List[float] = []
         self._idx = 0
 
-    def _refill(self) -> None:
-        self._values = self.dist.sample_many(self.rng, self.block).tolist()
+    def _refill(self, want: int = 0) -> None:
+        """Draw the next block, or exactly *want* values when more are
+        wanted at once — still a single numpy call and the same value
+        sequence — and double the next one's size, up to ``block``."""
+        size = self._next
+        values = self.dist.sample_many(self.rng, max(size, want))
+        self._values = values.tolist()
         self._idx = 0
+        self._next = min(2 * size, self.block)
 
     def sample(self) -> float:
         """The next draw, exactly as a scalar ``dist.sample(rng)`` would
@@ -85,13 +107,7 @@ class BufferedSampler:
             want = n - len(out)
             available = len(values) - idx
             if available <= 0:
-                # Refill with one big block when the request dwarfs the
-                # configured block size — still a single numpy call, and
-                # still the same value sequence.
-                if want > self.block:
-                    out.extend(self.dist.sample_many(self.rng, want).tolist())
-                    continue
-                self._refill()
+                self._refill(want)
                 continue
             chunk = min(want, available)
             out.extend(values[idx:idx + chunk])

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..apps.base import World
 from ..errors import ReproError
 from ..faults import FaultInjector, FaultPlan
-from ..runner.runstore import point_key, register_result_type
+from ..runner.runstore import RunSpan, point_key, register_result_type
 from ..runner.seeding import derive_seed
 from ..telemetry.export import write_otlp, write_perfetto
 from ..telemetry.slo import SLOMonitor
@@ -689,13 +689,15 @@ def map_load_points(
     mix: Optional[RequestMix] = None,
     trace_key: Union[bool, TraceConfig] = False,
     summary: Callable[[List[Any]], Dict[str, Any]] = sweep_manifest_summary,
+    span: Optional[RunSpan] = None,
     **world_kwargs,
 ) -> List[SweepPoint]:
     """One :func:`sweep_point` per load, each run from its derived seed
     in *seeds*, mapped and journaled by :meth:`RunOptions.map` (whose
-    manifest adds the *summary* of the results): the one place load
-    points get their journal keys, each from its point *spec*, its seed
-    and the sweep config."""
+    manifest adds the *summary* of the results, over the run *span*
+    when this call is one round of a run): the one place load points
+    get their journal keys, each from its point *spec*, its seed and
+    the sweep config."""
     point = functools.partial(
         _load_point, build_world=build_world, duration=duration,
         warmup=warmup, mix=mix, options=options, world_kwargs=world_kwargs,
@@ -715,7 +717,7 @@ def map_load_points(
         config=config, seeds=seeds,
         keys=[point_key(experiment, spec, derived, config)
               for spec, derived in zip(specs, seeds)],
-        manifest_extra=summary,
+        manifest_extra=summary, span=span,
     )
 
 

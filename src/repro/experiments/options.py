@@ -27,6 +27,7 @@ import inspect
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -41,6 +42,9 @@ from ..errors import ReproError
 from ..faults import FaultPlan
 from ..telemetry.slo import SLO, parse_slo
 from ..telemetry.tracing import TraceConfig
+
+if TYPE_CHECKING:  # pragma: no cover - the runner stack loads lazily
+    from ..runner.runstore import RunSpan
 
 #: How a sweep accepts SLOs: one spec string / SLO, or a sequence.
 SLOSpec = Union[str, SLO, Sequence[Union[str, SLO]]]
@@ -194,10 +198,12 @@ class RunOptions:
         seeds: Sequence[int],
         config: Any,
         manifest_extra: Optional[Any] = None,
+        span: Optional[RunSpan] = None,
     ) -> List[Any]:
         """``[fn(item) for item in items]`` over ``jobs`` workers,
         journaled to ``run_dir`` under *keys* when one is set (see
-        :func:`~repro.runner.durable_map`)."""
+        :func:`~repro.runner.durable_map`); *span* is the run the
+        manifest describes when this call is one round of it."""
         # The process-pool stack loads here, not with every world that
         # imports these options.
         from ..runner.parallel import parallel_map
@@ -208,7 +214,8 @@ class RunOptions:
                 fn, items, jobs=self.jobs, timeout=self.timeout,
             )
         return durable_map(
-            fn, items, store=RunStore(self.run_dir, experiment, config=config),
+            fn, items,
+            store=RunStore(self.run_dir, experiment, config=config, span=span),
             keys=keys, seeds=seeds, resume=self.resume, jobs=self.jobs,
             timeout=self.timeout, manifest_extra=manifest_extra,
         )

@@ -16,6 +16,7 @@ import numpy as np
 from ..analysis.convergence import StoppingRule, replicate
 from ..apps.base import World
 from ..faults import FaultPlan
+from ..runner.runstore import RunSpan
 from ..runner.seeding import derive_seed
 from ..workload import RequestMix
 from .loadsweep import SweepPoint, map_load_points, sweep_manifest_summary
@@ -83,16 +84,18 @@ def replicate_at_load(
     from ..runner.parallel import resolve_jobs
 
     measured: List[SweepPoint] = []
+    span = RunSpan()
 
     def run(indices: range) -> List[SweepPoint]:
-        # Each round rewrites the run manifest, so its summary covers
-        # every replication measured so far.
+        # Each round rewrites the run manifest, so its summary, resumed
+        # count and wall time cover every round so far.
         measured.extend(map_load_points(
             build_world, [qps] * len(indices),
             [derive_seed(seed, float(qps), k) for k in indices],
             [{"qps": float(qps), "replication": k} for k in indices],
             duration, warmup, "replication", options, mix=mix,
             summary=lambda new: sweep_manifest_summary(measured + new),
+            span=span,
             **world_kwargs,
         ))
         return measured[indices.start:]

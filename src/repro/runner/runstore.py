@@ -44,7 +44,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -210,6 +210,18 @@ def environment_info() -> Dict[str, str]:
 
 # -- the store -------------------------------------------------------------
 
+@dataclass
+class RunSpan:
+    """What a run's manifest counts over the whole run: when the run
+    started and how many points it resumed from the journal. A caller
+    that maps one run in several rounds (replications until they
+    converge) keeps one span across its rounds, so the manifest each
+    round rewrites describes the run so far, not only that round."""
+
+    started_at: float = field(default_factory=time.time)
+    resumed_points: int = 0
+
+
 class RunStore:
     """One run directory: journal + manifest.
 
@@ -217,7 +229,8 @@ class RunStore:
     as a cache: a fresh run over an existing directory appends new
     entries (later entries win), while ``resume`` reuses any entry
     whose key matches — which is safe by construction, because the key
-    covers everything the result depends on.
+    covers everything the result depends on. *span* is the run this
+    store's manifest describes; by default a new one starting now.
     """
 
     def __init__(
@@ -225,6 +238,7 @@ class RunStore:
         run_dir: Union[str, Path],
         experiment: str = "run",
         config: Any = None,
+        span: Optional[RunSpan] = None,
     ) -> None:
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -232,7 +246,7 @@ class RunStore:
         self.config = config
         self.journal_path = self.run_dir / "journal.jsonl"
         self.manifest_path = self.run_dir / "manifest.json"
-        self.started_at = time.time()
+        self.span = RunSpan() if span is None else span
         self._entries: Dict[str, dict] = {}
         self._load_journal()
 
@@ -352,7 +366,7 @@ class RunStore:
             "config": encode_value(self.config),
             "config_hash": point_key(self.experiment, None, None, self.config),
             "environment": environment_info(),
-            "wall_time_s": round(time.time() - self.started_at, 3),
+            "wall_time_s": round(time.time() - self.span.started_at, 3),
             "points": outcomes,
             "counts": counts,
         }
@@ -462,7 +476,8 @@ def durable_map(
     for sub_index, i in enumerate(todo):
         result = sub_results[sub_index]
         results[i] = remapped[i] if isinstance(result, ItemFailure) else result
-    extra: Dict[str, Any] = {"resumed_points": len(items) - len(todo)}
+    store.span.resumed_points += len(items) - len(todo)
+    extra: Dict[str, Any] = {"resumed_points": store.span.resumed_points}
     if callable(manifest_extra):
         extra.update(manifest_extra(results) or {})
     elif manifest_extra:

@@ -157,8 +157,10 @@ class Microservice:
         self._subscribed_conns: Set[int] = set()
         self._in_dispatch = False
         self.cores.on_release(self._kick)
-        # Bound once: every batch's completion event holds it.
+        # Bound once: every batch's completion event holds it, and
+        # every connection this instance receives on subscribes it.
         self._on_cpu_done = self._on_cpu_done
+        self._on_unblock = self._on_unblock
         self._push = sim.events.push
 
         # Lifecycle (fault injection): up -> draining/down -> up.

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from ..distributions import (
+    DEFAULT_BLOCK,
     BufferedSampler,
     Deterministic,
     Distribution,
@@ -151,7 +152,9 @@ class Stage:
         self.jobs_processed = 0
         self.busy_time = 0.0
 
-    def attach_samplers(self, streams, prefix: str, block: int = 1024) -> None:
+    def attach_samplers(
+        self, streams, prefix: str, block: int = DEFAULT_BLOCK
+    ) -> None:
         """Serve this stage's cost draws from block-buffered samplers.
 
         *streams* is the simulation's :class:`~repro.engine.RandomStreams`;

@@ -5,6 +5,8 @@ distribution family in the library — it is what lets the engine buffer
 its hottest stochastic call sites without changing any seeded result.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,45 @@ def _ids(dist):
     return type(dist).__name__
 
 
+#: Draws served when each refill at the default block runs dry: refills
+#: grow 16, 32, ..., 512, then hold at 1024.
+REFILL_ENDS = [16, 48, 112, 240, 496, 1008, 2032, 3056]
+
+#: Draw counts on both sides of every growth boundary.
+STRADDLES = [1] + [end + d for end in REFILL_ENDS for d in (-1, 0, 1)]
+
+#: ``("sample", n)`` is n sample() calls, ``("take", n)`` one take(n).
+#: The steps cross the first boundaries one draw at a time, take 1,100
+#: draws at once (more than the default block), pass 2,048 draws and
+#: end on an emptied refill, so nothing is left buffered.
+MIXED = [
+    ("sample", 1), ("take", 14),    # 15
+    ("take", 2),                    # 17: across the first refill
+    ("take", 30), ("sample", 2),    # 49: across the second
+    ("take", 1100),                 # 1,149: one numpy call of 1,037
+    ("sample", 256), ("take", 512), ("sample", 1024),   # 2,941
+]
+MIXED_DRAWS = sum(n for _, n in MIXED)
+
+
+def _serve(steps, sample, take):
+    served = []
+    for method, n in steps:
+        if method == "take":
+            served += take(n)
+        else:
+            served += [sample() for _ in range(n)]
+    return served
+
+
+def _state_after(dist, rng, n):
+    """*rng*'s state after *n* more scalar draws, leaving *rng* as is."""
+    twin = copy.deepcopy(rng)
+    for _ in range(n):
+        dist.sample(twin)
+    return twin.bit_generator.state
+
+
 @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=_ids)
 class TestBitwiseEquivalence:
     def test_sample_matches_scalar_stream(self, dist):
@@ -74,6 +115,50 @@ class TestBitwiseEquivalence:
         # request (20) larger than the block itself.
         got = sampler.take(3) + sampler.take(7) + sampler.take(20)
         assert got == scalar
+
+    def test_growing_refills_match_scalar_stream(self, dist):
+        # At the default block, on both sides of every refill: the
+        # values served so far and the generator state, which is ahead
+        # of the scalar stream by exactly the draws still buffered.
+        scalar_rng = np.random.default_rng(21)
+        buffered_rng = np.random.default_rng(21)
+        sampler = BufferedSampler(dist, buffered_rng)
+        scalar, served = [], []
+        for count in STRADDLES:
+            while len(served) < count:
+                scalar.append(dist.sample(scalar_rng))
+                served.append(sampler.sample())
+            assert served == scalar, count
+            assert buffered_rng.bit_generator.state == _state_after(
+                dist, scalar_rng, sampler.buffered
+            ), count
+
+    def test_mixed_sample_and_take_match_scalar_stream(self, dist):
+        scalar_rng = np.random.default_rng(22)
+        buffered_rng = np.random.default_rng(22)
+        sampler = BufferedSampler(dist, buffered_rng)
+        served = _serve(MIXED, sampler.sample, sampler.take)
+        assert served == [dist.sample(scalar_rng) for _ in range(MIXED_DRAWS)]
+        assert sampler.buffered == 0
+        assert (scalar_rng.bit_generator.state
+                == buffered_rng.bit_generator.state)
+
+    def test_frequency_sampler_matches_scalar_stream(self, dist):
+        # Served at half the profiled frequency, so every value is
+        # scaled at serve time, through the same mixed steps.
+        table = FrequencyTable.single(dist, 2.0e9)
+        scalar_rng = np.random.default_rng(23)
+        buffered_rng = np.random.default_rng(23)
+        sampler = table.make_sampler(buffered_rng)
+        served = _serve(
+            MIXED, lambda: sampler.sample(1.0e9),
+            lambda n: sampler.take(n, 1.0e9),
+        )
+        assert served == [
+            table.sample(scalar_rng, 1.0e9) for _ in range(MIXED_DRAWS)
+        ]
+        assert (scalar_rng.bit_generator.state
+                == buffered_rng.bit_generator.state)
 
 
 class TestBufferMechanics:

@@ -2,6 +2,7 @@
 journaled through the one sweep path, stopped by the shared rule."""
 
 import json
+import time
 import warnings
 
 from repro.apps import thrift_echo
@@ -62,3 +63,22 @@ def test_manifest_summarises_every_round(tmp_path):
                       slo="p99<5ms", **FAST)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["slo"]["p99<5ms"]["points"] == len(journal(run_dir)) == 4
+
+
+def test_manifest_describes_the_whole_run_not_its_last_round(tmp_path):
+    # jobs=1 runs two rounds: replications 0 and 1, then 2 (converged).
+    run_dir = tmp_path / "run"
+    began = time.perf_counter()
+    first = replicate_at_load(thrift_echo, QPS, run_dir=run_dir, **FAST)
+    elapsed = time.perf_counter() - began
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert first.replications == 3
+    assert manifest["resumed_points"] == 0
+    # The last round measured one replication of three, so a manifest
+    # timing that round alone would show about a third of the call.
+    assert 0.75 * elapsed <= manifest["wall_time_s"] <= elapsed
+    # The rerun resumes both rounds from the journal: all three.
+    again = replicate_at_load(thrift_echo, QPS, run_dir=run_dir, **FAST)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert again == first
+    assert manifest["resumed_points"] == 3 == len(journal(run_dir))
